@@ -47,7 +47,7 @@ from .residues import (
     log_jacobian,
     residue_verify,
 )
-from .series import Series, compose_univariate, exp_of, log_of, multiply
+from .series import Series, exp_of, log_of, multiply
 from .identities import (
     DysonInstance,
     URFamily,

@@ -36,10 +36,17 @@ from .residues import (
     log_jacobian,
     residue_verify,
 )
+from .series import Series
 
 
 def _compact(data):
     return json.dumps(data, separators=(",", ":"))
+
+
+def _inputs_from_args(args):
+    """The field, box and parameter bindings every series command starts from."""
+    spec = _field_from_args(args)
+    return spec, _box_from_args(args, spec), _bindings_from_args(args)
 
 
 def _field_from_args(args):
@@ -95,9 +102,10 @@ def _expr_from_args(args):
     raise UsageError("an expression is required (--expr or --expr-file)")
 
 
-def _cov_series(args, spec, box, bindings):
-    texts = [t for t in args.cov.split(";") if t.strip()]
-    return [expand(parse(t), spec, box=box, bindings=bindings) for t in texts]
+def _series_list(text, spec, box, bindings):
+    """Expand each expression of ``F1;F2;...``."""
+    return [expand(parse(t), spec, box=box, bindings=bindings)
+            for t in text.split(";") if t.strip()]
 
 
 def _xvars_from_args(args, spec, count):
@@ -128,25 +136,21 @@ def _print_scalar(value, args):
 # subcommands
 
 def _cmd_expand(args):
-    spec = _field_from_args(args)
-    box = _box_from_args(args, spec)
-    series = expand(parse(_expr_from_args(args)), spec, box=box,
-                    bindings=_bindings_from_args(args))
+    spec, box, bindings = _inputs_from_args(args)
+    series = expand(parse(_expr_from_args(args)), spec, box=box, bindings=bindings)
     _print_series(series, args)
     return 0
 
 
 def _extract_command(args, want):
-    spec = _field_from_args(args)
-    box = _box_from_args(args, spec)
-    bindings = _bindings_from_args(args)
+    spec, box, bindings = _inputs_from_args(args)
     series = expand(parse(_expr_from_args(args)), spec, box=box, bindings=bindings)
     if args.over:
         over = tuple(v.strip() for v in args.over.split(",") if v.strip())
     else:
         over = spec.variables
     if getattr(args, "cov", None):
-        F = _cov_series(args, spec, box, bindings)
+        F = _series_list(args.cov, spec, box, bindings)
         cov = change_of_variables(F, _xvars_from_args(args, spec, len(F)))
         report = {
             "jacobian_number": cov.jnum,
@@ -154,20 +158,18 @@ def _extract_command(args, want):
             "target_field": format_field_spec(cov.target) if cov.target else None,
         }
         if cov.jnum != 0:
-            lj_ct = log_jacobian(F, cov.xnames).ct(list(cov.xnames)) \
-                if len(cov.xnames) < spec.n else None
-            if lj_ct is None:
-                check = log_jacobian(F, cov.xnames).ct_scalar() == cov.jnum
-            else:
+            lj_ct = log_jacobian(F, cov.xnames).extract(cov.xnames, 0)
+            if isinstance(lj_ct, Series):
                 check = lj_ct.equals_on(cov.jnum)
+            else:
+                check = lj_ct == cov.jnum
             report["ct_log_jacobian_equals_jnum"] = bool(check)
         print(_compact(report), file=sys.stderr)
-    if len(over) == spec.n:
-        exponent = (want,) * spec.n
-        _print_scalar(series.coefficient(exponent), args)
-    else:
-        result = series.ct(list(over)) if want == 0 else series.res(list(over))
+    result = series.extract(over, want)
+    if isinstance(result, Series):
         _print_series(result, args)
+    else:
+        _print_scalar(result, args)
     return 0
 
 
@@ -180,38 +182,32 @@ def _cmd_res(args):
 
 
 def _jacobian_inputs(args):
-    spec = _field_from_args(args)
-    box = _box_from_args(args, spec)
-    bindings = _bindings_from_args(args)
-    texts = [t for t in args.F.split(";") if t.strip()]
-    F = [expand(parse(t), spec, box=box, bindings=bindings) for t in texts]
-    xnames = _xvars_from_args(args, spec, len(F))
-    return spec, F, xnames
+    spec, box, bindings = _inputs_from_args(args)
+    F = _series_list(args.F, spec, box, bindings)
+    return F, _xvars_from_args(args, spec, len(F))
 
 
 def _cmd_jacobian(args):
-    _, F, xnames = _jacobian_inputs(args)
+    F, xnames = _jacobian_inputs(args)
     _print_series(jacobian(F, list(xnames)), args)
     return 0
 
 
 def _cmd_jnum(args):
-    _, F, xnames = _jacobian_inputs(args)
+    F, xnames = _jacobian_inputs(args)
     print(jacobian_number(F, list(xnames)))
     return 0
 
 
 def _cmd_lj(args):
-    _, F, xnames = _jacobian_inputs(args)
+    F, xnames = _jacobian_inputs(args)
     _print_series(log_jacobian(F, list(xnames)), args)
     return 0
 
 
 def _cmd_cov(args):
-    spec = _field_from_args(args)
-    box = _box_from_args(args, spec)
-    bindings = _bindings_from_args(args)
-    F = _cov_series(args, spec, box, bindings)
+    spec, box, bindings = _inputs_from_args(args)
+    F = _series_list(args.cov, spec, box, bindings)
     xnames = _xvars_from_args(args, spec, len(F))
     verdict = residue_verify(parse(args.phi), F, list(xnames),
                              bindings=bindings, box=box, form=args.form)
@@ -220,11 +216,8 @@ def _cmd_cov(args):
 
 
 def _cmd_lagrange(args):
-    spec = _field_from_args(args)
-    box = _box_from_args(args, spec)
-    bindings = _bindings_from_args(args)
-    texts = [t for t in args.F.split(";") if t.strip()]
-    F = [expand(parse(t), spec, box=box, bindings=bindings) for t in texts]
+    spec, box, bindings = _inputs_from_args(args)
+    F = _series_list(args.F, spec, box, bindings)
     if args.inverse:
         inverse = lagrange_inverse(F, args.degree)
         print(_compact([series.to_json() for series in inverse]))

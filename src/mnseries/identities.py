@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from math import comb, factorial
 
 from .errors import UsageError
-from .ordering import identity_spec, int_det
-from .series import Series, multiply
+from .ordering import identity_spec, int_det, unit_vector
+from .series import Series, det, multiply
 
 
 def zspec(n):
@@ -23,23 +23,20 @@ def zspec(n):
     return identity_spec(tuple(f"z{i}" for i in range(1, n + 1)))
 
 
-def _unit(n, i):
-    return tuple(1 if j == i else 0 for j in range(n))
+def _vandermonde(spec, indices):
+    """prod_{a<b} (z_a - z_b) over the given variable indices, exactly."""
+    result = Series.constant(spec, 1)
+    for a, b in itertools.combinations(indices, 2):
+        factor = Series(spec, {unit_vector(spec.n, a): 1, unit_vector(spec.n, b): -1})
+        result = multiply(result, factor)
+    return result
 
 
 def vandermonde(n, spec=None):
     """prod_{i<j} (z_i - z_j), expanded exactly; empty product for n=1."""
     if n < 1:
         raise UsageError("need at least one variable")
-    spec = spec or zspec(n)
-    result = Series.constant(spec, 1)
-    for i in range(n):
-        for j in range(i + 1, n):
-            factor = Series(
-                spec, {_unit(spec.n, i): 1, _unit(spec.n, j): -1}
-            )
-            result = multiply(result, factor)
-    return result
+    return _vandermonde(spec or zspec(n), range(n))
 
 
 def vandermonde_determinant(n, spec=None):
@@ -50,37 +47,7 @@ def vandermonde_determinant(n, spec=None):
          for j in range(n)]
         for i in range(n)
     ]
-    return _series_det(rows)
-
-
-def _series_det(matrix):
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = None
-    for j in range(n):
-        entry = matrix[0][j]
-        if entry.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = multiply(entry, _series_det(minor))
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return Series.zero(matrix[0][0].spec)
-    return total
-
-
-def vandermonde_omit(n, j, spec=None):
-    """Vandermonde in z_1..z_n with z_j omitted (1-based j), same field."""
-    spec = spec or zspec(n)
-    result = Series.constant(spec, 1)
-    indices = [i for i in range(n) if i != j - 1]
-    for a, b in itertools.combinations(indices, 2):
-        factor = Series(spec, {_unit(spec.n, a): 1, _unit(spec.n, b): -1})
-        result = multiply(result, factor)
-    return result
+    return det(rows)
 
 
 def h_complete(n, k, spec=None):
@@ -120,11 +87,10 @@ def u_r_build(n, r):
         raise UsageError("the family needs n >= 2")
     spec = zspec(n)
     u = []
-    for j in range(1, n + 1):
-        s = vandermonde_omit(n, j, spec).shift(tuple(
-            r if i == j - 1 else 0 for i in range(n)
-        ))
-        if (j - 1) % 2:
+    for j in range(n):
+        z_j_to_r = tuple(r if i == j else 0 for i in range(n))
+        s = _vandermonde(spec, [i for i in range(n) if i != j]).shift(z_j_to_r)
+        if j % 2:
             s = -s
         u.append(s)
     family = URFamily(n, r, tuple(u))
@@ -211,7 +177,7 @@ def dyson_product(instance, spec=None):
             result = multiply(result, factor)
     if instance.generalized:
         total = sum(instance.a)
-        z_sum = Series(spec, {_unit(n, i): 1 for i in range(n)})
+        z_sum = Series(spec, {unit_vector(n, i): 1 for i in range(n)})
         result = multiply(result, z_sum ** total)
         result = result.shift(tuple(-ai for ai in instance.a))
     return result

@@ -46,6 +46,11 @@ def int_det(matrix):
     return sign * m[n - 1][n - 1]
 
 
+def unit_vector(n, i):
+    """The i-th standard basis vector of length n."""
+    return tuple(1 if j == i else 0 for j in range(n))
+
+
 def revlex_compare(a, b):
     """Compare integer vectors, most significant (last) coordinate first."""
     for i in range(len(a) - 1, -1, -1):
@@ -139,8 +144,7 @@ class FieldSpec:
             raise UnknownVariable(f"unknown variable {name!r}") from None
 
     def unit(self, name):
-        i = self.index(name)
-        return tuple(1 if j == i else 0 for j in range(self.n))
+        return unit_vector(self.n, self.index(name))
 
     def phi(self, exponent):
         """Image of an exponent vector under the twist: sum_i k_i * row_i."""
@@ -167,8 +171,7 @@ class FieldSpec:
 def identity_spec(names):
     names = tuple(names)
     n = len(names)
-    twist = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    return FieldSpec(names, twist)
+    return FieldSpec(names, tuple(unit_vector(n, i) for i in range(n)))
 
 
 def matmul(a, b):
@@ -200,7 +203,7 @@ def transformed_spec(base, substituted_rows):
                 raise UsageError(f"substituted row for {name!r} has wrong length")
             rows.append(row)
         else:
-            rows.append(tuple(1 if j == i else 0 for j in range(n)))
+            rows.append(unit_vector(n, i))
     subst = tuple(rows)
     if int_det(subst) == 0:
         raise SingularTwist("initial monomials are multiplicatively dependent")

@@ -37,32 +37,13 @@ from .errors import (
     SpecMismatch,
     UsageError,
 )
-from .ordering import Box, FieldSpec, int_det, transformed_spec
+from .ordering import Box, FieldSpec, int_det, transformed_spec, unit_vector
 from .parser import expand
-from .series import Series, multiply
+from .series import Series, det, multiply
 
 
 # ----------------------------------------------------------------------
 # Jacobian machinery
-
-def _det(matrix):
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    total = None
-    for j in range(n):
-        entry = matrix[0][j]
-        if entry.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = multiply(entry, _det(minor))
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    if total is None:
-        return Series.zero(matrix[0][0].spec, box=matrix[0][0].box)
-    return total
-
 
 def jacobian(F, xnames):
     """det(dF_i/dx_j) over series arithmetic."""
@@ -71,16 +52,12 @@ def jacobian(F, xnames):
         raise SpecMismatch("need exactly one series per x-variable")
     for s in F[1:]:
         F[0]._require_same_spec(s)
-    return _det([[s.derivative(name) for name in xnames] for s in F])
+    return det([[s.derivative(name) for name in xnames] for s in F])
 
 
 def jacobian_number(F, xnames):
     """Determinant of the x-initial exponent rows."""
-    rows = []
-    for s in F:
-        _, xpart, _ = s.x_initial_term(xnames)
-        rows.append(xpart)
-    return int_det(rows)
+    return change_of_variables(F, xnames).jnum
 
 
 def log_jacobian(F, xnames):
@@ -180,13 +157,6 @@ def _exact_expansion(phi, spec, box, bindings):
     return value if value.exact else None
 
 
-def _extract(series, xnames, want):
-    remaining = [v for v in series.spec.variables if v not in xnames]
-    if remaining:
-        return series._project(xnames, want)
-    return series.coefficient(tuple(want for _ in series.spec.variables))
-
-
 def _sides_equal(lhs, rhs):
     if isinstance(lhs, Series) and isinstance(rhs, Series):
         return lhs.equals_on(rhs)
@@ -217,12 +187,8 @@ def residue_verify(phi, F, xnames, bindings=None, box=None, form="res"):
             )
         phi_at_F = expand(phi, base, box=box, bindings=bindings,
                           substitutions=dict(zip(xnames, F)))
-        lhs = _extract(_times_jacobian(phi_at_F, cov, xnames, form), xnames, want)
-        remaining = [v for v in base.variables if v not in xnames]
-        if remaining:
-            rhs = Series.zero(lhs.spec, box=lhs.box)
-        else:
-            rhs = 0
+        lhs = _times_jacobian(phi_at_F, cov, xnames, form).extract(xnames, want)
+        rhs = Series.zero(lhs.spec, box=lhs.box) if isinstance(lhs, Series) else 0
         return ResidueVerdict(lhs, rhs, 0, _sides_equal(lhs, rhs), form, box)
 
     # Composition gate: phi must expand in the twisted field first.
@@ -237,12 +203,8 @@ def residue_verify(phi, F, xnames, bindings=None, box=None, form="res"):
 
     phi_at_F = expand(phi, base, box=box, bindings=bindings,
                       substitutions=dict(zip(xnames, F)))
-    lhs = _extract(_times_jacobian(phi_at_F, cov, xnames, form), xnames, want)
-    rhs_raw = _extract(target_expansion, xnames, want)
-    if isinstance(rhs_raw, Series):
-        rhs = rhs_raw.scale(cov.jnum)
-    else:
-        rhs = rhs_raw * cov.jnum
+    lhs = _times_jacobian(phi_at_F, cov, xnames, form).extract(xnames, want)
+    rhs = target_expansion.extract(xnames, want) * cov.jnum
     return ResidueVerdict(lhs, rhs, cov.jnum, _sides_equal(lhs, rhs), form, box)
 
 
@@ -265,9 +227,7 @@ def graded_spec(names, aux="_deg"):
     while aux in names:
         aux += "_"
     n = len(names)
-    rows = []
-    for i in range(n):
-        rows.append(tuple(1 if j == i else 0 for j in range(n)) + (1,))
+    rows = [unit_vector(n, i) + (1,) for i in range(n)]
     rows.append((0,) * n + (1,))
     return FieldSpec(names + (aux,), tuple(rows)), aux
 
@@ -288,7 +248,7 @@ def _check_power_series_normalized(F):
         F[0]._require_same_spec(s)
         if not s.exact:
             raise BadNormalization("inversion input must be an exact polynomial")
-        unit = tuple(1 if j == i else 0 for j in range(n))
+        unit = unit_vector(n, i)
         saw_unit = False
         for exponent, value in s.terms.items():
             if any(e < 0 for e in exponent):
@@ -319,11 +279,11 @@ def _pmul(a, b, cap):
     return {k: v for k, v in out.items() if v != 0}
 
 
-def _psubs(poly, G, cap):
-    """Substitute the dicts G_j into a polynomial dict, degree-capped."""
+def compose_polynomial(poly_terms, G, cap):
+    """poly(G_1, ..., G_n) on raw dicts, degree-capped; oracle helper."""
     n = len(G)
     total = {}
-    for exponent, coeff in poly.items():
+    for exponent, coeff in poly_terms.items():
         term = {(0,) * n: coeff}
         for j, e in enumerate(exponent):
             for _ in range(e):
@@ -344,15 +304,16 @@ def lagrange_inverse(F, degree):
     _check_power_series_normalized(F)
     spec = F[0].spec
     n = spec.n
-    units = [tuple(1 if j == i else 0 for j in range(n)) for i in range(n)]
+    units = [unit_vector(n, i) for i in range(n)]
     tails = []
     for i, s in enumerate(F):
         tails.append({k: v for k, v in s.terms.items() if k != units[i]})
     G = [{units[i]: 1} for i in range(n)]
     for _ in range(degree):
+        # F_i(G) - G_i = tail_i(G) has total degree >= 2, so it never meets x_i
         G = [
-            _merge({units[i]: 1}, _negate(_psubs(tails[i], G, degree)))
-            for i in range(n)
+            {unit: 1, **{k: -v for k, v in compose_polynomial(tail, G, degree).items()}}
+            for unit, tail in zip(units, tails)
         ]
     gspec, _ = graded_spec(spec.variables)
     box = Box(((0, degree),) * n + ((0, degree),))
@@ -360,22 +321,6 @@ def lagrange_inverse(F, degree):
         Series(gspec, {k + (0,): v for k, v in g.items()}, box=box, exact=False)
         for g in G
     ]
-
-
-def _merge(a, b):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + v
-    return {k: v for k, v in out.items() if v != 0}
-
-
-def _negate(d):
-    return {k: -v for k, v in d.items()}
-
-
-def compose_polynomial(poly_terms, G, cap):
-    """poly(G_1, ..., G_n) on raw dicts, degree-capped; oracle helper."""
-    return _psubs(poly_terms, G, cap)
 
 
 def lagrange_coefficient(phi, F, k, extra_degree=4, box=None):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cmp_to_key
 from math import factorial, gcd
 from operator import add as _int_add
 
@@ -37,7 +36,7 @@ from .errors import (
     ZeroDivisor,
     ZeroSeries,
 )
-from .ordering import Box, FieldSpec, revlex_compare
+from .ordering import Box, FieldSpec
 
 
 def _coeff(value):
@@ -133,14 +132,13 @@ class Series:
         """Exponent and coefficient of the least stored term."""
         if not self.terms:
             raise ZeroSeries("zero series has no initial term")
-        spec = self.spec
-        best = None
-        best_phi = None
-        for exponent in self.terms:
-            p = spec.phi(exponent)
-            if best is None or revlex_compare(p, best_phi) < 0:
-                best, best_phi = exponent, p
+        best = min(self.terms, key=self._order_key)
         return best, self.terms[best]
+
+    def _order_key(self, exponent):
+        """Sort key of the field's term order: revlex on phi, most
+        significant coordinate first."""
+        return self.spec.phi(exponent)[::-1]
 
     def order(self):
         return self.initial_term()[0]
@@ -151,9 +149,6 @@ class Series:
         if not self.exact and not self.box.contains(self.spec.phi(exponent)):
             raise OutOfPrecision(f"exponent {exponent} is outside the guaranteed box")
         return self.terms.get(exponent, 0)
-
-    def constant_coefficient(self):
-        return self.coefficient((0,) * self.spec.n)
 
     def guarantees(self, exponent):
         return self.exact or self.box.contains(self.spec.phi(tuple(exponent)))
@@ -234,10 +229,9 @@ class Series:
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n > 1
-            if base_needed:
-                base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __truediv__(self, other):
@@ -310,6 +304,8 @@ class Series:
         return indices
 
     def _project(self, names, want):
+        """Terms whose named exponents equal ``want`` (one exponent per
+        name), as a series over the remaining variables."""
         spec = self.spec
         selected = self._selected_indices(names)
         keep = [i for i in range(spec.n) if i not in selected]
@@ -322,19 +318,30 @@ class Series:
             tuple(spec.variables[i] for i in keep),
             tuple(tuple(spec.twist[i][j] for j in keep) for i in keep),
         )
+        want = tuple(want)
         out = {}
         for exponent, value in self.terms.items():
-            if all(exponent[i] == want for i in selected):
+            if tuple(exponent[i] for i in selected) == want:
                 out[tuple(exponent[i] for i in keep)] = value
         return Series(residual, out, box=self.box.project(keep), exact=self.exact)
 
     def ct(self, names):
         """Constant term in the named variables, projected out."""
-        return self._project(names, 0)
+        return self._project(names, (0,) * len(names))
 
     def res(self, names):
         """Residue (coefficient of exponent -1) in the named variables."""
-        return self._project(names, -1)
+        return self._project(names, (-1,) * len(names))
+
+    def extract(self, names, want):
+        """CT (``want=0``) or Res (``want=-1``) in the named variables.
+
+        A coefficient when every variable is named, else a series over the
+        remaining variables.
+        """
+        if len(self._selected_indices(names)) == self.spec.n:
+            return self.coefficient((want,) * self.spec.n)
+        return self._project(names, (want,) * len(names))
 
     def ct_scalar(self):
         """Constant term in all variables, as a coefficient."""
@@ -358,20 +365,9 @@ class Series:
         selected = self._selected_indices(names)
         leading, _ = self.initial_term()
         xpart = tuple(leading[i] for i in selected)
-        keep = [i for i in range(self.spec.n) if i not in selected]
-        if keep:
-            residual = FieldSpec(
-                tuple(self.spec.variables[i] for i in keep),
-                tuple(tuple(self.spec.twist[i][j] for j in keep) for i in keep),
-            )
-            out = {}
-            for exponent, value in self.terms.items():
-                if tuple(exponent[i] for i in selected) == xpart:
-                    out[tuple(exponent[i] for i in keep)] = value
-            coeff = Series(residual, out, box=self.box.project(keep), exact=self.exact)
-        else:
-            coeff = None
-        return leading, xpart, coeff
+        if len(selected) == self.spec.n:
+            return leading, xpart, None
+        return leading, xpart, self._project(names, xpart)
 
     # ------------------------------------------------------------------
     # comparison and presentation
@@ -411,10 +407,7 @@ class Series:
         return self.equals_on(Series.zero(self.spec, box=self.box), box=box)
 
     def sorted_terms(self):
-        spec = self.spec
-        return sorted(
-            self.terms.items(), key=cmp_to_key(lambda a, b: spec.compare(a[0], b[0]))
-        )
+        return sorted(self.terms.items(), key=lambda item: self._order_key(item[0]))
 
     def __str__(self):
         if not self.terms:
@@ -556,6 +549,26 @@ def _convolve(spec, aterms, bterms, keep):
     return {k: _coeff(Fraction(v, scale)) for k, v in out.items() if v != 0}
 
 
+def det(matrix):
+    """Determinant of a square matrix of series, by cofactor expansion."""
+    n = len(matrix)
+    if n == 1:
+        return matrix[0][0]
+    total = None
+    for j in range(n):
+        entry = matrix[0][j]
+        if entry.is_zero():
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
+        term = multiply(entry, det(minor))
+        if j % 2:
+            term = -term
+        total = term if total is None else total + term
+    if total is None:
+        return Series.zero(matrix[0][0].spec, box=matrix[0][0].box)
+    return total
+
+
 def multiply(a, b, box=None):
     """Product with shift-and-intersect box propagation.
 
@@ -642,8 +655,3 @@ def log_of(series):
         raise BadInitialTerm(f"log needs initial term 1, found {value} at {exponent}")
     tail = series - Series.constant(series.spec, 1, box=series.box)
     return tail.compose_stream(lambda n: Fraction((-1) ** (n + 1), n) if n else 0)
-
-
-def compose_univariate(coefficients, series):
-    """Sum coefficients(n)·series^n; the stream view of composition."""
-    return series.compose_stream(coefficients)

@@ -170,6 +170,19 @@ def test_over_subset(capsys):
     assert out.strip() == "2*t"
 
 
+def test_over_names_distinct_field_variables(capsys):
+    code, out, err = run_cli(
+        capsys, "ct", "--vars", "x,y", "--expr", "1+x+y", "--over", "x,q",
+    )
+    assert (code, out) == (2, "")
+    assert "error[unknown-variable]" in err
+    code, out, err = run_cli(
+        capsys, "ct", "--vars", "x,y", "--expr", "1+x+y", "--over", "x,x",
+    )
+    assert (code, out) == (2, "")
+    assert "error[usage]" in err and "selected twice" in err
+
+
 def test_vars_twist_flags(capsys):
     code, out, _ = run_cli(
         capsys, "expand", "--vars", "x,y", "--twist", "[[2,1],[1,2]]",

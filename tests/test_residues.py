@@ -7,6 +7,8 @@ from mnseries import (
     ExpansionFailure,
     RefusedSingular,
     Series,
+    SpecMismatch,
+    UnboundVariable,
     change_of_variables,
     expand_text,
     identity_spec,
@@ -72,6 +74,12 @@ def test_jacobian_number_worked_examples():
     spec = identity_spec(("x1", "x2"))
     F_id = [Series.variable(spec, "x1"), Series.variable(spec, "x2")]
     assert jacobian_number(F_id, ["x1", "x2"]) == 1
+
+
+def test_jacobian_number_rejects_a_non_square_matrix():
+    F = expand_text("x^2*y+x^3", identity_spec(("x", "y")))
+    with pytest.raises(SpecMismatch):
+        jacobian_number([F], ["x", "y"])
 
 
 def test_log_jacobian_big_example():
@@ -147,6 +155,14 @@ def test_refusal_for_singular_nonpolynomial():
     F2 = expand_text("x1*(1+x1)", spec)
     with pytest.raises(RefusedSingular):
         residue_verify(parse("1/(1-x2/x1)"), [F1, F2], ["x1", "x2"])
+
+
+def test_singular_usage_error_is_not_a_refusal():
+    # j(1+x) = 0, and phi cannot expand at all: the unbound q is the user's
+    # error, not a singular change of variables
+    F = expand_text("1+x", X)
+    with pytest.raises(UnboundVariable):
+        residue_verify(parse("x*q"), [F], ["x"])
 
 
 def test_singular_laurent_polynomial_still_holds():
