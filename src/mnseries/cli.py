@@ -103,9 +103,12 @@ def _expr_from_args(args):
 
 
 def _series_list(text, spec, box, bindings):
-    """Expand each expression of ``F1;F2;...``."""
-    return [expand(parse(t), spec, box=box, bindings=bindings)
-            for t in text.split(";") if t.strip()]
+    """Expand each expression of ``F1;F2;...``; at least one is required."""
+    series = [expand(parse(t), spec, box=box, bindings=bindings)
+              for t in text.split(";") if t.strip()]
+    if not series:
+        raise UsageError(f"no expression in {text!r}, expected F1;F2;...")
+    return series
 
 
 def _xvars_from_args(args, spec, count):

@@ -45,13 +45,23 @@ from .series import Series, det, multiply
 # ----------------------------------------------------------------------
 # Jacobian machinery
 
-def jacobian(F, xnames):
-    """det(dF_i/dx_j) over series arithmetic."""
-    F = list(F)
+def _substitution(F, xnames):
+    """Check that F holds one series per distinct x-name, all in one field."""
+    F = tuple(F)
+    xnames = tuple(xnames)
+    if not F:
+        raise SpecMismatch("need at least one series to substitute")
     if len(F) != len(xnames):
         raise SpecMismatch("need exactly one series per x-variable")
     for s in F[1:]:
         F[0]._require_same_spec(s)
+    F[0]._selected_indices(xnames)
+    return F, xnames
+
+
+def jacobian(F, xnames):
+    """det(dF_i/dx_j) over series arithmetic."""
+    F, xnames = _substitution(F, xnames)
     return det([[s.derivative(name) for name in xnames] for s in F])
 
 
@@ -62,7 +72,7 @@ def jacobian_number(F, xnames):
 
 def log_jacobian(F, xnames):
     """(x_1···x_n / F_1···F_n) · J(F)."""
-    F = list(F)
+    F, xnames = _substitution(F, xnames)
     spec = F[0].spec
     shift = [0] * spec.n
     for name in xnames:
@@ -92,13 +102,8 @@ class ChangeOfVariables:
 
 
 def change_of_variables(F, xnames):
-    F = tuple(F)
-    xnames = tuple(xnames)
-    if len(F) != len(xnames):
-        raise SpecMismatch("need exactly one series per x-variable")
+    F, xnames = _substitution(F, xnames)
     base = F[0].spec
-    for s in F[1:]:
-        F[0]._require_same_spec(s)
     leading = []
     x_rows = []
     coefficients = []

@@ -13,17 +13,19 @@ flow through as a fast path; both prune to nothing when they equal zero.
 Box propagation through products follows the shift-and-intersect rule: each
 factor's box is shifted by the other factor's initial phi-exponent, or — when
 the other factor is exact, hence has fully known finite support — by every
-exponent of that support, and everything is intersected.  Inversion and
-stream composition sum geometric-style tails until the box-pruned power of
-the positive-order part becomes empty, which terminates because only finitely
-many sums of elements from a finite revlex-positive set can stay inside a
-fixed box.
+exponent of that support, and everything is intersected.  Inversion writes
+the series as c·x^m·(1 - tau) and solves g = 1 + prune(tau·g) one
+coefficient at a time, in increasing term order; stream composition (exp,
+log) sums box-pruned powers of the positive-order part until they become
+empty.  Both terminate because only finitely many sums of elements from a
+finite revlex-positive set can stay inside a fixed box.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from heapq import heappop, heappush
 from math import factorial, gcd
 from operator import add as _int_add
 
@@ -245,8 +247,9 @@ class Series:
     def invert(self):
         """Multiplicative inverse, truncated to the shifted box.
 
-        Writes the series as c·x^m·(1 - tau) with ord(tau) positive and sums
-        the geometric series in tau until the pruned power dies out.
+        Writes the series as c·x^m·(1 - tau) with ord(tau) positive and
+        solves g = 1 + prune(tau·g) in term order (``_invert_recurrence``);
+        only finitely many box points are reachable, so it terminates.
         """
         if not self.terms:
             if self.exact:
@@ -263,7 +266,7 @@ class Series:
             if exponent == m:
                 continue
             tau[_vec_sub(exponent, m)] = _coeff(-Fraction(value) * inv_c)
-        total = _geometric_sum(spec, tau, self.box, lambda n: 1)
+        total = _invert_recurrence(spec, tau, self.box)
         shifted = {_vec_sub(k, m): _coeff(v * Fraction(inv_c)) for k, v in total.items()}
         return Series(spec, shifted, box=result_box, exact=False)
 
@@ -639,6 +642,60 @@ def _geometric_sum(spec, tau, box, coefficients):
             for exponent, value in power.items():
                 total[exponent] = total.get(exponent, 0) + value * cn
     return {k: v for k, v in total.items() if v != 0}
+
+
+def _invert_recurrence(spec, tau, box):
+    """Solve g = 1 + prune(tau·g) one coefficient at a time, in term order.
+
+    ``g_e`` sums, over the sequences of ``tau`` exponents that add up to
+    ``e`` with every nonempty prefix sum in ``box``, the products of their
+    coefficients: the terms of the box-pruned power sum
+    ``_geometric_sum(spec, tau, box, lambda n: 1)``, which starts from the
+    origin whether or not ``box`` contains it.  Each nonzero ``g_e`` is
+    pushed to every ``e + a`` inside ``box``; a heap keyed by reversed phi
+    pops pending exponents in increasing term order, so all predecessors of
+    an exponent are final when it is popped.  Phi-images are carried along
+    (``phi(e + a) = phi(e) + phi(a)``).  Only finitely many box points are
+    reachable, so the loop ends.
+
+    As in ``_convolve``, the loop runs on integers: a pending coefficient is
+    an integer numerator over ``den ** level``, with ``den`` the common
+    denominator of ``tau``, and is normalized once, when it is popped.
+    """
+    zero = (0,) * spec.n
+    bounds = box.bounds[::-1]
+    den, tau = _int_normal(tau)
+    steps = [(spec.phi(a)[::-1], a, value) for a, value in tau.items()]
+    total = {zero: 1}
+    pending = {}    # reversed phi -> [exponent, numerator, level]
+    heap = []
+    key, exponent, value, level = zero, zero, 1, 0
+    while True:
+        up = level + 1
+        for step_key, step, step_value in steps:
+            nxt = tuple(map(_int_add, key, step_key))
+            for c, (lo, hi) in zip(nxt, bounds):
+                if c < lo or c > hi:
+                    break
+            else:
+                entry = pending.get(nxt)
+                if entry is None:
+                    pending[nxt] = [tuple(map(_int_add, exponent, step)),
+                                    step_value * value, up]
+                    heappush(heap, nxt)
+                elif entry[2] >= up:
+                    entry[1] += step_value * value * den ** (entry[2] - up)
+                else:
+                    entry[1] = entry[1] * den ** (up - entry[2]) + step_value * value
+                    entry[2] = up
+        while heap:
+            key = heappop(heap)
+            exponent, value, level = pending.pop(key)
+            if value:
+                total[exponent] = _coeff(Fraction(value, den ** level))
+                break
+        else:
+            return total
 
 
 def exp_of(series):

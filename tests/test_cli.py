@@ -183,6 +183,24 @@ def test_over_names_distinct_field_variables(capsys):
     assert "error[usage]" in err and "selected twice" in err
 
 
+def test_repeated_xvars_refused(capsys):
+    for command in ("jacobian", "jnum", "lj"):
+        code, out, err = run_cli(capsys, command, "--vars", "x,y",
+                                 "--F", "x^2;y^2", "--xvars", "x,x")
+        assert (code, out) == (2, "")
+        assert err == "error[usage]: variable 'x' selected twice\n"
+
+
+def test_empty_series_list_refused(capsys):
+    runs = [(command, "--vars", "x,y", "--F", ";")
+            for command in ("jacobian", "jnum", "lj")]
+    runs.append(("ct", "--vars", "x,y", "--cov", ";", "--expr", "x"))
+    for argv in runs:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error[usage]: no expression in ';'")
+
+
 def test_vars_twist_flags(capsys):
     code, out, _ = run_cli(
         capsys, "expand", "--vars", "x,y", "--twist", "[[2,1],[1,2]]",

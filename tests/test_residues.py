@@ -9,6 +9,7 @@ from mnseries import (
     Series,
     SpecMismatch,
     UnboundVariable,
+    UsageError,
     change_of_variables,
     expand_text,
     identity_spec,
@@ -80,6 +81,20 @@ def test_jacobian_number_rejects_a_non_square_matrix():
     F = expand_text("x^2*y+x^3", identity_spec(("x", "y")))
     with pytest.raises(SpecMismatch):
         jacobian_number([F], ["x", "y"])
+
+
+def test_substitution_rejects_a_repeated_x_name():
+    spec = identity_spec(("x", "y"))
+    F = [expand_text("x^2", spec), expand_text("y^2", spec)]
+    for compute in (jacobian, log_jacobian, jacobian_number, change_of_variables):
+        with pytest.raises(UsageError, match="variable 'x' selected twice"):
+            compute(F, ["x", "x"])
+
+
+def test_substitution_rejects_an_empty_list():
+    for compute in (jacobian, log_jacobian, jacobian_number, change_of_variables):
+        with pytest.raises(SpecMismatch):
+            compute([], [])
 
 
 def test_log_jacobian_big_example():

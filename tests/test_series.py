@@ -6,10 +6,12 @@ import pytest
 
 from mnseries import (
     BadInitialTerm,
+    Box,
     FieldSpec,
     NonpositiveOrder,
     OutOfPrecision,
     Series,
+    SingularTwist,
     SpecMismatch,
     ZeroDivisor,
     ZeroSeries,
@@ -19,6 +21,7 @@ from mnseries import (
     log_of,
     multiply,
 )
+from mnseries.series import _geometric_sum, _vec_sub
 
 X = identity_spec(("x",))
 XY = FieldSpec(("x", "y"), ((2, 1), (1, 2)))
@@ -150,6 +153,64 @@ def test_invert_round_trips():
         if a.is_zero():
             continue
         assert multiply(a, a.invert()).equals_on(1)
+
+
+def _power_sum_inverse(s):
+    """c⁻¹·x^{-m}·(sum of the box-pruned powers of tau), for s = c·x^m·(1 - tau)."""
+    spec = s.spec
+    m, c = s.initial_term()
+    inv_c = 1 / Fraction(c)
+    tau = {_vec_sub(e, m): -v * inv_c for e, v in s.terms.items() if e != m}
+    total = _geometric_sum(spec, tau, s.box, lambda n: 1)
+    return Series(
+        spec,
+        {_vec_sub(e, m): v * inv_c for e, v in total.items()},
+        box=s.box.shift(tuple(-p for p in spec.phi(m))),
+        exact=False,
+    )
+
+
+def _random_twist(rng, names):
+    while True:
+        rows = tuple(tuple(rng.randint(-1, 2) for _ in names) for _ in names)
+        try:
+            return FieldSpec(names, rows)
+        except SingularTwist:
+            continue
+
+
+def test_invert_equals_box_pruned_power_sum():
+    rng = random.Random(11)
+    origin_outside = 0
+    for _ in range(100):
+        spec = _random_twist(rng, ("x", "y", "z")[: rng.randint(2, 3)])
+        offset = [rng.randint(-3, 3) for _ in range(spec.n)]
+        terms = {}
+        for _ in range(rng.randint(2, 5)):
+            e = tuple(rng.randint(-1, 1) + o for o in offset)
+            terms[e] = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
+        # a box around the support, so the origin is often left out of it
+        phis = [spec.phi(e) for e in terms]
+        box = Box(tuple(
+            (min(p[i] for p in phis) - rng.randint(0, 4),
+             max(p[i] for p in phis) + rng.randint(0, 10))
+            for i in range(spec.n)
+        ))
+        s = Series(spec, terms, box=box, exact=False)
+        if len(s.terms) < 2:
+            continue
+        origin_outside += not box.contains((0,) * spec.n)
+        assert s.invert() == _power_sum_inverse(s)
+    assert origin_outside > 0
+
+
+def test_invert_starts_from_the_origin_outside_the_box():
+    # The recurrence starts at tau's origin even though the box [3, 10] does
+    # not contain it, exactly as the power sum does.  Making the box sound
+    # (ROADMAP item 2) may change this value on purpose.
+    inv = Series(X, {(5,): 1, (8,): 1}, box=Box(((3, 10),)), exact=False).invert()
+    assert inv.terms == {(-2,): -1, (1,): 1, (4,): -1}
+    assert inv.box == Box(((-2, 5),))
 
 
 # ----------------------------------------------------------------------
