@@ -43,6 +43,28 @@ def _compact(data):
     return json.dumps(data, separators=(",", ":"))
 
 
+def _int_list(text, flag, count=None):
+    """The comma separated integers given to ``flag``, ``count`` of them if set."""
+    try:
+        values = tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise UsageError(f"{flag} needs comma separated integers, got {text!r}") from None
+    if count is not None and len(values) != count:
+        noun = "integer" if count == 1 else "integers"
+        raise UsageError(f"{flag} needs {count} {noun}, got {len(values)}")
+    return values
+
+
+def _read_text(path, flag):
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise UsageError(f"cannot read {flag} {path!r}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"cannot read {flag} {path!r}: not UTF-8 text") from None
+
+
 def _inputs_from_args(args):
     """The field, box and parameter bindings every series command starts from."""
     spec = _field_from_args(args)
@@ -66,7 +88,7 @@ def _field_from_args(args):
 def _box_from_args(args, spec):
     text = str(args.box).strip()
     if ":" not in text:
-        return cube(spec.n, int(text))
+        return cube(spec.n, _int_list(text, "--box", 1)[0])
     bounds = []
     for chunk in text.split(","):
         lo, _, hi = chunk.partition(":")
@@ -97,8 +119,7 @@ def _expr_from_args(args):
     if getattr(args, "expr", None) is not None:
         return args.expr
     if getattr(args, "expr_file", None):
-        with open(args.expr_file, "r", encoding="utf-8") as handle:
-            return handle.read().strip()
+        return _read_text(args.expr_file, "--expr-file").strip()
     raise UsageError("an expression is required (--expr or --expr-file)")
 
 
@@ -227,14 +248,14 @@ def _cmd_lagrange(args):
         return 0
     if not args.k:
         raise UsageError("lagrange needs --k k1,k2,... or --inverse")
-    k = tuple(int(v) for v in args.k.split(","))
+    k = _int_list(args.k, "--k")
     phi = parse(args.phi) if args.phi else parse(spec.variables[0])
     _print_scalar(lagrange_coefficient(phi, F, k), args)
     return 0
 
 
 def _cmd_dyson(args):
-    a = tuple(int(v) for v in args.a.split(","))
+    a = _int_list(args.a, "--a")
     instance = DysonInstance(len(a), a, generalized=args.generalized)
     lhs = dyson_ct(instance)
     rhs = dyson_rhs(instance)
@@ -243,7 +264,7 @@ def _cmd_dyson(args):
 
 
 def _cmd_dixon(args):
-    a, b, c = (int(v) for v in args.abc.split(","))
+    a, b, c = _int_list(args.abc, "--abc", 3)
     lhs = dixon_sum(a, b, c)
     rhs = dyson_ct(DysonInstance(3, (a, b, c)))
     print(_compact({"lhs": str(lhs), "rhs": str(rhs), "equal": lhs == rhs}))
@@ -382,11 +403,13 @@ def _apply_config(argv):
     path = argv[i + 1]
     rest = argv[:i] + argv[i + 2 :]
     extra = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if line and not line.startswith("#"):
+    for line in _read_text(path, "--config").splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            try:
                 extra.extend(shlex.split(line))
+            except ValueError as exc:
+                raise UsageError(f"bad --config line {line!r}: {exc}") from None
     # config flags first so explicit flags win
     return rest[:1] + extra + rest[1:]
 

@@ -14,8 +14,9 @@ is unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from .errors import SingularTwist, SpecMismatch, UnknownVariable, UsageError
 
@@ -109,11 +110,15 @@ class FieldSpec:
 
     Row i of ``twist`` is the exponent vector the i-th variable is mapped to
     before comparison; the matrix must be nonsingular so the induced order is
-    total and monomial comparison is faithful.
+    total and monomial comparison is faithful.  The twist's columns and
+    whether it is the identity are computed once, here, because every
+    truncation test maps an exponent through ``phi``.
     """
 
     variables: tuple[str, ...]
     twist: tuple[tuple[int, ...], ...]
+    _columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _identity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.variables)
@@ -125,17 +130,18 @@ class FieldSpec:
             raise UsageError("twist matrix must be square, one row per variable")
         if int_det(self.twist) == 0:
             raise SingularTwist("twist matrix is singular")
+        columns = tuple(zip(*self.twist))
+        object.__setattr__(self, "_columns", columns)
+        object.__setattr__(
+            self, "_identity", columns == tuple(unit_vector(n, i) for i in range(n))
+        )
 
     @property
     def n(self):
         return len(self.variables)
 
     def is_identity_twist(self):
-        return all(
-            self.twist[i][j] == (1 if i == j else 0)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        return self._identity
 
     def index(self, name):
         try:
@@ -148,14 +154,14 @@ class FieldSpec:
 
     def phi(self, exponent):
         """Image of an exponent vector under the twist: sum_i k_i * row_i."""
-        if len(exponent) != self.n:
+        columns = self._columns
+        if len(exponent) != len(columns):
             raise SpecMismatch(
                 f"exponent {exponent} has length {len(exponent)}, expected {self.n}"
             )
-        return tuple(
-            sum(k * row[j] for k, row in zip(exponent, self.twist))
-            for j in range(self.n)
-        )
+        if self._identity:
+            return tuple(exponent)
+        return tuple(sum(map(mul, exponent, column)) for column in columns)
 
     def compare(self, k1, k2):
         """Total order on exponent vectors: reverse lex over phi-images."""

@@ -10,6 +10,15 @@ the box is only carried along for bookkeeping.
 Coefficients are ``fractions.Fraction`` values, with plain ``int`` allowed to
 flow through as a fast path; both prune to nothing when they equal zero.
 
+``Series(...)`` validates what it is given: exponent lengths, coefficient
+types, zeros and, on a truncated series, that every term lies in the box.
+The results of ``multiply`` and ``invert`` skip that pass
+(``Series._trusted``), because they hold by construction: the operands were
+validated, ``_convolve`` keeps only the pairs whose phi lies in the result
+box and normalizes each output coefficient once, and the inversion
+recurrence pushes only exponents inside the box (the origin it seeds is
+dropped when the box misses it).
+
 Box propagation through products follows the shift-and-intersect rule: each
 factor's box is shifted by the other factor's initial phi-exponent, or — when
 the other factor is exact, hence has fully known finite support — by every
@@ -43,6 +52,8 @@ from .ordering import Box, FieldSpec
 
 def _coeff(value):
     """Normalize a coefficient: integral Fractions become plain ints."""
+    if type(value) is int:
+        return value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     if isinstance(value, int):
@@ -92,6 +103,24 @@ class Series:
         self.terms = clean
         self.box = box
         self.exact = exact
+
+    @classmethod
+    def _trusted(cls, spec, terms, box, exact):
+        """A series from an engine result, taken as it is.
+
+        ``terms`` must already hold what ``__init__`` would keep: tuple
+        exponents of the field's length, nonzero normalized coefficients
+        (``_coeff``) and, unless ``exact``, only exponents whose phi lies in
+        ``box``.  Nothing is checked, so only operations whose construction
+        guarantees this may call it; input from outside goes through
+        ``Series(...)``.
+        """
+        self = object.__new__(cls)
+        self.spec = spec
+        self.terms = terms
+        self.box = box
+        self.exact = exact
+        return self
 
     # ------------------------------------------------------------------
     # constructors
@@ -145,15 +174,25 @@ class Series:
     def order(self):
         return self.initial_term()[0]
 
+    def _fit(self, exponent):
+        """``exponent`` as a tuple; SpecMismatch unless it fits the field."""
+        exponent = tuple(exponent)
+        if len(exponent) != self.spec.n:
+            raise SpecMismatch(
+                f"exponent {exponent} does not fit a {self.spec.n}-variable field"
+            )
+        return exponent
+
     def coefficient(self, exponent):
         """Coefficient at an exponent; OutOfPrecision outside the guarantee."""
-        exponent = tuple(exponent)
+        exponent = self._fit(exponent)
         if not self.exact and not self.box.contains(self.spec.phi(exponent)):
             raise OutOfPrecision(f"exponent {exponent} is outside the guaranteed box")
         return self.terms.get(exponent, 0)
 
     def guarantees(self, exponent):
-        return self.exact or self.box.contains(self.spec.phi(tuple(exponent)))
+        exponent = self._fit(exponent)
+        return self.exact or self.box.contains(self.spec.phi(exponent))
 
     # ------------------------------------------------------------------
     # ring structure
@@ -267,8 +306,13 @@ class Series:
                 continue
             tau[_vec_sub(exponent, m)] = _coeff(-Fraction(value) * inv_c)
         total = _invert_recurrence(spec, tau, self.box)
+        zero = (0,) * spec.n
+        if not self.box.contains(zero):
+            # the recurrence seeds the origin even when the box misses it;
+            # every other term it returns lies inside the box
+            del total[zero]
         shifted = {_vec_sub(k, m): _coeff(v * Fraction(inv_c)) for k, v in total.items()}
-        return Series(spec, shifted, box=result_box, exact=False)
+        return Series._trusted(spec, shifted, result_box, False)
 
     def compose_stream(self, coefficients):
         """Sum coefficients(n)·self^n for n ≥ 0; needs ord(self) > 0."""
@@ -487,13 +531,13 @@ def _int_normal(terms):
     """Factor out the common denominator: (den, integer term dict)."""
     den = 1
     for value in terms.values():
-        if isinstance(value, Fraction):
+        if type(value) is not int and isinstance(value, Fraction):
             den = _lcm(den, value.denominator)
     if den == 1:
         return 1, terms
     out = {}
     for exponent, value in terms.items():
-        if isinstance(value, Fraction):
+        if type(value) is not int and isinstance(value, Fraction):
             out[exponent] = value.numerator * (den // value.denominator)
         else:
             out[exponent] = value * den
@@ -584,8 +628,8 @@ def multiply(a, b, box=None):
         if box is not None:
             clipped = result_box.intersect(box)
             result_box = clipped if clipped is not None else result_box
-        return Series(spec, _convolve(spec, a.terms, b.terms, None),
-                      box=result_box, exact=True)
+        return Series._trusted(spec, _convolve(spec, a.terms, b.terms, None),
+                               result_box, True)
     if (a.exact and not a.terms) or (b.exact and not b.terms):
         return Series.zero(spec, box=_meet_boxes(a, b))
     candidates = []
@@ -609,8 +653,9 @@ def multiply(a, b, box=None):
         result_box = result_box.intersect(box)
         if result_box is None:
             raise OutOfPrecision("product has no guaranteed region in the given box")
+    # _convolve prunes every pair to result_box and normalizes each term
     terms = _convolve(spec, a.terms, b.terms, result_box)
-    return Series(spec, terms, box=result_box, exact=False)
+    return Series._trusted(spec, terms, result_box, False)
 
 
 # ----------------------------------------------------------------------

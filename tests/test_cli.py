@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from mnseries.cli import main
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -282,3 +284,46 @@ def test_subprocess_entry_point():
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 2
+
+
+@pytest.mark.parametrize("argv, flag", [
+    pytest.param(("expand", "--vars", "x", "--box", "abc", "--expr", "x"), "--box",
+                 id="box-word"),
+    pytest.param(("expand", "--vars", "x", "--box", "1,2", "--expr", "x"), "--box",
+                 id="box-two-radii"),
+    pytest.param(("dyson", "--a", "1,x"), "--a", id="a-word"),
+    pytest.param(("dyson", "--a", ""), "--a", id="a-empty"),
+    pytest.param(("dixon", "--abc", "1,2"), "--abc", id="abc-too-few"),
+    pytest.param(("dixon", "--abc", "1,2,x"), "--abc", id="abc-word"),
+    pytest.param(("lagrange", "--vars", "x,y", "--F", "x+y^2;y+x^2", "--k", "1,x"),
+                 "--k", id="k-word"),
+])
+def test_bad_integer_list_refused(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error[usage]: {flag} needs ")
+
+
+def test_missing_files_refused(tmp_path, capsys):
+    missing = str(tmp_path / "missing.txt")
+    for argv, flag in (
+        (("expand", "--vars", "x", "--expr-file", missing), "--expr-file"),
+        (("--config", missing, "expand", "--vars", "x", "--expr", "x"), "--config"),
+        (("expand", "--config", missing, "--expr", "x"), "--config"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error[usage]: cannot read {flag} {missing!r}")
+
+
+def test_unreadable_file_contents_refused(tmp_path, capsys):
+    binary = tmp_path / "expr.bin"
+    binary.write_bytes(b"\xff\xfe1/(1-x)")
+    code, out, err = run_cli(capsys, "expand", "--vars", "x", "--expr-file", str(binary))
+    assert (code, out) == (2, "")
+    assert err == f"error[usage]: cannot read --expr-file {str(binary)!r}: not UTF-8 text\n"
+    config = tmp_path / "flags.conf"
+    config.write_text('--vars "x\n', encoding="utf-8")
+    code, out, err = run_cli(capsys, "expand", "--config", str(config), "--expr", "x")
+    assert (code, out) == (2, "")
+    assert err.startswith("error[usage]: bad --config line '--vars \"x'")

@@ -6,6 +6,7 @@ from mnseries import (
     Box,
     FieldSpec,
     SingularTwist,
+    SpecMismatch,
     UnknownVariable,
     cube,
     format_field_spec,
@@ -114,6 +115,30 @@ def test_translation_invariance():
             tuple(x + z for x, z in zip(a, g)), tuple(y + z for y, z in zip(b, g))
         )
         assert shifted == spec.compare(a, b)
+
+
+def test_phi_matches_its_definition():
+    rng = random.Random(314)
+    specs = [identity_spec(("a",)), identity_spec(("a", "b", "c")),
+             FieldSpec(("a", "b"), ((0, 1), (1, 0))),
+             FieldSpec(("a", "b"), ((1, 0), (0, -1)))]
+    specs += [_random_spec(rng) for _ in range(200)]
+    for spec in specs:
+        n = spec.n
+        assert spec.is_identity_twist() == all(
+            spec.twist[i][j] == (i == j) for i in range(n) for j in range(n)
+        )
+        for _ in range(5):
+            k = _random_vec(rng, n)
+            # phi(k) = sum_i k_i * row_i
+            want = tuple(sum(k[i] * spec.twist[i][j] for i in range(n))
+                         for j in range(n))
+            assert spec.phi(k) == want
+            assert spec.phi(list(k)) == want
+        for length in (n - 1, n + 1):
+            with pytest.raises(SpecMismatch):
+                spec.phi((1,) * length)
+    assert sum(spec.is_identity_twist() for spec in specs) > 2
 
 
 def test_box_exit_lemma():

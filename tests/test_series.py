@@ -213,6 +213,64 @@ def test_invert_starts_from_the_origin_outside_the_box():
     assert inv.box == Box(((-2, 5),))
 
 
+def _assert_holds_the_constructor_invariant(r):
+    # what Series(...) would keep: nothing outside the box, no zero, no
+    # integral Fraction
+    assert Series(r.spec, r.terms, box=r.box, exact=r.exact) == r
+    assert not any(isinstance(v, Fraction) and v.denominator == 1
+                   for v in r.terms.values())
+
+
+def test_engine_results_hold_the_constructor_invariant():
+    # multiply and invert build their results without revalidating them
+    rng = random.Random(2718)
+    seen = {"exact*exact": 0, "exact*truncated": 0, "truncated*truncated": 0,
+            "invert": 0, "invert, origin outside the box": 0}
+
+    def draw(spec, exact):
+        terms = {
+            tuple(rng.randint(-2, 2) for _ in range(spec.n)):
+                Fraction(rng.choice([-3, -2, -1, 1, 2, 4]), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 5))
+        }
+        bounds = []
+        for _ in range(spec.n):
+            lo = rng.randint(-6, 3)
+            bounds.append((lo, lo + rng.randint(0, 10)))
+        return Series(spec, terms, box=Box(tuple(bounds)), exact=exact)
+
+    for _ in range(150):
+        names = ("x", "y", "z")[: rng.randint(1, 3)]
+        spec = identity_spec(names) if rng.random() < 0.5 else _random_twist(rng, names)
+        for kind, a, b in (
+            ("exact*exact", draw(spec, True), draw(spec, True)),
+            ("exact*truncated", draw(spec, True), draw(spec, False)),
+            ("truncated*truncated", draw(spec, False), draw(spec, False)),
+        ):
+            try:
+                product = multiply(a, b)
+            except OutOfPrecision:
+                continue
+            _assert_holds_the_constructor_invariant(product)
+            seen[kind] += bool(product.terms)
+        s = draw(spec, rng.random() < 0.3)
+        if not s.terms:
+            continue
+        _assert_holds_the_constructor_invariant(s.invert())
+        seen["invert"] += 1
+        seen["invert, origin outside the box"] += not s.box.contains((0,) * spec.n)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_wrong_length_exponent_is_refused_on_every_series():
+    for s in (Series(XY, {(1, 0): 1}), Series(XY, {(1, 0): 1}, exact=False)):
+        for bad in ((0,), (0, 0, 0)):
+            with pytest.raises(SpecMismatch):
+                s.coefficient(bad)
+            with pytest.raises(SpecMismatch):
+                s.guarantees(bad)
+
+
 # ----------------------------------------------------------------------
 # composition streams, exp, log
 
