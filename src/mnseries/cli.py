@@ -25,7 +25,14 @@ from .identities import (
     wilson_v,
     zspec,
 )
-from .ordering import Box, cube, format_field_spec, parse_field_spec, parse_rational
+from .ordering import (
+    DEFAULT_RADIUS,
+    Box,
+    cube,
+    format_field_spec,
+    parse_field_spec,
+    parse_rational,
+)
 from .parser import expand, parse
 from .residues import (
     change_of_variables,
@@ -275,7 +282,7 @@ def _cmd_wilson(args):
     n = args.n
     spec = zspec(n)
     box = cube(n, args.box)
-    if args.j:
+    if args.j is not None:
         _print_series(wilson_v(n, args.j, spec, box), args)
         return 0
     vs = [wilson_v(n, j, spec, box) for j in range(1, n + 1)]
@@ -325,7 +332,7 @@ def _build_parser():
                                       "significant first")
     field.add_argument("--twist", help="integer matrix [[...],[...]] of twist rows")
     field.add_argument("--field", help="field spec text: vars=x,y; twist=[[...]]")
-    field.add_argument("--box", default="16",
+    field.add_argument("--box", default=str(DEFAULT_RADIUS),
                        help="box radius k for [-k,k] on every coordinate, or "
                             "explicit intervals lo:hi,lo:hi,... per coordinate")
     field.add_argument("--bind", help="parameter bindings, e.g. p=2,q=3/2")

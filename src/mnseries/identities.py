@@ -158,11 +158,11 @@ class DysonInstance:
             raise UsageError("exponents must be nonnegative")
 
 
-def dyson_product(instance, spec=None):
+def dyson_product(instance):
     """prod_{i != j} (1 - z_i/z_j)^(a_j), exactly; generalized form adds
     (z_1+...+z_n)^(sum a) / (z_1^(a_1)...z_n^(a_n))."""
     n = instance.n
-    spec = spec or zspec(n)
+    spec = zspec(n)
     result = Series.constant(spec, 1)
     for j in range(n):
         if instance.a[j] == 0:
@@ -185,7 +185,7 @@ def dyson_product(instance, spec=None):
 
 def dyson_ct(instance):
     """The constant term of the Dyson product, as an exact coefficient."""
-    return dyson_product(instance).ct_scalar()
+    return dyson_product(instance).coefficient((0,) * instance.n)
 
 
 def dyson_rhs(instance):

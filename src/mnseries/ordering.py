@@ -20,8 +20,6 @@ from operator import mul
 
 from .errors import SingularTwist, SpecMismatch, UnknownVariable, UsageError
 
-LESS, EQUAL, GREATER = -1, 0, 1
-
 DEFAULT_RADIUS = 16
 
 
@@ -50,14 +48,6 @@ def int_det(matrix):
 def unit_vector(n, i):
     """The i-th standard basis vector of length n."""
     return tuple(1 if j == i else 0 for j in range(n))
-
-
-def revlex_compare(a, b):
-    """Compare integer vectors, most significant (last) coordinate first."""
-    for i in range(len(a) - 1, -1, -1):
-        if a[i] != b[i]:
-            return LESS if a[i] < b[i] else GREATER
-    return EQUAL
 
 
 @dataclass(frozen=True)
@@ -163,15 +153,16 @@ class FieldSpec:
             return tuple(exponent)
         return tuple(sum(map(mul, exponent, column)) for column in columns)
 
-    def compare(self, k1, k2):
-        """Total order on exponent vectors: reverse lex over phi-images."""
-        return revlex_compare(self.phi(k1), self.phi(k2))
+    def key(self, exponent):
+        """Sort key of the term order: phi reversed, most significant
+        coordinate first, so keys compare as their exponents do."""
+        return self.phi(exponent)[::-1]
 
     def is_positive(self, exponent):
-        return self.compare(exponent, (0,) * self.n) == GREATER
+        return self.key(exponent) > (0,) * self.n
 
-    def default_box(self, radius=DEFAULT_RADIUS):
-        return cube(self.n, radius)
+    def default_box(self):
+        return cube(self.n)
 
 
 def identity_spec(names):

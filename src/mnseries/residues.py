@@ -94,9 +94,6 @@ class ChangeOfVariables:
     F: tuple
     xnames: tuple
     leading_exponents: tuple      # full exponent vector of each f_i
-    x_rows: tuple                 # their restriction to the x-variables
-    initial_coefficients: tuple   # coefficient series over the group
-                                  # variables (None in pure-x fields)
     jnum: int
     target: FieldSpec | None      # twisted field; None exactly when jnum == 0
 
@@ -106,22 +103,17 @@ def change_of_variables(F, xnames):
     base = F[0].spec
     leading = []
     x_rows = []
-    coefficients = []
     for s in F:
-        full, xpart, coeff = s.x_initial_term(xnames)
+        full, xpart, _ = s.x_initial_term(xnames)
         leading.append(full)
         x_rows.append(xpart)
-        coefficients.append(coeff)
     jnum = int_det(x_rows)
     target = None
     if jnum != 0:
         target = transformed_spec(
             base, {name: row for name, row in zip(xnames, leading)}
         )
-    return ChangeOfVariables(
-        base, F, xnames, tuple(leading), tuple(x_rows), tuple(coefficients),
-        jnum, target,
-    )
+    return ChangeOfVariables(base, F, xnames, tuple(leading), jnum, target)
 
 
 @dataclass(frozen=True)
@@ -222,19 +214,20 @@ def _times_jacobian(phi_at_F, cov, xnames, form):
 # ----------------------------------------------------------------------
 # Lagrange inversion
 
-def graded_spec(names, aux="_deg"):
+def graded_spec(names):
     """Field over names + auxiliary top variable; twist row x_i -> x_i·aux.
 
     The auxiliary phi-coordinate of a pure-x monomial is its total degree, so
     ordering is degree-first and a box interval on it is a degree truncation.
     """
     names = tuple(names)
+    aux = "_deg"
     while aux in names:
         aux += "_"
     n = len(names)
     rows = [unit_vector(n, i) + (1,) for i in range(n)]
     rows.append((0,) * n + (1,))
-    return FieldSpec(names + (aux,), tuple(rows)), aux
+    return FieldSpec(names + (aux,), tuple(rows))
 
 
 def embed_graded(series, gspec, box):
@@ -320,7 +313,7 @@ def lagrange_inverse(F, degree):
             {unit: 1, **{k: -v for k, v in compose_polynomial(tail, G, degree).items()}}
             for unit, tail in zip(units, tails)
         ]
-    gspec, _ = graded_spec(spec.variables)
+    gspec = graded_spec(spec.variables)
     box = Box(((0, degree),) * n + ((0, degree),))
     return [
         Series(gspec, {k + (0,): v for k, v in g.items()}, box=box, exact=False)
@@ -328,11 +321,11 @@ def lagrange_inverse(F, degree):
     ]
 
 
-def lagrange_coefficient(phi, F, k, extra_degree=4, box=None):
+def lagrange_coefficient(phi, F, k):
     """[y^k] Phi(G(y)) as the residue Res_x F^{-1-k} Phi(x) J(F).
 
-    Everything is computed in the degree-graded field; ``extra_degree`` pads
-    the automatic box sizing, ``box`` overrides it entirely.
+    Everything is computed in the degree-graded field, on a box sized from
+    the degrees of F and k with a padding of four degrees.
     """
     F = list(F)
     _check_power_series_normalized(F)
@@ -341,14 +334,13 @@ def lagrange_coefficient(phi, F, k, extra_degree=4, box=None):
     k = tuple(k)
     if len(k) != n or any(e < 0 for e in k):
         raise UsageError(f"bad coefficient index {k}")
-    gspec, _ = graded_spec(spec.variables)
-    if box is None:
-        maxdeg = max(sum(e) for s in F for e in s.terms)
-        spread = sum(k) + n * (maxdeg - 1) + extra_degree
-        lo = -(n + sum(k) + spread)
-        hi = spread
-        width = max(abs(lo), hi) + max(k) + 2
-        box = Box(((-width, width),) * n + ((lo, hi),))
+    gspec = graded_spec(spec.variables)
+    maxdeg = max(sum(e) for s in F for e in s.terms)
+    spread = sum(k) + n * (maxdeg - 1) + 4
+    lo = -(n + sum(k) + spread)
+    hi = spread
+    width = max(abs(lo), hi) + max(k) + 2
+    box = Box(((-width, width),) * n + ((lo, hi),))
     integrand = Series.constant(gspec, 1, box=box)
     embedded = [embed_graded(s, gspec, box) for s in F]
     for s, ki in zip(embedded, k):

@@ -163,13 +163,8 @@ class Series:
         """Exponent and coefficient of the least stored term."""
         if not self.terms:
             raise ZeroSeries("zero series has no initial term")
-        best = min(self.terms, key=self._order_key)
+        best = min(self.terms, key=self.spec.key)
         return best, self.terms[best]
-
-    def _order_key(self, exponent):
-        """Sort key of the field's term order: revlex on phi, most
-        significant coordinate first."""
-        return self.spec.phi(exponent)[::-1]
 
     def order(self):
         return self.initial_term()[0]
@@ -356,11 +351,6 @@ class Series:
         spec = self.spec
         selected = self._selected_indices(names)
         keep = [i for i in range(spec.n) if i not in selected]
-        if not keep:
-            raise UsageError(
-                "projection must leave at least one variable; "
-                "use coefficient() for a full constant term"
-            )
         residual = FieldSpec(
             tuple(spec.variables[i] for i in keep),
             tuple(tuple(spec.twist[i][j] for j in keep) for i in keep),
@@ -372,14 +362,6 @@ class Series:
                 out[tuple(exponent[i] for i in keep)] = value
         return Series(residual, out, box=self.box.project(keep), exact=self.exact)
 
-    def ct(self, names):
-        """Constant term in the named variables, projected out."""
-        return self._project(names, (0,) * len(names))
-
-    def res(self, names):
-        """Residue (coefficient of exponent -1) in the named variables."""
-        return self._project(names, (-1,) * len(names))
-
     def extract(self, names, want):
         """CT (``want=0``) or Res (``want=-1``) in the named variables.
 
@@ -389,14 +371,6 @@ class Series:
         if len(self._selected_indices(names)) == self.spec.n:
             return self.coefficient((want,) * self.spec.n)
         return self._project(names, (want,) * len(names))
-
-    def ct_scalar(self):
-        """Constant term in all variables, as a coefficient."""
-        return self.coefficient((0,) * self.spec.n)
-
-    def res_scalar(self):
-        """Residue in all variables, as a coefficient."""
-        return self.coefficient((-1,) * self.spec.n)
 
     def x_initial_term(self, names):
         """The x-term of least order, split into exponent and coefficient.
@@ -436,6 +410,8 @@ class Series:
         if not isinstance(other, Series):
             other = Series.constant(self.spec, other, box=self.box)
         self._require_same_spec(other)
+        if box is not None and len(box) != self.spec.n:
+            raise SpecMismatch("box dimension does not match the field")
         region = box
         for side in (self, other):
             if not side.exact:
@@ -454,7 +430,7 @@ class Series:
         return self.equals_on(Series.zero(self.spec, box=self.box), box=box)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda item: self._order_key(item[0]))
+        return sorted(self.terms.items(), key=lambda item: self.spec.key(item[0]))
 
     def __str__(self):
         if not self.terms:
@@ -501,14 +477,30 @@ class Series:
 
     @classmethod
     def from_json(cls, data):
-        spec = FieldSpec(
-            tuple(data["vars"]), tuple(tuple(row) for row in data["twist"])
-        )
-        box = Box(tuple((lo, hi) for lo, hi in data["box"]))
-        terms = {
-            tuple(item["exp"]): Fraction(item["coeff"]) for item in data["terms"]
-        }
-        return cls(spec, terms, box=box, exact=data["exact"])
+        """The series a ``to_json`` document describes; UsageError if the
+        document is malformed."""
+        def ints(values):
+            values = tuple(values)
+            if not all(type(v) is int for v in values):
+                raise UsageError(f"expected integers, got {list(values)!r}")
+            return values
+
+        try:
+            spec = FieldSpec(
+                tuple(data["vars"]), tuple(ints(row) for row in data["twist"])
+            )
+            box = Box(tuple(ints(bounds) for bounds in data["box"]))
+            terms = {
+                ints(item["exp"]): Fraction(item["coeff"]) for item in data["terms"]
+            }
+            exact = data["exact"]
+            if type(exact) is not bool:
+                raise UsageError(f"expected true or false for exact, got {exact!r}")
+        except KeyError as exc:
+            raise UsageError(f"series document lacks the key {exc}") from None
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise UsageError(f"malformed series document: {exc}") from None
+        return cls(spec, terms, box=box, exact=exact)
 
 
 # ----------------------------------------------------------------------
@@ -616,20 +608,13 @@ def det(matrix):
     return total
 
 
-def multiply(a, b, box=None):
-    """Product with shift-and-intersect box propagation.
-
-    ``box`` optionally clips the claimed result box further.
-    """
+def multiply(a, b):
+    """Product with shift-and-intersect box propagation."""
     a._require_same_spec(b)
     spec = a.spec
     if a.exact and b.exact:
-        result_box = _meet_boxes(a, b)
-        if box is not None:
-            clipped = result_box.intersect(box)
-            result_box = clipped if clipped is not None else result_box
         return Series._trusted(spec, _convolve(spec, a.terms, b.terms, None),
-                               result_box, True)
+                               _meet_boxes(a, b), True)
     if (a.exact and not a.terms) or (b.exact and not b.terms):
         return Series.zero(spec, box=_meet_boxes(a, b))
     candidates = []
@@ -649,10 +634,6 @@ def multiply(a, b, box=None):
         result_box = result_box.intersect(candidate)
         if result_box is None:
             raise OutOfPrecision("product has no guaranteed region")
-    if box is not None:
-        result_box = result_box.intersect(box)
-        if result_box is None:
-            raise OutOfPrecision("product has no guaranteed region in the given box")
     # _convolve prunes every pair to result_box and normalizes each term
     terms = _convolve(spec, a.terms, b.terms, result_box)
     return Series._trusted(spec, terms, result_box, False)
@@ -710,7 +691,7 @@ def _invert_recurrence(spec, tau, box):
     zero = (0,) * spec.n
     bounds = box.bounds[::-1]
     den, tau = _int_normal(tau)
-    steps = [(spec.phi(a)[::-1], a, value) for a, value in tau.items()]
+    steps = [(spec.key(a), a, value) for a, value in tau.items()]
     total = {zero: 1}
     pending = {}    # reversed phi -> [exponent, numerator, level]
     heap = []

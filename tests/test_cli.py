@@ -139,6 +139,12 @@ def test_wilson_command(capsys):
     assert json.loads(out) == {"n": 3, "sum_is_one": True, "lj_identity": True}
 
 
+@pytest.mark.parametrize("j", ["0", "-1", "4"])
+def test_wilson_j_out_of_range_refused(capsys, j):
+    code, out, err = run_cli(capsys, "wilson", "--n", "3", "--j", j)
+    assert (code, out, err) == (2, "", "error[usage]: j must be between 1 and 3\n")
+
+
 def test_jr_command(capsys):
     code, out, _ = run_cli(capsys, "jr", "--n", "4", "--r", "3")
     assert code == 0

@@ -221,4 +221,4 @@ def test_wilson_dyson_form():
                 inv_vj = multiply(inv_vj, Series(spec, {(0, 0, 0): 1, ratio: -1}))
             product = multiply(product, inv_vj ** a[j - 1])
         want = factorial(sum(a)) // (factorial(a[0]) * factorial(a[1]) * factorial(a[2]))
-        assert product.ct_scalar() == want
+        assert product.coefficient((0, 0, 0)) == want

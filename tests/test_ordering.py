@@ -15,7 +15,6 @@ from mnseries import (
     parse_field_spec,
     transformed_spec,
 )
-from mnseries.ordering import EQUAL, GREATER, revlex_compare
 
 TWIST = FieldSpec(("x", "y"), ((2, 1), (1, 2)))
 
@@ -36,15 +35,18 @@ def test_phi_by_hand():
 
 
 def test_compare_y_over_x_greater_than_one():
-    assert TWIST.compare((-1, 1), (0, 0)) == GREATER
+    assert TWIST.key((-1, 1)) > TWIST.key((0, 0))
+    assert TWIST.is_positive((-1, 1))
 
 
 def test_compare_equal_only_on_same_vector():
-    assert TWIST.compare((3, -2), (3, -2)) == EQUAL
+    assert TWIST.key((3, -2)) == TWIST.key((3, -2))
+    assert TWIST.key((3, -2)) != TWIST.key((-2, 3))
 
 
 def test_compare_x_squared_over_y():
-    assert TWIST.compare((2, -1), (0, 0)) == GREATER
+    assert TWIST.key((2, -1)) > TWIST.key((0, 0))
+    assert TWIST.is_positive((2, -1))
 
 
 def test_transformed_spec_inverse_variable():
@@ -92,18 +94,25 @@ def _random_vec(rng, n):
     return tuple(rng.randint(-6, 6) for _ in range(n))
 
 
+def _compare(spec, a, b):
+    """-1, 0 or 1 as a is below, equal to or above b in the term order."""
+    ka, kb = spec.key(a), spec.key(b)
+    return (ka > kb) - (ka < kb)
+
+
 def test_total_order_properties():
     rng = random.Random(20240817)
     for _ in range(200):
         spec = _random_spec(rng)
         a, b, c = (_random_vec(rng, spec.n) for _ in range(3))
         # antisymmetry
-        assert spec.compare(a, b) == -spec.compare(b, a)
+        assert _compare(spec, a, b) == -_compare(spec, b, a)
         # totality: some verdict is always produced; equality iff identical
-        assert (spec.compare(a, b) == EQUAL) == (a == b)
+        assert (_compare(spec, a, b) == 0) == (a == b)
         # transitivity
-        if spec.compare(a, b) != GREATER and spec.compare(b, c) != GREATER:
-            assert spec.compare(a, c) != GREATER
+        if _compare(spec, a, b) <= 0 and _compare(spec, b, c) <= 0:
+            assert _compare(spec, a, c) <= 0
+        assert spec.is_positive(a) == (_compare(spec, a, (0,) * spec.n) > 0)
 
 
 def test_translation_invariance():
@@ -111,10 +120,10 @@ def test_translation_invariance():
     for _ in range(200):
         spec = _random_spec(rng)
         a, b, g = (_random_vec(rng, spec.n) for _ in range(3))
-        shifted = spec.compare(
-            tuple(x + z for x, z in zip(a, g)), tuple(y + z for y, z in zip(b, g))
+        shifted = _compare(
+            spec, tuple(x + z for x, z in zip(a, g)), tuple(y + z for y, z in zip(b, g))
         )
-        assert shifted == spec.compare(a, b)
+        assert shifted == _compare(spec, a, b)
 
 
 def test_phi_matches_its_definition():
@@ -148,9 +157,8 @@ def test_box_exit_lemma():
         spec = _random_spec(rng)
         box = cube(spec.n, rng.randint(1, 8))
         k = _random_vec(rng, spec.n)
-        phi = spec.phi(k)
-        if revlex_compare(phi, box.top_corner()) == GREATER:
-            assert not box.contains(phi)
+        if spec.key(k) > box.top_corner()[::-1]:
+            assert not box.contains(spec.phi(k))
 
 
 def test_box_basics():

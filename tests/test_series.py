@@ -13,6 +13,7 @@ from mnseries import (
     Series,
     SingularTwist,
     SpecMismatch,
+    UsageError,
     ZeroDivisor,
     ZeroSeries,
     cube,
@@ -360,22 +361,22 @@ def test_derivative_product_rule():
 # ct / res / x-initial
 
 def test_res_of_inverse_monomial():
-    assert Series(X, {(-1,): 1}).res_scalar() == 1
+    assert Series(X, {(-1,): 1}).coefficient((-1,)) == 1
 
 
 def test_res_of_derivative_vanishes():
     rng = random.Random(7)
     for _ in range(60):
         a = _random_poly(rng, X, 4, 5)
-        assert a.derivative("x").res_scalar() == 0
+        assert a.derivative("x").coefficient((-1,)) == 0
 
 
 def test_ct_projects_spec():
     s = Series(XYT, {(0, 0, 2): 7, (1, 0, 2): 1, (0, -1, 3): 4})
-    ct = s.ct(["x", "y"])
+    ct = s.extract(["x", "y"], 0)
     assert ct.spec.variables == ("t",)
     assert ct.terms == {(2,): 7}
-    res = s.res(["y"])
+    res = s.extract(["y"], -1)
     assert res.spec.variables == ("x", "t")
     assert res.terms == {(0, 3): 4}
 
@@ -445,3 +446,47 @@ def test_json_round_trip_and_determinism():
     assert json.dumps(again.to_json()) == blob
     exps = [tuple(t["exp"]) for t in s.to_json()["terms"]]
     assert exps == [e for e, _ in s.sorted_terms()]
+
+
+def _series_document(**changes):
+    data = Series(XY, {(1, 0): Fraction(3, 2), (0, 1): -1}, exact=False).to_json()
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(_series_document(terms=[{"exp": [0.5, 0], "coeff": "1"}]),
+                 id="fractional-exponent"),
+    pytest.param(_series_document(terms=[{"exp": ["1", 0], "coeff": "1"}]),
+                 id="string-exponent"),
+    pytest.param(_series_document(terms=[{"exp": [1, 0], "coeff": "1/0"}]),
+                 id="zero-denominator"),
+    pytest.param(_series_document(terms=[{"exp": [1, 0], "coeff": "abc"}]),
+                 id="word-coefficient"),
+    pytest.param(_series_document(terms=[{"exp": [1, 0]}]), id="missing-coefficient"),
+    pytest.param({k: v for k, v in _series_document().items() if k != "box"},
+                 id="missing-box"),
+    pytest.param(_series_document(box=[[-16, 16], [-16.5, 16]]), id="fractional-box"),
+    pytest.param(_series_document(box=[[-16, 16], [-16]]), id="half-interval"),
+    pytest.param(_series_document(twist=[[1, 0], [0, "1"]]), id="string-twist"),
+    pytest.param(_series_document(vars=3), id="vars-not-a-list"),
+    pytest.param(_series_document(exact="no"), id="exact-not-a-bool"),
+])
+def test_from_json_refuses_malformed_documents(data):
+    with pytest.raises(UsageError):
+        Series.from_json(data)
+
+
+def test_comparison_box_must_match_the_field():
+    # 1/(1-x) and 1/(1-x) + y^10 agree on [-5,5]^2; a box of another
+    # dimension used to be zipped against the exponents and read wrongly
+    plain = identity_spec(("x", "y"))
+    s = geometric(plain, (1, 0))
+    t = s + Series.monomial(plain, (0, 10))
+    assert s.equals_on(t, box=cube(2, 5))
+    assert not s.equals_on(t, box=cube(2, 10))
+    for n in (1, 3):
+        with pytest.raises(SpecMismatch):
+            s.equals_on(t, box=cube(n, 5))
+        with pytest.raises(SpecMismatch):
+            s.is_zero_on(box=cube(n, 5))
