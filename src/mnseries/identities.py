@@ -2,8 +2,12 @@
 Vandermonde change-of-variables families behind them.
 
 The Dyson constant term is evaluated on exact Laurent polynomials, so no
-truncation enters; the only truncated computations here are the expansions of
-the v_j = prod_{i != j} (1 - z_j/z_i)^(-1) used in the second change of
+truncation enters.  It is read from a pruned product: the factors are
+multiplied in order, each partial product keeps only the terms that the
+remaining factors can still carry to the wanted exponent, and the last factor
+is met by a dot product, so the full product is never formed.  The only
+truncated computations here are the expansions of the
+v_j = prod_{i != j} (1 - z_j/z_i)^(-1) used in the second change of
 variables.
 """
 
@@ -12,10 +16,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
+from operator import sub
 
 from .errors import UsageError
-from .ordering import identity_spec, int_det, unit_vector
-from .series import Series, det, multiply
+from .ordering import Box, identity_spec, int_det, unit_vector
+from .series import Series, _coeff, _convolve, det, multiply
 
 
 def zspec(n):
@@ -154,18 +159,34 @@ class DysonInstance:
     def __post_init__(self):
         if self.n != len(self.a) or self.n < 1:
             raise UsageError("need one exponent per variable")
+        if not all(isinstance(ai, int) for ai in self.a):
+            raise UsageError("exponents must be integers")
         if any(ai < 0 for ai in self.a):
             raise UsageError("exponents must be nonnegative")
 
 
-def dyson_product(instance):
-    """prod_{i != j} (1 - z_i/z_j)^(a_j), exactly; generalized form adds
-    (z_1+...+z_n)^(sum a) / (z_1^(a_1)...z_n^(a_n))."""
+def _multinomial(parts):
+    """(sum parts)! / prod parts_i!."""
+    value = factorial(sum(parts))
+    for k in parts:
+        value //= factorial(k)
+    return value
+
+
+def _dyson_factors(instance):
+    """The factors of the Dyson product, in multiplication order, and the
+    exponent whose coefficient in their product is the constant term.
+
+    The factors are (1 - z_i/z_j)^(a_j) for each j with a_j > 0 and each
+    i != j, expanded by the binomial theorem; the generalized form appends
+    (z_1+...+z_n)^(sum a), expanded by the multinomial theorem, and then
+    wants the coefficient of z^a instead of the constant term.
+    """
     n = instance.n
     spec = zspec(n)
-    result = Series.constant(spec, 1)
-    for j in range(n):
-        if instance.a[j] == 0:
+    factors = []
+    for j, aj in enumerate(instance.a):
+        if aj == 0:
             continue
         for i in range(n):
             if i == j:
@@ -173,31 +194,75 @@ def dyson_product(instance):
             ratio = tuple(
                 (1 if c == i else 0) - (1 if c == j else 0) for c in range(n)
             )
-            factor = Series(spec, {(0,) * n: 1, ratio: -1}) ** instance.a[j]
-            result = multiply(result, factor)
-    if instance.generalized:
-        total = sum(instance.a)
-        z_sum = Series(spec, {unit_vector(n, i): 1 for i in range(n)})
-        result = multiply(result, z_sum ** total)
-        result = result.shift(tuple(-ai for ai in instance.a))
-    return result
+            factors.append(Series(spec, {
+                tuple(k * r for r in ratio): (-1) ** k * comb(aj, k)
+                for k in range(aj + 1)
+            }))
+    if not instance.generalized:
+        return spec, factors, (0,) * n
+    total = sum(instance.a)
+    z_power = {e: _multinomial(e) for e in h_complete(n, total, spec).terms}
+    factors.append(Series(spec, z_power))
+    return spec, factors, tuple(instance.a)
+
+
+def dyson_product(instance):
+    """prod_{i != j} (1 - z_i/z_j)^(a_j), exactly; generalized form adds
+    (z_1+...+z_n)^(sum a) / (z_1^(a_1)...z_n^(a_n))."""
+    spec, factors, target = _dyson_factors(instance)
+    result = Series.constant(spec, 1)
+    for factor in factors:
+        result = multiply(result, factor)
+    return result.shift(tuple(-t for t in target))
+
+
+def _product_coefficient(spec, factors, exponent):
+    """The coefficient at ``exponent`` of the product of exact ``factors``.
+
+    Multiplies the factors in order, but keeps of each partial product only
+    the terms that can still reach ``exponent``.  The support of a product
+    lies in the Minkowski sum of its factors' supports and phi is linear, so
+    the rest of the product has its phi-images inside the sum of the
+    remaining factors' phi-bounding boxes; a partial term p survives only
+    when phi(exponent) - phi(p) lies in that sum.  The last factor is met by
+    a dot product against ``exponent``, so the full product is never formed.
+    """
+    exponent = tuple(exponent)
+    if not all(factor.terms for factor in factors):
+        return 0
+    if not factors:
+        return int(not any(exponent))
+    target = spec.phi(exponent)
+    # reach[-k] bounds phi on the support of the product of factors[k:]
+    reach = [((0, 0),) * spec.n]
+    for factor in reversed(factors[1:]):
+        columns = zip(*map(spec.phi, factor.terms))
+        reach.append(tuple((lo + min(c), hi + max(c))
+                           for (lo, hi), c in zip(reach[-1], columns)))
+    partial = {(0,) * spec.n: 1}
+    for factor, bounds in zip(factors[:-1], reversed(reach)):
+        keep = Box(tuple((t - hi, t - lo) for t, (lo, hi) in zip(target, bounds)))
+        partial = _convolve(spec, partial, factor.terms, keep)
+    last = factors[-1].terms
+    return _coeff(sum(value * last.get(tuple(map(sub, exponent, e)), 0)
+                      for e, value in partial.items()))
 
 
 def dyson_ct(instance):
-    """The constant term of the Dyson product, as an exact coefficient."""
-    return dyson_product(instance).coefficient((0,) * instance.n)
+    """The constant term of the Dyson product, as an exact coefficient,
+    read from a product pruned to the terms that can reach it."""
+    return _product_coefficient(*_dyson_factors(instance))
 
 
 def dyson_rhs(instance):
     """The multinomial (sum a)! / prod a_i!."""
-    value = factorial(sum(instance.a))
-    for ai in instance.a:
-        value //= factorial(ai)
-    return value
+    return _multinomial(instance.a)
 
 
 def dixon_sum(a, b, c):
     """sum_j (-1)^j C(a+b, a+j) C(b+c, b+j) C(c+a, c+j)."""
+    if not all(isinstance(v, int) for v in (a, b, c)):
+        raise UsageError("arguments must be integers")
     if min(a, b, c) < 0:
         raise UsageError("arguments must be nonnegative")
     total = 0

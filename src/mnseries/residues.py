@@ -36,6 +36,7 @@ from .errors import (
     RefusedSingular,
     SpecMismatch,
     UsageError,
+    ZeroSeries,
 )
 from .ordering import Box, FieldSpec, int_det, transformed_spec, unit_vector
 from .parser import expand
@@ -101,13 +102,13 @@ class ChangeOfVariables:
 def change_of_variables(F, xnames):
     F, xnames = _substitution(F, xnames)
     base = F[0].spec
+    selected = [base.index(name) for name in xnames]
     leading = []
-    x_rows = []
     for s in F:
-        full, xpart, _ = s.x_initial_term(xnames)
-        leading.append(full)
-        x_rows.append(xpart)
-    jnum = int_det(x_rows)
+        if not s.terms:
+            raise ZeroSeries("zero series has no x-initial term")
+        leading.append(s.initial_term()[0])
+    jnum = int_det([[full[i] for i in selected] for full in leading])
     target = None
     if jnum != 0:
         target = transformed_spec(

@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
 
 from mnseries import (
     DysonInstance,
+    FieldSpec,
     Series,
+    SingularTwist,
     UsageError,
     dixon_sum,
     dyson_ct,
@@ -22,7 +25,13 @@ from mnseries import (
     wilson_v,
     zspec,
 )
-from mnseries.identities import u_r_initial_matrix, vandermonde_determinant
+from mnseries import identities, series
+from mnseries.identities import (
+    _dyson_factors,
+    _product_coefficient,
+    u_r_initial_matrix,
+    vandermonde_determinant,
+)
 
 
 def test_vandermonde_small():
@@ -79,6 +88,16 @@ def test_dyson_validation():
         DysonInstance(2, (-1, 1))
 
 
+@pytest.mark.parametrize("bad", [1.5, "1"])
+def test_dyson_and_dixon_refuse_non_integers(bad):
+    with pytest.raises(UsageError, match="integers"):
+        DysonInstance(3, (bad, 1, 1))
+    with pytest.raises(UsageError, match="integers"):
+        dixon_sum(bad, 1, 1)
+    with pytest.raises(UsageError, match="integers"):
+        dixon_sum(1, 1, bad)
+
+
 def test_dixon_examples():
     assert dixon_sum(1, 1, 1) == 6
     assert dixon_sum(0, 0, 0) == 1
@@ -94,6 +113,103 @@ def test_generalized_dyson_small():
     for a in ((0, 0, 0), (1, 0, 0), (1, 1, 0), (2, 1, 1)):
         inst = DysonInstance(3, a, generalized=True)
         assert dyson_ct(inst) == dyson_rhs(inst)
+
+
+# ----------------------------------------------------------------------
+# the pruned product behind dyson_ct
+
+def _random_twist(rng, names):
+    while True:
+        rows = tuple(tuple(rng.randint(-1, 2) for _ in names) for _ in names)
+        try:
+            return FieldSpec(names, rows)
+        except SingularTwist:
+            continue
+
+
+def _random_polynomial(rng, spec):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exponent = tuple(rng.randint(-2, 2) for _ in range(spec.n))
+        terms[exponent] = rng.choice((1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)))
+    return Series(spec, terms)
+
+
+def _chain(spec, factors):
+    product = Series.constant(spec, 1)
+    for factor in factors:
+        product = multiply(product, factor)
+    return product
+
+
+def test_product_coefficient_equals_multiply_chain():
+    rng = random.Random(6)
+    for trial in range(60):
+        n = rng.randint(2, 3)
+        spec = _random_twist(rng, tuple("xyz"[:n]))
+        factors = [_random_polynomial(rng, spec) for _ in range(rng.randint(1, 5))]
+        product = _chain(spec, factors)
+        targets = [tuple(rng.randint(-4, 4) for _ in range(n)) for _ in range(4)]
+        targets += rng.sample(sorted(product.terms), min(3, len(product.terms)))
+        # beyond the Minkowski sum of the supports: the answer is 0
+        reach = sum(max(e[0] for e in factor.terms) for factor in factors)
+        targets.append((reach + 1,) + (0,) * (n - 1))
+        for target in targets:
+            got = _product_coefficient(spec, factors, target)
+            assert got == product.coefficient(target), (trial, target)
+            assert type(got) is type(product.coefficient(target))
+        assert _product_coefficient(spec, factors, targets[-1]) == 0
+
+
+def test_product_coefficient_edge_cases():
+    rng = random.Random(7)
+    spec = _random_twist(rng, ("x", "y", "z"))
+    f, g = _random_polynomial(rng, spec), _random_polynomial(rng, spec)
+    for exponent in list(f.terms) + [(5, 5, 5)]:
+        assert _product_coefficient(spec, [f], exponent) == f.coefficient(exponent)
+        assert _product_coefficient(spec, [f, Series.zero(spec), g], exponent) == 0
+        assert _product_coefficient(spec, [Series.zero(spec)], exponent) == 0
+    assert _product_coefficient(spec, [], (0, 0, 0)) == 1
+    assert _product_coefficient(spec, [], (0, 1, 0)) == 0
+
+
+@pytest.mark.parametrize("a, generalized", [
+    ((1, 2, 3), False), ((2, 2, 2, 2), False), ((1, 0, 2, 1, 1), False),
+    ((3,), False), ((0, 0), False), ((4, 4, 0), True), ((2, 1, 3), True),
+    ((2,), True), ((0, 0, 0), True), ((5, 3, 4), False), ((1, 5, 2), False),
+])
+def test_dyson_ct_reads_the_full_product(a, generalized):
+    inst = DysonInstance(len(a), a, generalized=generalized)
+    assert dyson_ct(inst) == dyson_product(inst).coefficient((0,) * len(a))
+    assert dyson_ct(inst) == dyson_rhs(inst)
+
+
+def test_dyson_factors_multiply_to_the_product():
+    inst = DysonInstance(3, (2, 1, 1), generalized=True)
+    spec, factors, target = _dyson_factors(inst)
+    assert len(factors) == 7 and target == (2, 1, 1)
+    assert _chain(spec, factors).coefficient(target) == 12
+    # (1 - z_2/z_1)^2, by the binomial theorem
+    assert factors[0].terms == {(0, 0, 0): 1, (-1, 1, 0): -2, (-2, 2, 0): 1}
+
+
+def test_pruned_product_forms_few_pairs(monkeypatch):
+    pairs = []
+    for module in (series, identities):
+        original = module._convolve
+
+        def counted(spec, a, b, keep, original=original):
+            pairs.append(len(a) * len(b))
+            return original(spec, a, b, keep)
+
+        monkeypatch.setattr(module, "_convolve", counted)
+    inst = DysonInstance(5, (2, 2, 2, 2, 2))
+    assert dyson_ct(inst) == 113400
+    pruned = sum(pairs)
+    pairs.clear()
+    dyson_product(inst)
+    full = sum(pairs)
+    assert pruned > 0 and full >= 10 * pruned
 
 
 # ----------------------------------------------------------------------
