@@ -250,6 +250,8 @@ def _cmd_lagrange(args):
     spec, box, bindings = _inputs_from_args(args)
     F = _series_list(args.F, spec, box, bindings)
     if args.inverse:
+        if args.k is not None:
+            raise UsageError("lagrange takes --k or --inverse, not both")
         inverse = lagrange_inverse(F, args.degree)
         print(_compact([series.to_json() for series in inverse]))
         return 0

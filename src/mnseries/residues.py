@@ -19,9 +19,12 @@ composition gate, and aborts before any base-field work.
 Lagrange inversion lives in the degree-graded field (an auxiliary most
 significant variable with twist row x_i -> x_i·aux), where the power-series
 normalization makes every x_i the initial term of F_i and total-degree
-truncation is a plain box constraint.  The compositional inverse is found by
-fixed-point iteration on raw coefficient dicts, independent of the residue
-path it serves as an oracle for.
+truncation is a plain box constraint.  The residue formula forms each
+F_i^{-1-k_i} only up to |k| - deg(Phi) degrees above its initial degree, the
+most a term can rise and still reach the wanted coefficient; only the
+expansion of Phi keeps a box padded by four degrees.  The compositional
+inverse is found by fixed-point iteration on raw coefficient dicts,
+independent of the residue path it serves as an oracle for.
 """
 
 from __future__ import annotations
@@ -301,6 +304,8 @@ def lagrange_inverse(F, degree):
     """
     F = list(F)
     _check_power_series_normalized(F)
+    if type(degree) is not int or degree < 0:
+        raise UsageError("degree must be a nonnegative integer")
     spec = F[0].spec
     n = spec.n
     units = [unit_vector(n, i) for i in range(n)]
@@ -325,14 +330,25 @@ def lagrange_inverse(F, degree):
 def lagrange_coefficient(phi, F, k):
     """[y^k] Phi(G(y)) as the residue Res_x F^{-1-k} Phi(x) J(F).
 
-    Everything is computed in the degree-graded field, on a box sized from
-    the degrees of F and k with a padding of four degrees.
+    Everything is computed in the degree-graded field, whose last
+    phi-coordinate is the total degree.  Phi and J(F) use a box sized from
+    the degrees of F and k with a padding of four degrees.  The wanted
+    coefficient sits at degree -n, and every factor lies at or above its
+    initial degree, so a term of F_i^{-1-k_i} more than
+    ``budget = |k| - deg(initial term of Phi)`` degrees above that factor's
+    initial degree cannot reach it: each F_i is embedded with its degree
+    bound lowered to ``budget + 1`` before it is inverted and powered.  A
+    negative budget puts every integrand term above the target, so the
+    coefficient is 0.  The final ``coefficient`` call still refuses a target
+    outside the product's guaranteed box.
     """
     F = list(F)
     _check_power_series_normalized(F)
     spec = F[0].spec
     n = spec.n
     k = tuple(k)
+    if any(type(e) is not int for e in k):
+        raise UsageError(f"coefficient index {k} must hold integers")
     if len(k) != n or any(e < 0 for e in k):
         raise UsageError(f"bad coefficient index {k}")
     gspec = graded_spec(spec.variables)
@@ -342,12 +358,17 @@ def lagrange_coefficient(phi, F, k):
     hi = spread
     width = max(abs(lo), hi) + max(k) + 2
     box = Box(((-width, width),) * n + ((lo, hi),))
+    phi_series = expand(phi, gspec, box=box)
+    power_box = box
+    if phi_series.terms:
+        budget = sum(k) - gspec.phi(phi_series.initial_term()[0])[-1]
+        if budget < 0:
+            return 0
+        power_box = Box(box.bounds[:-1] + ((lo, min(hi, budget + 1)),))
     integrand = Series.constant(gspec, 1, box=box)
+    for s, ki in zip(F, k):
+        integrand = multiply(integrand, embed_graded(s, gspec, power_box) ** (-1 - ki))
+    integrand = multiply(integrand, phi_series)
     embedded = [embed_graded(s, gspec, box) for s in F]
-    for s, ki in zip(embedded, k):
-        integrand = multiply(integrand, s ** (-1 - ki))
-    integrand = multiply(
-        integrand, expand(phi, gspec, box=box)
-    )
     integrand = multiply(integrand, jacobian(embedded, spec.variables))
     return integrand.coefficient((-1,) * n + (0,))

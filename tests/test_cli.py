@@ -133,6 +133,20 @@ def test_lagrange_inverse_command(capsys):
     assert [t["coeff"] for t in data[0]["terms"]] == ["1", "1", "2", "5", "14"]
 
 
+def test_lagrange_inverse_refuses_k(capsys):
+    code, out, err = run_cli(capsys, "lagrange", "--vars", "x", "--F", "x-x^2",
+                             "--k", "4", "--inverse")
+    assert (code, out) == (2, "")
+    assert err == "error[usage]: lagrange takes --k or --inverse, not both\n"
+
+
+def test_lagrange_inverse_refuses_a_negative_degree(capsys):
+    code, out, err = run_cli(capsys, "lagrange", "--vars", "x", "--F", "x-x^2",
+                             "--inverse", "--degree", "-1")
+    assert (code, out) == (2, "")
+    assert err == "error[usage]: degree must be a nonnegative integer\n"
+
+
 def test_wilson_command(capsys):
     code, out, _ = run_cli(capsys, "wilson", "--n", "3")
     assert code == 0

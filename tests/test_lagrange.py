@@ -1,16 +1,29 @@
+import math
 import random
 
 import pytest
 
 from mnseries import (
     BadNormalization,
+    MNError,
+    OutOfPrecision,
     Series,
+    UsageError,
     identity_spec,
     lagrange_coefficient,
     lagrange_inverse,
     parse,
 )
-from mnseries.residues import compose_polynomial
+from mnseries import series as series_module
+from mnseries.ordering import Box
+from mnseries.parser import expand
+from mnseries.residues import (
+    compose_polynomial,
+    embed_graded,
+    graded_spec,
+    jacobian,
+)
+from mnseries.series import multiply
 
 X = identity_spec(("x",))
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862]
@@ -105,3 +118,115 @@ def test_general_phi_coefficient():
     square = compose_polynomial({(2,): 1}, [G_dict], 9)
     for k in range(2, 9):
         assert lagrange_coefficient(parse("x^2"), [F], (k,)) == square.get((k,), 0)
+
+
+def _full_box_coefficient(phi, F, k):
+    """The residue formula with every factor on the full padded box.
+
+    Reference for the degree budget of ``lagrange_coefficient``: the same
+    box, the same ``s ** (-1 - k_i)`` chain and the same final
+    ``coefficient`` guard, with no factor truncated below the box.
+    """
+    spec = F[0].spec
+    n = spec.n
+    gspec = graded_spec(spec.variables)
+    maxdeg = max(sum(e) for s in F for e in s.terms)
+    spread = sum(k) + n * (maxdeg - 1) + 4
+    lo = -(n + sum(k) + spread)
+    width = max(abs(lo), spread) + max(k) + 2
+    box = Box(((-width, width),) * n + ((lo, spread),))
+    integrand = Series.constant(gspec, 1, box=box)
+    embedded = [embed_graded(s, gspec, box) for s in F]
+    for s, ki in zip(embedded, k):
+        integrand = multiply(integrand, s ** (-1 - ki))
+    integrand = multiply(integrand, expand(phi, gspec, box=box))
+    integrand = multiply(integrand, jacobian(embedded, spec.variables))
+    return integrand.coefficient((-1,) * n + (0,))
+
+
+def _outcome(function, *args):
+    """The value, or the class of the MNError raised."""
+    try:
+        return function(*args)
+    except MNError as exc:
+        return type(exc)
+
+
+BUDGET_PHIS = [
+    f"x1^{a}*x2^{b}" for a in range(-14, 4) for b in range(-14, 2, 3)
+] + [
+    "1/(1-x1)", "exp(x1)", "1/(1-x1-x2)^3", "log(1+x2)", "x1^-2/(1-x2)",
+    "1/(x1-x1^2)", "x2^3/(1+x1*x2)", "x1^-3*exp(x2)", "1/(x1-x2)",
+    "x1^-1*x2^-1*log(1-x1-x2)",
+]
+BUDGET_KS = [(0, 1), (1, 2), (0, 3), (3, 3), (2, 0)]
+
+
+def test_degree_budget_matches_the_full_box_reference():
+    rng = random.Random(7)
+    spec = identity_spec(("x1", "x2"))
+    Fs = [random_normalized_F(rng, spec) for _ in range(3)]
+    for text in BUDGET_PHIS:
+        phi = parse(text)
+        for k in BUDGET_KS:
+            F = rng.choice(Fs)
+            expected = _outcome(_full_box_coefficient, phi, F, k)
+            assert _outcome(lagrange_coefficient, phi, F, k) == expected, (text, k)
+
+
+def test_degree_budget_edge_cases():
+    spec = identity_spec(("x1", "x2"))
+    F = [
+        Series(spec, {(1, 0): 1, (0, 2): -1}),  # x1 - x2^2
+        Series(spec, {(0, 1): 1, (2, 0): -1}),  # x2 - x1^2
+    ]
+    # deg Phi = 4 > |k| = 1: every integrand term lies above the target
+    assert lagrange_coefficient(parse("x1^3*x2"), F, (0, 1)) == 0
+    # the budget must count deg Phi: |k| alone would keep too few degrees
+    assert (lagrange_coefficient(parse("x1^-3"), F, (0, 3))
+            == _full_box_coefficient(parse("x1^-3"), F, (0, 3)))
+    catalan_F = [Series(X, {(1,): 1, (2,): -1})]
+    # a Phi with no stored terms has no initial degree
+    assert lagrange_coefficient(parse("1/(1-x)-1/(1-x)"), catalan_F, (4,)) == 0
+    # the final coefficient call still refuses a target outside the box
+    with pytest.raises(OutOfPrecision):
+        lagrange_coefficient(parse("x^-12"), catalan_F, (4,))
+
+
+def test_degree_budget_cuts_pair_products(monkeypatch):
+    spec = identity_spec(("x1", "x2"))
+    F = [
+        Series(spec, {(1, 0): 1, (1, 1): 2, (0, 3): -1}),
+        Series(spec, {(0, 1): 1, (2, 0): 1, (1, 2): -2}),
+    ]
+    convolve = series_module._convolve
+    pairs = [0]
+
+    def counting(spec, aterms, bterms, keep):
+        pairs[0] += len(aterms) * len(bterms)
+        return convolve(spec, aterms, bterms, keep)
+
+    monkeypatch.setattr(series_module, "_convolve", counting)
+    reference = _full_box_coefficient(parse("x1"), F, (3, 3))
+    full_pairs, pairs[0] = pairs[0], 0
+    assert lagrange_coefficient(parse("x1"), F, (3, 3)) == reference
+    assert 5 * pairs[0] <= full_pairs
+
+
+def test_large_k_is_catalan():
+    F = Series(X, {(1,): 1, (2,): -1})
+    assert lagrange_coefficient(parse("x"), [F], (120,)) == math.comb(238, 119) // 120
+
+
+@pytest.mark.parametrize("degree", [2.5, "3", True, -1])
+def test_inverse_refuses_a_bad_degree(degree):
+    F = Series(X, {(1,): 1, (2,): -1})
+    with pytest.raises(UsageError, match="degree must be a nonnegative integer"):
+        lagrange_inverse([F], degree)
+
+
+@pytest.mark.parametrize("k", [("2",), (True,), (2.0,)])
+def test_coefficient_refuses_non_integer_indices(k):
+    F = Series(X, {(1,): 1, (2,): -1})
+    with pytest.raises(UsageError):
+        lagrange_coefficient(parse("x"), [F], k)
