@@ -252,9 +252,14 @@ def _cmd_lagrange(args):
     if args.inverse:
         if args.k is not None:
             raise UsageError("lagrange takes --k or --inverse, not both")
-        inverse = lagrange_inverse(F, args.degree)
+        if args.phi is not None:
+            raise UsageError("lagrange --inverse takes no --phi")
+        degree = 10 if args.degree is None else args.degree
+        inverse = lagrange_inverse(F, degree)
         print(_compact([series.to_json() for series in inverse]))
         return 0
+    if args.degree is not None:
+        raise UsageError("lagrange takes --degree only with --inverse")
     if not args.k:
         raise UsageError("lagrange needs --k k1,k2,... or --inverse")
     k = _int_list(args.k, "--k")
@@ -376,7 +381,7 @@ def _build_parser():
     p.add_argument("--phi")
     p.add_argument("--k", help="coefficient multi-index k1,k2,...")
     p.add_argument("--inverse", action="store_true")
-    p.add_argument("--degree", type=int, default=10)
+    p.add_argument("--degree", type=int)
     p.set_defaults(func=_cmd_lagrange)
 
     p = sub.add_parser("dyson", help="Dyson constant-term identity")

@@ -16,18 +16,19 @@ The results of ``multiply`` and ``invert`` skip that pass
 (``Series._trusted``), because they hold by construction: the operands were
 validated, ``_convolve`` keeps only the pairs whose phi lies in the result
 box and normalizes each output coefficient once, and the inversion
-recurrence pushes only exponents inside the box (the origin it seeds is
-dropped when the box misses it).
+recurrence pushes only exponents inside the box (and stores the origin it
+starts from only when the box holds it).
 
 Box propagation through products follows the shift-and-intersect rule: each
 factor's box is shifted by the other factor's initial phi-exponent, or — when
 the other factor is exact, hence has fully known finite support — by every
 exponent of that support, and everything is intersected.  Inversion writes
 the series as c·x^m·(1 - tau) and solves g = 1 + prune(tau·g) one
-coefficient at a time, in increasing term order; stream composition (exp,
-log) sums box-pruned powers of the positive-order part until they become
-empty.  Both terminate because only finitely many sums of elements from a
-finite revlex-positive set can stay inside a fixed box.
+coefficient at a time, in increasing term order, on packed integer keys
+(``_invert_recurrence``); stream composition (exp, log) sums box-pruned
+powers of the positive-order part until they become empty.  Both terminate
+because only finitely many sums of elements from a finite revlex-positive
+set can stay inside a fixed box.
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import factorial, gcd
-from operator import add as _int_add
+from math import factorial, lcm, prod
+from operator import add as _int_add, mul
 
 from .errors import (
     BadInitialTerm,
@@ -290,24 +291,14 @@ class Series:
                 raise ZeroDivisor("cannot invert the zero series")
             raise OutOfPrecision("no initial term visible inside the box")
         spec = self.spec
-        m, c = self.initial_term()
-        inv_c = _recip(c)
-        result_box = self.box.shift(_vec_neg(spec.phi(m)))
-        if len(self.terms) == 1:
-            return Series(spec, {_vec_neg(m): inv_c}, box=result_box, exact=self.exact)
-        tau = {}
-        for exponent, value in self.terms.items():
-            if exponent == m:
-                continue
-            tau[_vec_sub(exponent, m)] = _coeff(-Fraction(value) * inv_c)
-        total = _invert_recurrence(spec, tau, self.box)
-        zero = (0,) * spec.n
-        if not self.box.contains(zero):
-            # the recurrence seeds the origin even when the box misses it;
-            # every other term it returns lies inside the box
-            del total[zero]
-        shifted = {_vec_sub(k, m): _coeff(v * Fraction(inv_c)) for k, v in total.items()}
-        return Series._trusted(spec, shifted, result_box, False)
+        keys = {exponent: spec.key(exponent) for exponent in self.terms}
+        m = min(keys, key=keys.get)
+        result_box = self.box.shift(_vec_neg(keys[m][::-1]))
+        if len(keys) == 1:
+            return Series(spec, {_vec_neg(m): _recip(self.terms[m])},
+                          box=result_box, exact=self.exact)
+        total = _invert_recurrence(self.terms, keys, m, self.box)
+        return Series._trusted(spec, total, result_box, False)
 
     def compose_stream(self, coefficients):
         """Sum coefficients(n)·self^n for n ≥ 0; needs ord(self) > 0."""
@@ -515,25 +506,15 @@ def _meet_boxes(a, b):
     return box
 
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
-
-
 def _int_normal(terms):
     """Factor out the common denominator: (den, integer term dict)."""
     den = 1
     for value in terms.values():
-        if type(value) is not int and isinstance(value, Fraction):
-            den = _lcm(den, value.denominator)
+        if type(value) is not int:
+            den = lcm(den, value.denominator)
     if den == 1:
         return 1, terms
-    out = {}
-    for exponent, value in terms.items():
-        if type(value) is not int and isinstance(value, Fraction):
-            out[exponent] = value.numerator * (den // value.denominator)
-        else:
-            out[exponent] = value * den
-    return den, out
+    return den, {e: v.numerator * (den // v.denominator) for e, v in terms.items()}
 
 
 def _convolve(spec, aterms, bterms, keep):
@@ -670,58 +651,77 @@ def _geometric_sum(spec, tau, box, coefficients):
     return {k: v for k, v in total.items() if v != 0}
 
 
-def _invert_recurrence(spec, tau, box):
-    """Solve g = 1 + prune(tau·g) one coefficient at a time, in term order.
+def _invert_recurrence(terms, keys, m, box):
+    """Terms of the inverse c⁻¹·x^(-m)·g of the series ``terms`` = c·x^m·(1 - tau).
 
-    ``g_e`` sums, over the sequences of ``tau`` exponents that add up to
-    ``e`` with every nonempty prefix sum in ``box``, the products of their
-    coefficients: the terms of the box-pruned power sum
-    ``_geometric_sum(spec, tau, box, lambda n: 1)``, which starts from the
-    origin whether or not ``box`` contains it.  Each nonzero ``g_e`` is
-    pushed to every ``e + a`` inside ``box``; a heap keyed by reversed phi
-    pops pending exponents in increasing term order, so all predecessors of
-    an exponent are final when it is popped.  Phi-images are carried along
-    (``phi(e + a) = phi(e) + phi(a)``).  Only finitely many box points are
-    reachable, so the loop ends.
+    ``keys`` holds each term's ``FieldSpec.key``; ``m`` is the least.  g =
+    1 + prune(tau·g) is the box-pruned power sum ``_geometric_sum(spec, tau,
+    box, lambda n: 1)``: ``g_e`` sums the coefficient products of the tau
+    paths to ``e`` whose every nonempty prefix sum lies in ``box``.  A heap
+    pops exponents in term order, each after its predecessors, from the
+    origin (stored only if ``box`` holds it) on, and pushes each nonzero
+    ``g_e`` along every step that stays in ``box``.  Carried exponents start
+    at -m, and c⁻¹ joins the one normalization of each popped coefficient,
+    an integer numerator over ``den ** level`` (``den``: tau's common denominator).
 
-    As in ``_convolve``, the loop runs on integers: a pending coefficient is
-    an integer numerator over ``den ** level``, with ``den`` the common
-    denominator of ``tau``, and is normalized once, when it is popped.
+    Keys are packed into ints sum_j (k_j - lo_j)·W_j, W_j the product of the
+    less significant box widths: in the box, int order is term order and a
+    step adds its packed key.  A packed sum can wrap into the next field, so
+    each popped term ANDs per-coordinate bitsets (filled lazily, per digit)
+    of the steps that keep that coordinate inside, and takes the step list
+    cached per bitset: a candidate costs one int add and one dict lookup.
     """
-    zero = (0,) * spec.n
+    c = Fraction(terms[m])
+    den, tau = _int_normal({e: _coeff(-v / c) for e, v in terms.items() if e != m})
     bounds = box.bounds[::-1]
-    den, tau = _int_normal(tau)
-    steps = [(spec.key(a), a, value) for a, value in tau.items()]
-    total = {zero: 1}
-    pending = {}    # reversed phi -> [exponent, numerator, level]
+    widths = [hi - lo + 1 for lo, hi in bounds]
+    weights = [prod(widths[j + 1:]) for j in range(len(widths))]
+    moves = [_vec_sub(keys[e], keys[m]) for e in tau]
+    steps = [(sum(map(mul, k, weights)), _vec_sub(e, m), v)
+             for k, (e, v) in zip(moves, tau.items())]
+    columns = list(zip(*moves))
+    tables = [{} for _ in bounds]   # per coordinate: digit -> bitset of steps
+    chosen = {}                     # bitset -> its steps
+    pending = {}                    # packed key -> [exponent, numerator, level]
     heap = []
-    key, exponent, value, level = zero, zero, 1, 0
+    exponent, value, level = _vec_neg(m), 1, 0
+    total = {exponent: _recip(c)} if box.contains((0,) * len(m)) else {}
+    digits = [-lo for lo, _ in bounds]
+    key = sum(map(mul, digits, weights))
     while True:
+        mask = -1
+        for table, column, width, d in zip(tables, columns, widths, digits):
+            bits = table.get(d)
+            if bits is None:
+                bits = table[d] = sum(1 << i for i, a in enumerate(column)
+                                      if 0 <= d + a < width)
+            mask &= bits
+        admissible = chosen.get(mask)
+        if admissible is None:
+            admissible = chosen[mask] = [s for i, s in enumerate(steps) if mask >> i & 1]
         up = level + 1
-        for step_key, step, step_value in steps:
-            nxt = tuple(map(_int_add, key, step_key))
-            for c, (lo, hi) in zip(nxt, bounds):
-                if c < lo or c > hi:
-                    break
+        for step_key, step, step_value in admissible:
+            nxt = key + step_key
+            entry = pending.get(nxt)
+            if entry is None:
+                pending[nxt] = [tuple(map(_int_add, exponent, step)),
+                                step_value * value, up]
+                heappush(heap, nxt)
+            elif entry[2] >= up:
+                entry[1] += step_value * value * den ** (entry[2] - up)
             else:
-                entry = pending.get(nxt)
-                if entry is None:
-                    pending[nxt] = [tuple(map(_int_add, exponent, step)),
-                                    step_value * value, up]
-                    heappush(heap, nxt)
-                elif entry[2] >= up:
-                    entry[1] += step_value * value * den ** (entry[2] - up)
-                else:
-                    entry[1] = entry[1] * den ** (up - entry[2]) + step_value * value
-                    entry[2] = up
+                entry[1] = entry[1] * den ** (up - entry[2]) + step_value * value
+                entry[2] = up
         while heap:
             key = heappop(heap)
             exponent, value, level = pending.pop(key)
             if value:
-                total[exponent] = _coeff(Fraction(value, den ** level))
+                total[exponent] = _coeff(Fraction(value * c.denominator,
+                                                  den ** level * c.numerator))
                 break
         else:
             return total
+        digits = [key // w % width for w, width in zip(weights, widths)]
 
 
 def exp_of(series):

@@ -183,9 +183,15 @@ def _random_twist(rng, names):
 def test_invert_equals_box_pruned_power_sum():
     rng = random.Random(11)
     origin_outside = 0
-    for _ in range(100):
+    # boxes that miss the origin from above (some lo > 0) and from below
+    # (some hi < 0) in a coordinate
+    missed = {"above": 0, "below": 0}
+    for case in range(140):
         spec = _random_twist(rng, ("x", "y", "z")[: rng.randint(2, 3)])
         offset = [rng.randint(-3, 3) for _ in range(spec.n)]
+        if case >= 100:
+            # supports far from the origin, on either side
+            offset = [o + rng.choice((-6, 6)) for o in offset]
         terms = {}
         for _ in range(rng.randint(2, 5)):
             e = tuple(rng.randint(-1, 1) + o for o in offset)
@@ -201,8 +207,49 @@ def test_invert_equals_box_pruned_power_sum():
         if len(s.terms) < 2:
             continue
         origin_outside += not box.contains((0,) * spec.n)
+        missed["above"] += any(lo > 0 for lo, _ in box.bounds)
+        missed["below"] += any(hi < 0 for _, hi in box.bounds)
         assert s.invert() == _power_sum_inverse(s)
     assert origin_outside > 0
+    assert min(missed.values()) >= 30, missed
+
+
+def test_invert_computes_phi_once_per_input_term(monkeypatch):
+    # no phi call per output term or per candidate step: the recurrence
+    # carries packed keys, and invert computes each input term's phi once
+    rng = random.Random(31)
+    calls = []
+    phi = FieldSpec.phi
+
+    def counted(spec, exponent):
+        calls.append(exponent)
+        return phi(spec, exponent)
+
+    monkeypatch.setattr(FieldSpec, "phi", counted)
+    long_runs = 0
+    for _ in range(20):
+        spec = _random_twist(rng, ("x", "y", "z"))
+        terms = {tuple(rng.randint(-1, 1) for _ in range(3)): rng.choice([-2, -1, 1, 3])
+                 for _ in range(5)}
+        s = Series(spec, terms, box=cube(3, 6), exact=False)
+        if len(s.terms) < 3:
+            continue
+        calls.clear()
+        long_runs += len(s.invert().terms) >= 3 * len(s.terms)
+        assert len(calls) <= len(s.terms)   # len(tau) + 1
+    assert long_runs >= 5
+
+
+def test_invert_refuses_a_step_that_wraps_in_the_packed_key():
+    # Term order compares y first, so x + y + x^2 = x·(1 + x^-1·y + x).  The
+    # step x^-1·y leaves x in [0, 3] from the origin, but its packed key,
+    # (y - 0)·4 + (x - 0) = 3, lies in the packed range of the box: only a
+    # per-coordinate check tells that it wraps into the y field.
+    s = Series(identity_spec(("x", "y")), {(1, 0): 1, (0, 1): 1, (2, 0): 1},
+               box=Box(((0, 3), (0, 5))), exact=False)
+    inv = s.invert()
+    assert inv == _power_sum_inverse(s)
+    assert (-2, 1) not in inv.terms and inv.coefficient((-1, 1)) == 1
 
 
 def test_invert_starts_from_the_origin_outside_the_box():
