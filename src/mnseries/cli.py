@@ -12,7 +12,6 @@ import argparse
 import json
 import shlex
 import sys
-from fractions import Fraction
 
 from .errors import MNError, UsageError
 from .identities import (
@@ -32,8 +31,9 @@ from .ordering import (
     format_field_spec,
     parse_field_spec,
     parse_rational,
+    rational_text,
 )
-from .parser import expand, parse
+from .parser import Div, Mul, expand, parse
 from .residues import (
     change_of_variables,
     jacobian,
@@ -43,7 +43,7 @@ from .residues import (
     log_jacobian,
     residue_verify,
 )
-from .series import Series
+from .series import Series, _product_box, multiply_extract
 
 
 def _compact(data):
@@ -158,9 +158,9 @@ def _print_series(series, args):
 
 def _print_scalar(value, args):
     if args.format == "json":
-        print(_compact({"value": str(Fraction(value))}))
+        print(_compact({"value": rational_text(value)}))
     else:
-        print(Fraction(value))
+        print(rational_text(value))
 
 
 # ----------------------------------------------------------------------
@@ -175,7 +175,16 @@ def _cmd_expand(args):
 
 def _extract_command(args, want):
     spec, box, bindings = _inputs_from_args(args)
-    series = expand(parse(_expr_from_args(args)), spec, box=box, bindings=bindings)
+    node = parse(_expr_from_args(args))
+    if isinstance(node, (Mul, Div)):
+        # a product on top is never formed: its factors are expanded, and its
+        # box is checked, where the whole expression would have been
+        left = expand(node.left, spec, box=box, bindings=bindings)
+        right = expand(node.right, spec, box=box, bindings=bindings)
+        factors = (left, right.invert() if isinstance(node, Div) else right)
+        _product_box(*factors)
+    else:
+        factors = (expand(node, spec, box=box, bindings=bindings),)
     if args.over:
         over = tuple(v.strip() for v in args.over.split(",") if v.strip())
     else:
@@ -196,7 +205,10 @@ def _extract_command(args, want):
                 check = lj_ct == cov.jnum
             report["ct_log_jacobian_equals_jnum"] = bool(check)
         print(_compact(report), file=sys.stderr)
-    result = series.extract(over, want)
+    if len(factors) == 2:
+        result = multiply_extract(*factors, over, want)
+    else:
+        result = factors[0].extract(over, want)
     if isinstance(result, Series):
         _print_series(result, args)
     else:
@@ -226,7 +238,7 @@ def _cmd_jacobian(args):
 
 def _cmd_jnum(args):
     F, xnames = _jacobian_inputs(args)
-    print(jacobian_number(F, list(xnames)))
+    print(rational_text(jacobian_number(F, list(xnames))))
     return 0
 
 
@@ -273,7 +285,8 @@ def _cmd_dyson(args):
     instance = DysonInstance(len(a), a, generalized=args.generalized)
     lhs = dyson_ct(instance)
     rhs = dyson_rhs(instance)
-    print(_compact({"lhs": str(lhs), "rhs": str(rhs), "equal": lhs == rhs}))
+    print(_compact({"lhs": rational_text(lhs), "rhs": rational_text(rhs),
+                    "equal": lhs == rhs}))
     return 0 if lhs == rhs else 1
 
 
@@ -281,7 +294,8 @@ def _cmd_dixon(args):
     a, b, c = _int_list(args.abc, "--abc", 3)
     lhs = dixon_sum(a, b, c)
     rhs = dyson_ct(DysonInstance(3, (a, b, c)))
-    print(_compact({"lhs": str(lhs), "rhs": str(rhs), "equal": lhs == rhs}))
+    print(_compact({"lhs": rational_text(lhs), "rhs": rational_text(rhs),
+                    "equal": lhs == rhs}))
     return 0 if lhs == rhs else 1
 
 
@@ -318,8 +332,10 @@ def _cmd_wilson(args):
 def _cmd_jr(args):
     closed = j_r_closed_form(args.n, args.r)
     det = j_r_determinant(args.n, args.r)
-    print(_compact({"n": args.n, "r": args.r, "closed_form": closed,
-                    "determinant": det, "equal": closed == det}))
+    # written by hand: json refuses to write an int of more than 4300 digits
+    numbers = {"n": args.n, "r": args.r, "closed_form": closed, "determinant": det}
+    print("{" + "".join(f'"{k}":{rational_text(v)},' for k, v in numbers.items())
+          + f'"equal":{_compact(closed == det)}}}')
     return 0 if closed == det else 1
 
 

@@ -16,11 +16,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
-from operator import sub
 
 from .errors import UsageError
 from .ordering import Box, identity_spec, int_det, unit_vector
-from .series import Series, _coeff, _convolve, det, multiply
+from .series import Series, _convolve, _dot, det, multiply
 
 
 def zspec(n):
@@ -243,9 +242,7 @@ def _product_coefficient(spec, factors, exponent):
     for factor, bounds in zip(factors[:-1], reversed(reach)):
         keep = Box(tuple((t - hi, t - lo) for t, (lo, hi) in zip(target, bounds)))
         partial = _convolve(spec, partial, factor.terms, keep)
-    last = factors[-1].terms
-    return _coeff(sum(value * last.get(tuple(map(sub, exponent, e)), 0)
-                      for e, value in partial.items()))
+    return _dot(partial, factors[-1].terms, exponent)
 
 
 def dyson_ct(instance):

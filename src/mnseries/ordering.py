@@ -14,7 +14,9 @@ is unknown.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 from operator import mul
 
@@ -256,10 +258,33 @@ def format_field_spec(spec):
     return vars_part + "; " + twist_part
 
 
+# ``str(int)`` and ``int(str)`` refuse more than 4300 digits; ``Decimal``
+# converts exactly at any length.
+_RATIO = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
+
+
+def rational_text(value):
+    """``p`` or ``p/q`` for an int or Fraction, exactly, at any length."""
+    text = str(Decimal(value.numerator))
+    if value.denominator == 1:
+        return text
+    return text + "/" + str(Decimal(value.denominator))
+
+
+def read_rational(text):
+    """The Fraction ``text`` spells, as ``Fraction(text)`` reads it, with no
+    length limit on the ``p`` and ``p/q`` that ``rational_text`` writes."""
+    match = _RATIO.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
+        return Fraction(text)
+    num, den = match.groups()
+    return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+
+
 def parse_rational(text):
     """Parse ``p`` or ``p/q`` into a Fraction."""
     try:
-        value = Fraction(text.strip())
+        value = read_rational(text.strip())
     except (ValueError, ZeroDivisionError):
         raise UsageError(f"bad rational {text!r}") from None
     return value

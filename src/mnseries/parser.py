@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonIntegerExponent, ParseError, UnboundVariable, UsageError
+from .ordering import rational_text, read_rational
 from .series import Series, exp_of, log_of, multiply
 
 
@@ -104,9 +105,9 @@ def _tokenize(text):
             tokens.append((c, c, i))
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -195,7 +196,7 @@ class _Parser:
             raise NonIntegerExponent(
                 f"exponent must be an integer, found {token[1]!r}", token[2]
             )
-        value = sign * int(self.next()[1])
+        value = sign * int(read_rational(self.next()[1]))
         if parenthesized:
             self.expect(")")
         return value
@@ -204,7 +205,7 @@ class _Parser:
         token = self.next()
         kind, text, pos = token
         if kind == "int":
-            return RationalLiteral(Fraction(int(text)))
+            return RationalLiteral(read_rational(text))
         if kind == "name":
             if text in ("exp", "log") and self.peek()[0] == "(":
                 self.next()
@@ -232,7 +233,7 @@ _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
 
 def _print(node, minimum):
     if isinstance(node, RationalLiteral):
-        text = str(node.value)
+        text = rational_text(node.value)
         level = _PREC_ATOM if node.value >= 0 and node.value.denominator == 1 else _PREC_MUL
     elif isinstance(node, Variable):
         text, level = node.name, _PREC_ATOM
@@ -251,7 +252,7 @@ def _print(node, minimum):
         text = f"{_print(node.left, _PREC_MUL)}/{_print(node.right, _PREC_NEG)}"
         level = _PREC_MUL
     elif isinstance(node, Pow):
-        text = f"{_print(node.child, _PREC_ATOM)}^{node.exponent}"
+        text = f"{_print(node.child, _PREC_ATOM)}^{rational_text(node.exponent)}"
         level = _PREC_POW
     elif isinstance(node, Exp):
         text, level = f"exp({_print(node.child, 0)})", _PREC_ATOM

@@ -30,7 +30,6 @@ independent of the residue path it serves as an oracle for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     BadNormalization,
@@ -41,9 +40,16 @@ from .errors import (
     UsageError,
     ZeroSeries,
 )
-from .ordering import Box, FieldSpec, int_det, transformed_spec, unit_vector
+from .ordering import (
+    Box,
+    FieldSpec,
+    int_det,
+    rational_text,
+    transformed_spec,
+    unit_vector,
+)
 from .parser import expand
-from .series import Series, det, multiply
+from .series import Series, det, multiply, multiply_extract
 
 
 # ----------------------------------------------------------------------
@@ -135,7 +141,7 @@ class ResidueVerdict:
     def _side_json(value):
         if isinstance(value, Series):
             return value.to_json()
-        return str(Fraction(value))
+        return rational_text(value)
 
     def to_json(self):
         return {
@@ -188,7 +194,7 @@ def residue_verify(phi, F, xnames, bindings=None, box=None, form="res"):
             )
         phi_at_F = expand(phi, base, box=box, bindings=bindings,
                           substitutions=dict(zip(xnames, F)))
-        lhs = _times_jacobian(phi_at_F, cov, xnames, form).extract(xnames, want)
+        lhs = _left_side(phi_at_F, cov, xnames, form, want)
         rhs = Series.zero(lhs.spec, box=lhs.box) if isinstance(lhs, Series) else 0
         return ResidueVerdict(lhs, rhs, 0, _sides_equal(lhs, rhs), form, box)
 
@@ -204,15 +210,16 @@ def residue_verify(phi, F, xnames, bindings=None, box=None, form="res"):
 
     phi_at_F = expand(phi, base, box=box, bindings=bindings,
                       substitutions=dict(zip(xnames, F)))
-    lhs = _times_jacobian(phi_at_F, cov, xnames, form).extract(xnames, want)
+    lhs = _left_side(phi_at_F, cov, xnames, form, want)
     rhs = target_expansion.extract(xnames, want) * cov.jnum
     return ResidueVerdict(lhs, rhs, cov.jnum, _sides_equal(lhs, rhs), form, box)
 
 
-def _times_jacobian(phi_at_F, cov, xnames, form):
-    if form == "res":
-        return multiply(phi_at_F, jacobian(cov.F, xnames))
-    return multiply(phi_at_F, log_jacobian(cov.F, xnames))
+def _left_side(phi_at_F, cov, xnames, form, want):
+    """Res (``form="res"``, with J) or CT (with LJ) of phi(F) times the
+    Jacobian, read without forming the product (``multiply_extract``)."""
+    jac = jacobian(cov.F, xnames) if form == "res" else log_jacobian(cov.F, xnames)
+    return multiply_extract(phi_at_F, jac, xnames, want)
 
 
 # ----------------------------------------------------------------------
@@ -339,7 +346,8 @@ def lagrange_coefficient(phi, F, k):
     initial degree cannot reach it: each F_i is embedded with its degree
     bound lowered to ``budget + 1`` before it is inverted and powered.  A
     negative budget puts every integrand term above the target, so the
-    coefficient is 0.  The final ``coefficient`` call still refuses a target
+    coefficient is 0.  The last product, with J(F), is never formed: its
+    coefficient is read by ``multiply_extract``, which still refuses a target
     outside the product's guaranteed box.
     """
     F = list(F)
@@ -370,5 +378,5 @@ def lagrange_coefficient(phi, F, k):
         integrand = multiply(integrand, embed_graded(s, gspec, power_box) ** (-1 - ki))
     integrand = multiply(integrand, phi_series)
     embedded = [embed_graded(s, gspec, box) for s in F]
-    integrand = multiply(integrand, jacobian(embedded, spec.variables))
-    return integrand.coefficient((-1,) * n + (0,))
+    return multiply_extract(integrand, jacobian(embedded, spec.variables),
+                            gspec.variables, (-1,) * n + (0,))

@@ -22,13 +22,14 @@ starts from only when the box holds it).
 Box propagation through products follows the shift-and-intersect rule: each
 factor's box is shifted by the other factor's initial phi-exponent, or — when
 the other factor is exact, hence has fully known finite support — by every
-exponent of that support, and everything is intersected.  Inversion writes
-the series as c·x^m·(1 - tau) and solves g = 1 + prune(tau·g) one
-coefficient at a time, in increasing term order, on packed integer keys
-(``_invert_recurrence``); stream composition (exp, log) sums box-pruned
-powers of the positive-order part until they become empty.  Both terminate
-because only finitely many sums of elements from a finite revlex-positive
-set can stay inside a fixed box.
+exponent of that support, and everything is intersected (``_product_box``).
+``multiply_extract`` reads a CT/Res slice of a product on that box without
+forming the product.  Inversion writes the series as c·x^m·(1 - tau) and
+solves g = 1 + prune(tau·g) one coefficient at a time, in increasing term
+order, on packed integer keys (``_invert_recurrence``); stream composition
+(exp, log) sums box-pruned powers of the positive-order part until they
+become empty.  Both terminate because only finitely many sums of elements
+from a finite revlex-positive set can stay inside a fixed box.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from heapq import heappop, heappush
 from math import factorial, lcm, prod
-from operator import add as _int_add, mul
+from operator import add as _int_add, itemgetter, mul, sub
 
 from .errors import (
     BadInitialTerm,
@@ -48,7 +49,7 @@ from .errors import (
     ZeroDivisor,
     ZeroSeries,
 )
-from .ordering import Box, FieldSpec
+from .ordering import Box, FieldSpec, rational_text, read_rational
 
 
 def _coeff(value):
@@ -336,6 +337,19 @@ class Series:
             indices.append(i)
         return indices
 
+    def _wanted(self, names, want):
+        """The named indices, one wanted exponent per name (``want``: one int
+        for all, or one per name) and the exponent holding them, 0 elsewhere."""
+        selected = self._selected_indices(names)
+        want = (want,) * len(selected) if isinstance(want, int) else tuple(want)
+        if len(want) != len(selected):
+            raise UsageError(f"need one wanted exponent per name, got {len(want)} "
+                             f"for {len(selected)}")
+        target = [0] * self.spec.n
+        for i, w in zip(selected, want):
+            target[i] = w
+        return selected, want, tuple(target)
+
     def _project(self, names, want):
         """Terms whose named exponents equal ``want`` (one exponent per
         name), as a series over the remaining variables."""
@@ -354,14 +368,16 @@ class Series:
         return Series(residual, out, box=self.box.project(keep), exact=self.exact)
 
     def extract(self, names, want):
-        """CT (``want=0``) or Res (``want=-1``) in the named variables.
+        """CT (``want=0``) or Res (``want=-1``) in the named variables, or
+        the coefficient of any exponents given one per name.
 
         A coefficient when every variable is named, else a series over the
         remaining variables.
         """
-        if len(self._selected_indices(names)) == self.spec.n:
-            return self.coefficient((want,) * self.spec.n)
-        return self._project(names, (want,) * len(names))
+        selected, want, target = self._wanted(names, want)
+        if len(selected) == self.spec.n:
+            return self.coefficient(target)
+        return self._project(names, want)
 
     def x_initial_term(self, names):
         """The x-term of least order, split into exponent and coefficient.
@@ -429,18 +445,18 @@ class Series:
         parts = []
         for exponent, value in self.sorted_terms():
             mono = "*".join(
-                name if e == 1 else f"{name}^{e}"
+                name if e == 1 else f"{name}^{rational_text(e)}"
                 for name, e in zip(self.spec.variables, exponent)
                 if e != 0
             )
             if not mono:
-                text = str(value)
+                text = rational_text(value)
             elif value == 1:
                 text = mono
             elif value == -1:
                 text = "-" + mono
             else:
-                text = f"{value}*{mono}"
+                text = f"{rational_text(value)}*{mono}"
             if parts:
                 if text.startswith("-"):
                     parts.append(" - " + text[1:])
@@ -459,7 +475,7 @@ class Series:
             "vars": list(self.spec.variables),
             "twist": [list(row) for row in self.spec.twist],
             "terms": [
-                {"exp": list(exponent), "coeff": str(Fraction(value))}
+                {"exp": list(exponent), "coeff": rational_text(value)}
                 for exponent, value in self.sorted_terms()
             ],
             "box": self.box.to_json(),
@@ -482,7 +498,7 @@ class Series:
             )
             box = Box(tuple(ints(bounds) for bounds in data["box"]))
             terms = {
-                ints(item["exp"]): Fraction(item["coeff"]) for item in data["terms"]
+                ints(item["exp"]): read_rational(item["coeff"]) for item in data["terms"]
             }
             exact = data["exact"]
             if type(exact) is not bool:
@@ -589,15 +605,13 @@ def det(matrix):
     return total
 
 
-def multiply(a, b):
-    """Product with shift-and-intersect box propagation."""
+def _product_box(a, b):
+    """``(box, exact)`` of the product: shift-and-intersect, or the met boxes
+    of an exact product or of one with an exact zero operand."""
     a._require_same_spec(b)
+    if (a.exact and (b.exact or not a.terms)) or (b.exact and not b.terms):
+        return _meet_boxes(a, b), True
     spec = a.spec
-    if a.exact and b.exact:
-        return Series._trusted(spec, _convolve(spec, a.terms, b.terms, None),
-                               _meet_boxes(a, b), True)
-    if (a.exact and not a.terms) or (b.exact and not b.terms):
-        return Series.zero(spec, box=_meet_boxes(a, b))
     candidates = []
     for mine, other in ((a, b), (b, a)):
         if mine.exact:
@@ -615,9 +629,52 @@ def multiply(a, b):
         result_box = result_box.intersect(candidate)
         if result_box is None:
             raise OutOfPrecision("product has no guaranteed region")
-    # _convolve prunes every pair to result_box and normalizes each term
-    terms = _convolve(spec, a.terms, b.terms, result_box)
-    return Series._trusted(spec, terms, result_box, False)
+    return result_box, False
+
+
+def multiply(a, b):
+    """Product with shift-and-intersect box propagation."""
+    box, exact = _product_box(a, b)
+    # _convolve prunes every pair to a truncated product's box and
+    # normalizes each term
+    terms = _convolve(a.spec, a.terms, b.terms, None if exact else box)
+    return Series._trusted(a.spec, terms, box, exact)
+
+
+def _dot(aterms, bterms, exponent):
+    """The coefficient at ``exponent`` of the product of two term dicts."""
+    if len(aterms) > len(bterms):
+        aterms, bterms = bterms, aterms
+    get = bterms.get
+    return _coeff(sum(value * get(tuple(map(sub, exponent, e)), 0)
+                      for e, value in aterms.items()))
+
+
+def multiply_extract(a, b, names, want):
+    """``multiply(a, b).extract(names, want)``, read without forming the
+    product: only the pairs whose named exponents add up to ``want``, on the
+    product's box and with its pair filter, and the same errors in order."""
+    box, exact = _product_box(a, b)
+    spec = a.spec
+    selected, want, target = a._wanted(names, want)
+    if len(selected) == spec.n:
+        if not exact and not box.contains(spec.phi(target)):
+            raise OutOfPrecision(f"exponent {target} is outside the guaranteed box")
+        return _dot(a.terms, b.terms, target)
+    aterms, bterms = a.terms, b.terms
+    if len(aterms) > len(bterms):
+        aterms, bterms = bterms, aterms
+    named = itemgetter(*selected)
+    partners = {}               # named part a partner needs -> smaller's terms
+    for ka, va in aterms.items():
+        partners.setdefault(named(tuple(map(sub, target, ka))), []).append((ka, va))
+    out = {}
+    for kb, vb in bterms.items():
+        for ka, va in partners.get(named(kb), ()):
+            e = tuple(map(_int_add, ka, kb))
+            out[e] = out.get(e, 0) + va * vb
+    # Series(...) keeps, as multiply's pair filter does, only what is in the box
+    return Series(spec, out, box=box, exact=exact)._project(names, want)
 
 
 # ----------------------------------------------------------------------

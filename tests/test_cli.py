@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from mnseries import series
 from mnseries.cli import main
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -226,6 +227,36 @@ def test_over_names_distinct_field_variables(capsys):
     assert "error[usage]" in err and "selected twice" in err
 
 
+COV_REPORT = ('{"jacobian_number":1,"initial_exponents":[[1,0]],'
+              '"target_field":"vars=x,y","ct_log_jacobian_equals_jnum":true}\n')
+
+
+def test_cov_report_comes_before_an_over_name_error(capsys):
+    # the expression is expanded and the report printed before --over is read
+    for expr in ("1+x+y", "(1+x)*(1+y)", "(1+x)/(1-y)"):
+        code, out, err = run_cli(capsys, "ct", "--vars", "x,y", "--expr", expr,
+                                 "--cov", "x", "--over", "x,q")
+        assert (code, out) == (2, "")
+        assert err == COV_REPORT + "error[unknown-variable]: unknown variable 'q'\n"
+
+
+def test_expansion_refusal_comes_before_the_cov_report(capsys):
+    for expr in ("1/0", "x*(1/0)", "x/0"):
+        code, out, err = run_cli(capsys, "ct", "--vars", "x,y", "--expr", expr,
+                                 "--cov", "x", "--over", "x")
+        assert (code, out) == (1, "")
+        assert err == "error[zero-divisor]: cannot invert the zero series\n"
+
+
+def test_product_box_refusal_comes_before_the_cov_report(capsys):
+    # a truncated factor shifted by each term of an exact one: [-2,2] and [8,12]
+    for expr in ("(1+x^10)/(1-x)", "(1+x^10)*(1/(1-x))"):
+        code, out, err = run_cli(capsys, "ct", "--vars", "x", "--box", "2",
+                                 "--expr", expr, "--cov", "x")
+        assert (code, out) == (1, "")
+        assert err == "error[out-of-precision]: product has no guaranteed region\n"
+
+
 def test_repeated_xvars_refused(capsys):
     for command in ("jacobian", "jnum", "lj"):
         code, out, err = run_cli(capsys, command, "--vars", "x,y",
@@ -276,6 +307,23 @@ def test_big_example_golden(capsys):
                            " + 192*t^6 + 384*t^7 + 768*t^8")
 
 
+def test_ct_reads_the_last_product_without_forming_it(capsys, monkeypatch):
+    # forming the final product, numerator times the inverted denominator,
+    # took 23 148 of the 23 331 pairs _convolve made for this command
+    pairs = []
+    original = series._convolve
+
+    def counted(spec, a, b, keep):
+        pairs.append(len(a) * len(b))
+        return original(spec, a, b, keep)
+
+    monkeypatch.setattr(series, "_convolve", counted)
+    code, out, _ = run_cli(capsys, "ct", "--vars", "x,y,t", "--box=-24:24,-24:24,-1:5",
+                           "--over", "x,y", "--expr", CT3_EXPR)
+    assert (code, out) == (0, "3 + 6*t + 12*t^2 + 24*t^3 + 48*t^4 + 96*t^5\n")
+    assert 0 < sum(pairs) < 1000
+
+
 @pytest.mark.xfail(strict=True, reason="unsound precision box (ROADMAP item 2): "
                    "the box-pruned inversion drops paths that leave the box "
                    "and come back")
@@ -307,6 +355,37 @@ def test_golden_stability(capsys):
         )
         outs.add(out)
     assert len(outs) == 1
+
+
+def _digits(n):
+    """Decimal text of an int n >= 0, in chunks short enough for ``str``."""
+    chunks = []
+    while n:
+        n, low = divmod(n, 10 ** 1000)
+        chunks.append(low)
+    return str(chunks[-1]) + "".join(f"{c:01000d}" for c in reversed(chunks[:-1]))
+
+
+def test_integers_past_the_str_digit_limit(capsys):
+    # str(int) and int(str) refuse more than 4300 digits
+    big = 123456789012345678901234567890 ** 200          # 5 820 digits
+    literal = "9" * 5000
+    assert run_cli(capsys, "expand", "--vars", "x", "--expr", literal) == (
+        0, literal + "\n", "")
+    assert run_cli(capsys, "expand", "--vars", "x", "--expr",
+                   "123456789012345678901234567890^200*x^2") == (
+        0, _digits(big) + "*x^2\n", "")
+    code, out, err = run_cli(capsys, "expand", "--vars", "x", "--format", "json",
+                             "--expr", "x/123456789012345678901234567890^200")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["terms"] == [{"exp": [1], "coeff": "1/" + _digits(big)}]
+    assert run_cli(capsys, "ct", "--vars", "x", "--bind", f"p={literal}/7",
+                   "--expr", "p*(1+x)") == (0, literal + "/7\n", "")
+    r = 10 ** 2000 + 3
+    code, out, _ = run_cli(capsys, "jr", "--n", "3", "--r", _digits(r))
+    value = _digits(r * (r - 1) * (r + 1))
+    assert (code, out) == (0, f'{{"n":3,"r":{_digits(r)},"closed_form":{value},'
+                              f'"determinant":{value},"equal":true}}\n')
 
 
 def test_config_file(tmp_path, capsys):

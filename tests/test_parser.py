@@ -67,6 +67,21 @@ def test_parse_error_position():
     assert err.value.position == 3
 
 
+def test_literals_and_exponents_past_the_str_digit_limit():
+    # int(str) and str(int) refuse more than 4300 digits
+    digits = "9" * 5000
+    node = parse(f"{digits}*x^-{digits}")
+    assert node == Mul(lit(10 ** 5000 - 1), Pow(Variable("x"), 1 - 10 ** 5000))
+    assert to_text(node) == f"{digits}*x^-{digits}"
+
+
+def test_only_decimal_digits_make_a_literal():
+    # a superscript digit is a digit to str.isdigit but no integer
+    with pytest.raises(ParseError):
+        parse("\u00b2")
+    assert parse("\u0663") == lit(3)    # ARABIC-INDIC DIGIT THREE
+
+
 def test_exp_log_parse():
     assert parse("exp(x)") == Exp(Variable("x"))
     assert parse("log(1-x)") == Log(Sub(lit(1), Variable("x")))

@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from mnseries import (
     BadInitialTerm,
     Box,
     FieldSpec,
+    MNError,
     NonpositiveOrder,
     OutOfPrecision,
     Series,
@@ -22,7 +24,7 @@ from mnseries import (
     log_of,
     multiply,
 )
-from mnseries.series import _geometric_sum, _vec_sub
+from mnseries.series import _geometric_sum, _vec_sub, multiply_extract
 
 X = identity_spec(("x",))
 XY = FieldSpec(("x", "y"), ((2, 1), (1, 2)))
@@ -310,6 +312,72 @@ def test_engine_results_hold_the_constructor_invariant():
     assert min(seen.values()) >= 10, seen
 
 
+def _slice_outcome(read):
+    """What ``read()`` gives: the series, or the value and its type, or the
+    class of the MNError raised."""
+    try:
+        value = read()
+    except MNError as exc:
+        return type(exc)
+    if isinstance(value, Series):
+        return value, {k: type(v) for k, v in value.terms.items()}
+    return value, type(value)
+
+
+def test_multiply_extract_equals_extract_of_the_formed_product():
+    rng = random.Random(1729)
+    seen = Counter()
+
+    def draw(spec, exact):
+        terms = {} if rng.random() < 0.1 else {
+            tuple(rng.randint(-2, 2) for _ in range(spec.n)):
+                Fraction(rng.choice([-3, -2, -1, 1, 2, 4]), rng.randint(1, 3))
+            for _ in range(rng.randint(1, 6))
+        }
+        bounds = []
+        for _ in range(spec.n):
+            lo = rng.randint(-7, 0)
+            bounds.append((lo, lo + rng.randint(3, 12)))
+        return Series(spec, terms, box=Box(tuple(bounds)), exact=exact)
+
+    for _ in range(200):
+        names = ("x", "y", "z")[: rng.randint(1, 3)]
+        spec = identity_spec(names) if rng.random() < 0.4 else _random_twist(rng, names)
+        over = rng.sample(names, rng.randint(1, len(names)))
+        roll = rng.random()
+        if roll < 0.05:
+            over.append("q")
+        elif roll < 0.1:
+            over.append(over[0])
+        roll = rng.random()
+        if roll < 0.3:
+            want = 0
+        elif roll < 0.55:
+            want = -1
+        elif roll < 0.9:
+            want = tuple(rng.randint(-3, 3) for _ in over)
+        else:
+            want = tuple(rng.choice([-20, 20]) for _ in over)   # outside every box
+        for a_exact, b_exact in ((True, True), (True, False), (False, True), (False, False)):
+            a, b = draw(spec, a_exact), draw(spec, b_exact)
+            expected = _slice_outcome(lambda: multiply(a, b).extract(over, want))
+            assert _slice_outcome(lambda: multiply_extract(a, b, over, want)) == expected, (
+                a.to_json(), b.to_json(), over, want)
+            full = len(set(over)) == spec.n and "q" not in over
+            if isinstance(expected, type):
+                seen[expected.__name__] += 1
+            elif (a_exact and not a.terms) or (b_exact and not b.terms):
+                seen["exact zero operand"] += 1
+            else:
+                kind = ("exact" if a_exact and b_exact else "truncated",
+                        "full" if full else "partial")
+                seen[kind] += bool(expected[0].terms if kind[1] == "partial" else expected[0])
+    assert min(seen[key] for key in (
+        "OutOfPrecision", "UnknownVariable", "UsageError", "exact zero operand",
+        ("exact", "full"), ("exact", "partial"),
+        ("truncated", "full"), ("truncated", "partial"))) >= 10, seen
+
+
 def test_wrong_length_exponent_is_refused_on_every_series():
     for s in (Series(XY, {(1, 0): 1}), Series(XY, {(1, 0): 1}, exact=False)):
         for bad in ((0,), (0, 0, 0)):
@@ -493,6 +561,17 @@ def test_json_round_trip_and_determinism():
     assert json.dumps(again.to_json()) == blob
     exps = [tuple(t["exp"]) for t in s.to_json()["terms"]]
     assert exps == [e for e, _ in s.sorted_terms()]
+
+
+def test_json_round_trip_past_the_str_digit_limit():
+    # str(int) and int(str) refuse more than 4300 digits
+    big = 7 ** 6000                                        # 5 071 digits
+    s = Series(XY, {(1, 0): Fraction(big, 3), (0, 1): -big, (2, 2): Fraction(1, big)},
+               exact=False)
+    blob = json.dumps(s.to_json())
+    again = Series.from_json(json.loads(blob))
+    assert again == s
+    assert json.dumps(again.to_json()) == blob
 
 
 def _series_document(**changes):
