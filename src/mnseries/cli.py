@@ -47,7 +47,16 @@ from .series import Series, _product_box, multiply_extract
 
 
 def _compact(data):
-    return json.dumps(data, separators=(",", ":"))
+    """``json.dumps(data, separators=(",", ":"))`` with ints written at any
+    length: ``json`` refuses an int of more than 4300 digits."""
+    if isinstance(data, dict):
+        return "{" + ",".join(f"{json.dumps(k)}:{_compact(v)}"
+                              for k, v in data.items()) + "}"
+    if isinstance(data, (list, tuple)):
+        return "[" + ",".join(map(_compact, data)) + "]"
+    if type(data) is int:
+        return rational_text(data)
+    return json.dumps(data)
 
 
 def _int_list(text, flag, count=None):
@@ -332,10 +341,8 @@ def _cmd_wilson(args):
 def _cmd_jr(args):
     closed = j_r_closed_form(args.n, args.r)
     det = j_r_determinant(args.n, args.r)
-    # written by hand: json refuses to write an int of more than 4300 digits
-    numbers = {"n": args.n, "r": args.r, "closed_form": closed, "determinant": det}
-    print("{" + "".join(f'"{k}":{rational_text(v)},' for k, v in numbers.items())
-          + f'"equal":{_compact(closed == det)}}}')
+    print(_compact({"n": args.n, "r": args.r, "closed_form": closed,
+                    "determinant": det, "equal": closed == det}))
     return 0 if closed == det else 1
 
 

@@ -16,10 +16,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb, factorial
+from operator import sub
 
 from .errors import UsageError
 from .ordering import Box, identity_spec, int_det, unit_vector
-from .series import Series, _convolve, _dot, det, multiply
+from .series import Series, _coeff, _convolve, det, multiply
 
 
 def zspec(n):
@@ -242,7 +243,9 @@ def _product_coefficient(spec, factors, exponent):
     for factor, bounds in zip(factors[:-1], reversed(reach)):
         keep = Box(tuple((t - hi, t - lo) for t, (lo, hi) in zip(target, bounds)))
         partial = _convolve(spec, partial, factor.terms, keep)
-    return _dot(partial, factors[-1].terms, exponent)
+    get = factors[-1].terms.get
+    return _coeff(sum(value * get(tuple(map(sub, exponent, e)), 0)
+                      for e, value in partial.items()))
 
 
 def dyson_ct(instance):

@@ -236,7 +236,7 @@ def parse_field_spec(text):
 
 
 def _parse_matrix(text):
-    text = text.strip()
+    text = re.sub(r"\s*([][,])\s*", r"\1", text.strip())
     if not (text.startswith("[[") and text.endswith("]]")):
         raise UsageError(f"bad twist matrix {text!r}")
     rows = []
@@ -253,7 +253,7 @@ def format_field_spec(spec):
     if spec.is_identity_twist():
         return vars_part
     twist_part = "twist=[" + ",".join(
-        "[" + ",".join(str(v) for v in row) + "]" for row in spec.twist
+        "[" + ",".join(map(rational_text, row)) + "]" for row in spec.twist
     ) + "]"
     return vars_part + "; " + twist_part
 

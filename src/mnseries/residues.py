@@ -178,6 +178,7 @@ def residue_verify(phi, F, xnames, bindings=None, box=None, form="res"):
     ``form="res"`` uses Res and the Jacobian; ``form="ct"`` uses CT and the
     log Jacobian.  With a zero Jacobian number the identity is only attempted
     for exact Laurent-polynomial phi (right side 0); anything else is refused.
+    The left side's last product is never formed (``multiply_extract``).
     """
     if form not in ("res", "ct"):
         raise UsageError(f"unknown form {form!r}")
@@ -192,34 +193,26 @@ def residue_verify(phi, F, xnames, bindings=None, box=None, form="res"):
             raise RefusedSingular(
                 "Jacobian number is 0 and phi is not a Laurent polynomial"
             )
-        phi_at_F = expand(phi, base, box=box, bindings=bindings,
-                          substitutions=dict(zip(xnames, F)))
-        lhs = _left_side(phi_at_F, cov, xnames, form, want)
-        rhs = Series.zero(lhs.spec, box=lhs.box) if isinstance(lhs, Series) else 0
-        return ResidueVerdict(lhs, rhs, 0, _sides_equal(lhs, rhs), form, box)
-
-    # Composition gate: phi must expand in the twisted field first.
-    try:
-        target_expansion = expand(phi, cov.target, box=box, bindings=bindings)
-    except UsageError:
-        raise
-    except MNError as exc:
-        raise ExpansionFailure(
-            f"phi does not expand in the twisted field: {exc}"
-        ) from exc
+    else:
+        # Composition gate: phi must expand in the twisted field first.
+        try:
+            target_expansion = expand(phi, cov.target, box=box, bindings=bindings)
+        except UsageError:
+            raise
+        except MNError as exc:
+            raise ExpansionFailure(
+                f"phi does not expand in the twisted field: {exc}"
+            ) from exc
 
     phi_at_F = expand(phi, base, box=box, bindings=bindings,
                       substitutions=dict(zip(xnames, F)))
-    lhs = _left_side(phi_at_F, cov, xnames, form, want)
-    rhs = target_expansion.extract(xnames, want) * cov.jnum
-    return ResidueVerdict(lhs, rhs, cov.jnum, _sides_equal(lhs, rhs), form, box)
-
-
-def _left_side(phi_at_F, cov, xnames, form, want):
-    """Res (``form="res"``, with J) or CT (with LJ) of phi(F) times the
-    Jacobian, read without forming the product (``multiply_extract``)."""
     jac = jacobian(cov.F, xnames) if form == "res" else log_jacobian(cov.F, xnames)
-    return multiply_extract(phi_at_F, jac, xnames, want)
+    lhs = multiply_extract(phi_at_F, jac, xnames, want)
+    if cov.jnum:
+        rhs = target_expansion.extract(xnames, want) * cov.jnum
+    else:
+        rhs = Series.zero(lhs.spec, box=lhs.box) if isinstance(lhs, Series) else 0
+    return ResidueVerdict(lhs, rhs, cov.jnum, _sides_equal(lhs, rhs), form, box)
 
 
 # ----------------------------------------------------------------------

@@ -152,24 +152,12 @@ class Series:
     def is_zero(self):
         return not self.terms
 
-    def with_box(self, box):
-        """Re-truncate to a (usually smaller) box; the guarantee persists."""
-        if self.exact:
-            return Series(self.spec, self.terms, box=box, exact=True)
-        merged = self.box.intersect(box)
-        if merged is None:
-            raise OutOfPrecision("no overlap with the guaranteed box")
-        return Series(self.spec, self.terms, box=merged, exact=False)
-
     def initial_term(self):
         """Exponent and coefficient of the least stored term."""
         if not self.terms:
             raise ZeroSeries("zero series has no initial term")
         best = min(self.terms, key=self.spec.key)
         return best, self.terms[best]
-
-    def order(self):
-        return self.initial_term()[0]
 
     def _fit(self, exponent):
         """``exponent`` as a tuple; SpecMismatch unless it fits the field."""
@@ -229,8 +217,6 @@ class Series:
 
     def scale(self, value):
         value = _coeff(value)
-        if value == 0:
-            return Series(self.spec, {}, box=self.box, exact=self.exact)
         return Series(
             self.spec,
             {k: v * value for k, v in self.terms.items()},
@@ -341,6 +327,8 @@ class Series:
         """The named indices, one wanted exponent per name (``want``: one int
         for all, or one per name) and the exponent holding them, 0 elsewhere."""
         selected = self._selected_indices(names)
+        if not selected:
+            raise UsageError("name at least one variable to extract over")
         want = (want,) * len(selected) if isinstance(want, int) else tuple(want)
         if len(want) != len(selected):
             raise UsageError(f"need one wanted exponent per name, got {len(want)} "
@@ -352,15 +340,20 @@ class Series:
 
     def _project(self, names, want):
         """Terms whose named exponents equal ``want`` (one exponent per
-        name), as a series over the remaining variables."""
+        name), as a series over the remaining variables; on the identity
+        twist, OutOfPrecision if one lies outside its variable's box interval."""
         spec = self.spec
         selected = self._selected_indices(names)
+        want = tuple(want)
+        if (not self.exact and spec.is_identity_twist()
+                and not self.box.project(selected).contains(want)):
+            raise OutOfPrecision(f"slice {want} in {', '.join(names)} is outside "
+                                 "the guaranteed box")
         keep = [i for i in range(spec.n) if i not in selected]
         residual = FieldSpec(
             tuple(spec.variables[i] for i in keep),
             tuple(tuple(spec.twist[i][j] for j in keep) for i in keep),
         )
-        want = tuple(want)
         out = {}
         for exponent, value in self.terms.items():
             if tuple(exponent[i] for i in selected) == want:
@@ -378,24 +371,6 @@ class Series:
         if len(selected) == self.spec.n:
             return self.coefficient(target)
         return self._project(names, want)
-
-    def x_initial_term(self, names):
-        """The x-term of least order, split into exponent and coefficient.
-
-        Returns ``(leading_exponent, x_exponents, coefficient_series)`` where
-        ``leading_exponent`` is the full exponent vector of the least stored
-        term, ``x_exponents`` its restriction to the named variables, and the
-        coefficient series collects every stored term sharing that x-part,
-        projected onto the remaining variables.
-        """
-        if not self.terms:
-            raise ZeroSeries("zero series has no x-initial term")
-        selected = self._selected_indices(names)
-        leading, _ = self.initial_term()
-        xpart = tuple(leading[i] for i in selected)
-        if len(selected) == self.spec.n:
-            return leading, xpart, None
-        return leading, xpart, self._project(names, xpart)
 
     # ------------------------------------------------------------------
     # comparison and presentation
@@ -641,26 +616,12 @@ def multiply(a, b):
     return Series._trusted(a.spec, terms, box, exact)
 
 
-def _dot(aterms, bterms, exponent):
-    """The coefficient at ``exponent`` of the product of two term dicts."""
-    if len(aterms) > len(bterms):
-        aterms, bterms = bterms, aterms
-    get = bterms.get
-    return _coeff(sum(value * get(tuple(map(sub, exponent, e)), 0)
-                      for e, value in aterms.items()))
-
-
 def multiply_extract(a, b, names, want):
     """``multiply(a, b).extract(names, want)``, read without forming the
-    product: only the pairs whose named exponents add up to ``want``, on the
-    product's box and with its pair filter, and the same errors in order."""
+    product: only the pairs whose named exponents add up to ``want``, kept
+    where ``multiply`` keeps them and handed to ``extract``."""
     box, exact = _product_box(a, b)
-    spec = a.spec
     selected, want, target = a._wanted(names, want)
-    if len(selected) == spec.n:
-        if not exact and not box.contains(spec.phi(target)):
-            raise OutOfPrecision(f"exponent {target} is outside the guaranteed box")
-        return _dot(a.terms, b.terms, target)
     aterms, bterms = a.terms, b.terms
     if len(aterms) > len(bterms):
         aterms, bterms = bterms, aterms
@@ -674,7 +635,7 @@ def multiply_extract(a, b, names, want):
             e = tuple(map(_int_add, ka, kb))
             out[e] = out.get(e, 0) + va * vb
     # Series(...) keeps, as multiply's pair filter does, only what is in the box
-    return Series(spec, out, box=box, exact=exact)._project(names, want)
+    return Series(a.spec, out, box=box, exact=exact).extract(names, want)
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 
@@ -227,6 +229,39 @@ def test_over_names_distinct_field_variables(capsys):
     assert "error[usage]" in err and "selected twice" in err
 
 
+def test_slice_outside_the_box_refused(capsys):
+    # x lives in [1,5], so its x^0 part is not known; the true CT_x on this
+    # box is 1 + y + y^2 + y^3, which the box [-5,5] shows
+    for expr in ("1/(1-x-y)", "1/(1-x-y)+x"):
+        for fmt in ("text", "json"):
+            assert run_cli(capsys, "ct", "--vars", "x,y", "--box=1:5,-3:3", "--over",
+                           "x", "--expr", expr, "--format", fmt) == (
+                1, "", "error[out-of-precision]: slice (0,) in x is outside the "
+                       "guaranteed box\n")
+    assert run_cli(capsys, "ct", "--vars", "x,y", "--box=-5:5,-3:3", "--over", "x",
+                   "--expr", "1/(1-x-y)") == (0, "1 + y + y^2 + y^3\n", "")
+
+
+def test_empty_over_list_refused(capsys):
+    for expr in ("x*y", "x+y"):
+        assert run_cli(capsys, "ct", "--vars", "x,y", "--over", ",", "--expr", expr) == (
+            2, "", "error[usage]: name at least one variable to extract over\n")
+
+
+def test_twist_with_spaces(capsys):
+    expected = run_cli(capsys, "expand", "--vars", "x,y", "--twist", "[[2,1],[1,2]]",
+                       "--expr", "1/(x-y)", "--box", "4")
+    assert expected[0] == 0
+    assert run_cli(capsys, "expand", "--vars", "x,y", "--twist", "[[2, 1], [1, 2]]",
+                   "--expr", "1/(x-y)", "--box", "4") == expected
+    assert run_cli(capsys, "expand", "--field", "vars=x,y; twist=[ [2, 1], [1, 2] ]",
+                   "--expr", "1/(x-y)", "--box", "4") == expected
+    code, out, err = run_cli(capsys, "expand", "--vars", "x,y", "--twist",
+                             "[[2 1],[1,2]]", "--expr", "1/(x-y)")
+    assert (code, out) == (2, "")
+    assert err.startswith("error[usage]: bad twist row")
+
+
 COV_REPORT = ('{"jacobian_number":1,"initial_exponents":[[1,0]],'
               '"target_field":"vars=x,y","ct_log_jacobian_equals_jnum":true}\n')
 
@@ -386,6 +421,62 @@ def test_integers_past_the_str_digit_limit(capsys):
     value = _digits(r * (r - 1) * (r + 1))
     assert (code, out) == (0, f'{{"n":3,"r":{_digits(r)},"closed_form":{value},'
                               f'"determinant":{value},"equal":true}}\n')
+
+
+def test_json_numbers_past_the_str_digit_limit(capsys):
+    # json.dumps writes ints through int.__repr__, which refuses them
+    big = "9" * 4400
+    assert run_cli(capsys, "expand", "--vars", "x", "--format", "json",
+                   "--expr", f"x^{big}") == (
+        0, f'{{"vars":["x"],"twist":[[1]],"terms":[{{"exp":[{big}],"coeff":"1"}}],'
+           f'"box":[[-16,16]],"exact":true}}\n', "")
+    assert run_cli(capsys, "ct", "--vars", "x,y", "--expr", f"x^{big}",
+                   "--cov", f"x^{big}", "--over", "y") == (
+        0, f"x^{big}\n",
+        f'{{"jacobian_number":{big},"initial_exponents":[[{big},0]],'
+        f'"target_field":"vars=x,y; twist=[[{big},0],[0,1]]",'
+        f'"ct_log_jacobian_equals_jnum":true}}\n')
+
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+# README comments that give the command's output, by subcommand
+OUTPUT_COMMENTED = ("cov", "dyson", "jnum", "lagrange")
+
+
+def _readme_commands():
+    """``(argv, comment)`` for each ``mn`` command of README's CLI block, its
+    backslash continuations joined; the comment is the text after ``#`` on
+    the command's line or alone on the line after it."""
+    with open(README, encoding="utf-8") as handle:
+        text = handle.read()
+    block = text.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    last = None                 # the command on the line before, if any
+    for line in block.replace("\\\n", " ").splitlines():
+        line = line.strip()
+        if line.startswith("mn "):
+            last = [shlex.split(line, comments=True)[1:],
+                    line.partition("  #")[2].strip() or None]
+            commands.append(last)
+            continue
+        if line.startswith("#") and last is not None and last[1] is None:
+            last[1] = line[1:].strip()
+        last = None
+    return commands
+
+
+def test_readme_cli_examples(capsys):
+    commands = _readme_commands()
+    assert len(commands) == 14
+    checked = 0
+    for argv, comment in commands:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        if argv[0] in OUTPUT_COMMENTED and comment is not None:
+            # a note in parentheses may follow the output
+            assert out.strip() == re.sub(r"\s*\(.*\)$", "", comment), argv
+            checked += 1
+    assert checked == 4
 
 
 def test_config_file(tmp_path, capsys):

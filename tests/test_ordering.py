@@ -8,6 +8,7 @@ from mnseries import (
     SingularTwist,
     SpecMismatch,
     UnknownVariable,
+    UsageError,
     cube,
     format_field_spec,
     identity_spec,
@@ -177,6 +178,16 @@ def test_parse_field_spec_round_trip():
     assert spec.variables == ("x", "y", "t")
     assert spec.twist[0] == (2, 1, 0)
     assert parse_field_spec(format_field_spec(spec)) == spec
+
+
+def test_parse_field_spec_twist_with_spaces():
+    plain = parse_field_spec("vars=x,y; twist=[[2,1],[1,2]]")
+    for twist in ("[[2, 1], [1, 2]]", " [ [ 2 , 1 ] ,\t[1,2]\n] "):
+        assert parse_field_spec(f"vars=x,y; twist={twist}") == plain
+    for bad in ("[[2 1],[1,2]]", "[[2,1],[1,a]]", "[[2,1],[1,2]", "[[2,1] [1,2]]",
+                "[[2.5,1],[1,2]]", "[[2,,1],[1,2]]"):
+        with pytest.raises(UsageError):
+            parse_field_spec(f"vars=x,y; twist={bad}")
 
 
 def test_parse_field_spec_identity_default():

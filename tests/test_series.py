@@ -108,8 +108,8 @@ def test_order_of_product_adds():
         a, b = _random_poly(rng, XY, 2, 2), _random_poly(rng, XY, 2, 2)
         if a.is_zero() or b.is_zero():
             continue
-        oa, ob = a.order(), b.order()
-        got = multiply(a, b).order()
+        oa, ob = a.initial_term()[0], b.initial_term()[0]
+        got = multiply(a, b).initial_term()[0]
         assert got == tuple(x + y for x, y in zip(oa, ob))
 
 
@@ -364,6 +364,15 @@ def test_multiply_extract_equals_extract_of_the_formed_product():
             assert _slice_outcome(lambda: multiply_extract(a, b, over, want)) == expected, (
                 a.to_json(), b.to_json(), over, want)
             full = len(set(over)) == spec.n and "q" not in over
+            product = _slice_outcome(lambda: multiply(a, b))
+            if (spec.is_identity_twist() and "q" not in over and len(set(over)) == len(over)
+                    and not isinstance(product, type) and not product[0].exact):
+                wants = (want,) * len(over) if isinstance(want, int) else want
+                bounds = [product[0].box.bounds[spec.index(v)] for v in over]
+                if any(not lo <= w <= hi for w, (lo, hi) in zip(wants, bounds)):
+                    # a named exponent outside the product's box: both refuse
+                    assert expected is OutOfPrecision, (a.to_json(), b.to_json(), over, want)
+                    seen["full" if full else "partial", "outside the box"] += 1
             if isinstance(expected, type):
                 seen[expected.__name__] += 1
             elif (a_exact and not a.terms) or (b_exact and not b.terms):
@@ -375,7 +384,29 @@ def test_multiply_extract_equals_extract_of_the_formed_product():
     assert min(seen[key] for key in (
         "OutOfPrecision", "UnknownVariable", "UsageError", "exact zero operand",
         ("exact", "full"), ("exact", "partial"),
-        ("truncated", "full"), ("truncated", "partial"))) >= 10, seen
+        ("truncated", "full"), ("truncated", "partial"),
+        ("full", "outside the box"), ("partial", "outside the box"))) >= 10, seen
+
+
+def test_slice_outside_the_box_refused():
+    # x lives in [1,5]: the x^0 part of 1/(1-x-y) is not known there
+    box = Box(((1, 5), (-3, 3)))
+    inverse = Series(identity_spec(("x", "y")), {(0, 0): 1, (1, 0): -1, (0, 1): -1},
+                     box=box).invert()
+    for read in (lambda: inverse.extract(["x"], 0),
+                 lambda: inverse.extract(["x"], (6,)),
+                 lambda: multiply_extract(inverse, Series.constant(inverse.spec, 1), ["x"], 0)):
+        with pytest.raises(OutOfPrecision):
+            read()
+    # an exact series has no box to leave
+    assert Series(XYT, {(3, 0, 0): 2}).extract(["x"], 0).terms == {}
+
+
+def test_empty_name_list_refused():
+    s = Series(XYT, {(1, 1, 1): 1})
+    for read in (lambda: s.extract([], 0), lambda: multiply_extract(s, s, [], 0)):
+        with pytest.raises(UsageError):
+            read()
 
 
 def test_wrong_length_exponent_is_refused_on_every_series():
@@ -498,18 +529,17 @@ def test_ct_projects_spec():
 
 def test_x_initial_term_examples():
     F = Series(identity_spec(("x", "t")), {(2, 0): 1, (1, 1): 1, (3, 1): 1})
-    leading, xpart, coeff = F.x_initial_term(["x"])
-    assert xpart == (2,)
+    leading, _ = F.initial_term()
     assert leading == (2, 0)
-    assert coeff.terms == {(0,): 1}
+    assert F.extract(["x"], leading[:1]).terms == {(0,): 1}
 
     single = Series(XYT, {(3, -1, 2): 5})
-    leading, xpart, coeff = single.x_initial_term(["x", "y"])
-    assert xpart == (3, -1)
-    assert coeff.terms == {(2,): 5}
+    leading, _ = single.initial_term()
+    assert leading[:2] == (3, -1)
+    assert single.extract(["x", "y"], leading[:2]).terms == {(2,): 5}
 
     with pytest.raises(ZeroSeries):
-        Series.zero(XYT).x_initial_term(["x"])
+        Series.zero(XYT).initial_term()
 
 
 # ----------------------------------------------------------------------
@@ -545,12 +575,6 @@ def test_box_enlargement_consistency():
             pipeline = multiply(a.invert(), Series(XY, {(0, 0): 1, (1, 1): 2}, box=box))
             results.append(pipeline)
         assert results[0].equals_on(results[1], box=results[0].box)
-
-
-def test_with_box_shrinks():
-    g = geometric(X, (1,), box=cube(1, 12))
-    smaller = g.with_box(cube(1, 4))
-    assert set(smaller.terms) == {(k,) for k in range(5)}
 
 
 def test_json_round_trip_and_determinism():
