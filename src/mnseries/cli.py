@@ -32,6 +32,7 @@ from .ordering import (
     parse_field_spec,
     parse_rational,
     rational_text,
+    read_int,
 )
 from .parser import Div, Mul, expand, parse
 from .residues import (
@@ -62,13 +63,19 @@ def _compact(data):
 def _int_list(text, flag, count=None):
     """The comma separated integers given to ``flag``, ``count`` of them if set."""
     try:
-        values = tuple(int(v) for v in text.split(","))
+        values = tuple(map(read_int, text.split(",")))
     except ValueError:
-        raise UsageError(f"{flag} needs comma separated integers, got {text!r}") from None
+        what = "an integer" if count == 1 else "comma separated integers"
+        raise UsageError(f"{flag} needs {what}, got {text!r}") from None
     if count is not None and len(values) != count:
         noun = "integer" if count == 1 else "integers"
         raise UsageError(f"{flag} needs {count} {noun}, got {len(values)}")
     return values
+
+
+def _int_arg(flag):
+    """An argparse ``type`` for one integer; a bad one is a usage error."""
+    return lambda text: _int_list(text, flag, 1)[0]
 
 
 def _read_text(path, flag):
@@ -109,7 +116,7 @@ def _box_from_args(args, spec):
     for chunk in text.split(","):
         lo, _, hi = chunk.partition(":")
         try:
-            bounds.append((int(lo), int(hi)))
+            bounds.append((read_int(lo), read_int(hi)))
         except ValueError:
             raise UsageError(f"bad box interval {chunk!r}") from None
     if len(bounds) != spec.n:
@@ -404,7 +411,7 @@ def _build_parser():
     p.add_argument("--phi")
     p.add_argument("--k", help="coefficient multi-index k1,k2,...")
     p.add_argument("--inverse", action="store_true")
-    p.add_argument("--degree", type=int)
+    p.add_argument("--degree", type=_int_arg("--degree"))
     p.set_defaults(func=_cmd_lagrange)
 
     p = sub.add_parser("dyson", help="Dyson constant-term identity")
@@ -417,15 +424,15 @@ def _build_parser():
     p.set_defaults(func=_cmd_dixon)
 
     p = sub.add_parser("wilson", help="Wilson v_j change-of-variables checks")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--j", type=int)
-    p.add_argument("--box", type=int, default=10)
+    p.add_argument("--n", type=_int_arg("--n"), required=True)
+    p.add_argument("--j", type=_int_arg("--j"))
+    p.add_argument("--box", type=_int_arg("--box"), default=10)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_wilson)
 
     p = sub.add_parser("jr", help="Jacobian number of the u^(r) family")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--n", type=_int_arg("--n"), required=True)
+    p.add_argument("--r", type=_int_arg("--r"), required=True)
     p.set_defaults(func=_cmd_jr)
 
     return parser

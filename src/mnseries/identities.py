@@ -2,13 +2,15 @@
 Vandermonde change-of-variables families behind them.
 
 The Dyson constant term is evaluated on exact Laurent polynomials, so no
-truncation enters.  It is read from a pruned product: the factors are
-multiplied in order, each partial product keeps only the terms that the
-remaining factors can still carry to the wanted exponent, and the last factor
-is met by a dot product, so the full product is never formed.  The only
-truncated computations here are the expansions of the
-v_j = prod_{i != j} (1 - z_j/z_i)^(-1) used in the second change of
-variables.
+truncation enters.  The two factors (1 - z_i/z_j)^(a_j) and
+(1 - z_j/z_i)^(a_i) of each pair i < j are taken as one binomial in z_i/z_j
+(the pairing of Good's proof), which halves the factors.  The constant term
+is read from a pruned product: the factors are multiplied in order, each
+partial product keeps only the terms that the remaining factors can still
+carry to the wanted exponent, and the last factor is met by a dot product,
+so the full product is never formed.  The only truncated computations here
+are the expansions of the v_j = prod_{i != j} (1 - z_j/z_i)^(-1) used in the
+second change of variables.
 """
 
 from __future__ import annotations
@@ -177,33 +179,38 @@ def _dyson_factors(instance):
     """The factors of the Dyson product, in multiplication order, and the
     exponent whose coefficient in their product is the constant term.
 
-    The factors are (1 - z_i/z_j)^(a_j) for each j with a_j > 0 and each
-    i != j, expanded by the binomial theorem; the generalized form appends
-    (z_1+...+z_n)^(sum a), expanded by the multinomial theorem, and then
-    wants the coefficient of z^a instead of the constant term.
+    The two factors of a pair i < j multiply to one binomial in x = z_i/z_j,
+
+        (1 - x)^(a_j) (1 - 1/x)^(a_i) = (-1)^(a_i) x^(-a_i) (1 - x)^(a_i + a_j),
+
+    so there is one factor per pair with a_i + a_j > 0, in
+    ``itertools.combinations`` order: the coefficient
+    (-1)^(a_i + m) C(a_i + a_j, m) at x^(m - a_i), for m = 0..a_i + a_j.  The
+    generalized form appends (z_1+...+z_n)^(sum a), expanded by the
+    multinomial theorem, and then wants the coefficient of z^a instead of the
+    constant term.
     """
     n = instance.n
     spec = zspec(n)
+    box = spec.default_box()
+    a = instance.a
     factors = []
-    for j, aj in enumerate(instance.a):
-        if aj == 0:
+    for i, j in itertools.combinations(range(n), 2):
+        total = a[i] + a[j]
+        if total == 0:
             continue
-        for i in range(n):
-            if i == j:
-                continue
-            ratio = tuple(
-                (1 if c == i else 0) - (1 if c == j else 0) for c in range(n)
-            )
-            factors.append(Series(spec, {
-                tuple(k * r for r in ratio): (-1) ** k * comb(aj, k)
-                for k in range(aj + 1)
-            }))
+        terms = {}
+        for m in range(total + 1):
+            exponent = [0] * n
+            exponent[i], exponent[j] = m - a[i], a[i] - m
+            terms[tuple(exponent)] = (-1) ** (a[i] + m) * comb(total, m)
+        # distinct exponents, nonzero int coefficients: nothing to validate
+        factors.append(Series._trusted(spec, terms, box, True))
     if not instance.generalized:
         return spec, factors, (0,) * n
-    total = sum(instance.a)
-    z_power = {e: _multinomial(e) for e in h_complete(n, total, spec).terms}
+    z_power = {e: _multinomial(e) for e in h_complete(n, sum(a), spec).terms}
     factors.append(Series(spec, z_power))
-    return spec, factors, tuple(instance.a)
+    return spec, factors, tuple(a)
 
 
 def dyson_product(instance):
@@ -249,8 +256,9 @@ def _product_coefficient(spec, factors, exponent):
 
 
 def dyson_ct(instance):
-    """The constant term of the Dyson product, as an exact coefficient,
-    read from a product pruned to the terms that can reach it."""
+    """The constant term of the Dyson product, as an exact coefficient, read
+    from the product of the pair binomials of ``_dyson_factors`` pruned to
+    the terms that can reach it."""
     return _product_coefficient(*_dyson_factors(instance))
 
 

@@ -242,7 +242,7 @@ def _parse_matrix(text):
     rows = []
     for chunk in text[2:-2].split("],["):
         try:
-            rows.append(tuple(int(v) for v in chunk.split(",")))
+            rows.append(tuple(map(read_int, chunk.split(","))))
         except ValueError:
             raise UsageError(f"bad twist row {chunk!r}") from None
     return tuple(rows)
@@ -269,6 +269,18 @@ def rational_text(value):
     if value.denominator == 1:
         return text
     return text + "/" + str(Decimal(value.denominator))
+
+
+_INT = re.compile(r"\s*[-+]?[0-9]+\s*", re.ASCII)
+
+
+def read_int(text):
+    """The int ``text`` spells as ASCII ``[-+]?[0-9]+``, spaces around allowed,
+    at any length; ValueError otherwise.  ``int(str)`` would also take digit
+    separators (``1_0``) and non-ASCII digits."""
+    if _INT.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(Decimal(text.strip()))
 
 
 def read_rational(text):

@@ -30,6 +30,7 @@ independent of the residue path it serves as an oracle for.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import (
     BadNormalization,
@@ -366,10 +367,8 @@ def lagrange_coefficient(phi, F, k):
         if budget < 0:
             return 0
         power_box = Box(box.bounds[:-1] + ((lo, min(hi, budget + 1)),))
-    integrand = Series.constant(gspec, 1, box=box)
-    for s, ki in zip(F, k):
-        integrand = multiply(integrand, embed_graded(s, gspec, power_box) ** (-1 - ki))
-    integrand = multiply(integrand, phi_series)
+    powers = (embed_graded(s, gspec, power_box) ** (-1 - ki) for s, ki in zip(F, k))
+    integrand = multiply(reduce(multiply, powers), phi_series)
     embedded = [embed_graded(s, gspec, box) for s in F]
     return multiply_extract(integrand, jacobian(embedded, spec.variables),
                             gspec.variables, (-1,) * n + (0,))

@@ -248,15 +248,18 @@ class Series:
             raise UsageError("series powers must be integers")
         if n < 0:
             return self.invert() ** (-n)
-        result = Series.constant(self.spec, 1, box=self.box)
+        if n == 0:
+            return Series.constant(self.spec, 1, box=self.box)
+        # square-and-multiply from the lowest set bit: no product by 1
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:
-                base = base * base
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __truediv__(self, other):
         if isinstance(other, Series):

@@ -55,6 +55,16 @@ def test_dixon_golden(capsys):
     assert out.strip() == '{"lhs":"12","rhs":"12","equal":true}'
 
 
+@pytest.mark.parametrize("argv, expected", [
+    (("dyson", "--a", "2,2,2,2,2"), '{"lhs":"113400","rhs":"113400","equal":true}\n'),
+    (("dyson", "--a", "4,4,0", "--generalized"), '{"lhs":"70","rhs":"70","equal":true}\n'),
+    (("dyson", "--a", "0,0"), '{"lhs":"1","rhs":"1","equal":true}\n'),
+    (("dixon", "--abc", "5,5,5"), '{"lhs":"756756","rhs":"756756","equal":true}\n'),
+])
+def test_dyson_and_dixon_golden(capsys, argv, expected):
+    assert run_cli(capsys, *argv) == (0, expected, "")
+
+
 def test_generalized_dyson(capsys):
     code, out, _ = run_cli(capsys, "dyson", "--a", "2,1,1", "--generalized")
     assert code == 0
@@ -531,11 +541,33 @@ def test_subprocess_entry_point():
     pytest.param(("dixon", "--abc", "1,2,x"), "--abc", id="abc-word"),
     pytest.param(("lagrange", "--vars", "x,y", "--F", "x+y^2;y+x^2", "--k", "1,x"),
                  "--k", id="k-word"),
+    # int() takes digit separators and non-ASCII digits; the flags do not
+    pytest.param(("dyson", "--a", "1_0,1"), "--a", id="a-digit-separator"),
+    pytest.param(("dyson", "--a", "\u0661,1"), "--a", id="a-arabic-digit"),
+    pytest.param(("expand", "--vars", "x", "--box", "1_0", "--expr", "x"), "--box",
+                 id="box-digit-separator"),
+    pytest.param(("jr", "--n", "3", "--r", "1_0"), "--r", id="r-digit-separator"),
+    pytest.param(("jr", "--n", "\uff13", "--r", "2"), "--n", id="n-fullwidth-digit"),
+    pytest.param(("wilson", "--n", "3", "--j", "0_1"), "--j", id="j-digit-separator"),
+    pytest.param(("wilson", "--n", "3", "--box", "1_0"), "--box",
+                 id="wilson-box-digit-separator"),
+    pytest.param(("lagrange", "--vars", "x", "--F", "x-x^2", "--inverse", "--degree", "1_0"),
+                 "--degree", id="degree-digit-separator"),
 ])
 def test_bad_integer_list_refused(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith(f"error[usage]: {flag} needs ")
+
+
+@pytest.mark.parametrize("argv", [
+    ("expand", "--vars", "x", "--expr", "1/(1-x)", "--box", "0:1_0"),
+    ("expand", "--vars", "x,y", "--twist", "[[2_1,0],[0,1]]", "--expr", "x"),
+])
+def test_digit_separators_in_box_intervals_and_twists_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error[usage]: bad ")
 
 
 def test_missing_files_refused(tmp_path, capsys):

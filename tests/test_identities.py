@@ -187,10 +187,50 @@ def test_dyson_ct_reads_the_full_product(a, generalized):
 def test_dyson_factors_multiply_to_the_product():
     inst = DysonInstance(3, (2, 1, 1), generalized=True)
     spec, factors, target = _dyson_factors(inst)
-    assert len(factors) == 7 and target == (2, 1, 1)
+    assert len(factors) == 4 and target == (2, 1, 1)
     assert _chain(spec, factors).coefficient(target) == 12
-    # (1 - z_2/z_1)^2, by the binomial theorem
-    assert factors[0].terms == {(0, 0, 0): 1, (-1, 1, 0): -2, (-2, 2, 0): 1}
+    # (1 - z_1/z_2)(1 - z_2/z_1)^2 = 3 - x - 3/x + 1/x^2, x = z_1/z_2
+    assert factors[0].terms == {(1, -1, 0): -1, (0, 0, 0): 3,
+                                (-1, 1, 0): -3, (-2, 2, 0): 1}
+
+
+def _binomial(spec, i, j, power):
+    """(1 - z_i/z_j)^power, by the binomial theorem."""
+    terms = {}
+    for k in range(power + 1):
+        exponent = [0] * spec.n
+        exponent[i], exponent[j] = k, -k
+        terms[tuple(exponent)] = (-1) ** k * comb(power, k)
+    return Series(spec, terms)
+
+
+def test_dyson_pair_factor_is_the_product_of_its_two_binomials():
+    rng = random.Random(11)
+    for trial in range(40):
+        n = rng.randint(2, 5)
+        a = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
+        spec, factors, _ = _dyson_factors(DysonInstance(n, a))
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if a[i] + a[j]]
+        assert len(factors) == len(pairs), (trial, a)
+        for factor, (i, j) in zip(factors, pairs):
+            expected = multiply(_binomial(spec, i, j, a[j]), _binomial(spec, j, i, a[i]))
+            assert factor == expected, (trial, a, i, j)
+            assert all(type(v) is int for v in factor.terms.values())
+
+
+def test_dyson_ct_from_pair_factors_forms_few_pairs(monkeypatch):
+    pairs = []
+    for module in (series, identities):
+        original = module._convolve
+
+        def counted(spec, a, b, keep, original=original):
+            pairs.append(len(a) * len(b))
+            return original(spec, a, b, keep)
+
+        monkeypatch.setattr(module, "_convolve", counted)
+    assert dyson_ct(DysonInstance(5, (2, 2, 2, 2, 2))) == 113400
+    # one factor per ordered pair formed 14 499 pairs
+    assert 0 < sum(pairs) <= 3285
 
 
 def test_pruned_product_forms_few_pairs(monkeypatch):

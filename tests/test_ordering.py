@@ -16,6 +16,7 @@ from mnseries import (
     parse_field_spec,
     transformed_spec,
 )
+from mnseries.ordering import read_int
 
 TWIST = FieldSpec(("x", "y"), ((2, 1), (1, 2)))
 
@@ -188,6 +189,16 @@ def test_parse_field_spec_twist_with_spaces():
                 "[[2.5,1],[1,2]]", "[[2,,1],[1,2]]"):
         with pytest.raises(UsageError):
             parse_field_spec(f"vars=x,y; twist={bad}")
+
+
+def test_read_int_takes_ascii_digits_only():
+    assert read_int("12") == 12 and read_int(" -12\t") == -12 and read_int("+7") == 7
+    assert read_int("9" * 5000) == 10 ** 5000 - 1      # int(str) stops at 4 300 digits
+    for bad in ("1_0", "\u0663", "\uff11", "1.0", "", " ", "1 2", "0x10", "--1", "1e3"):
+        with pytest.raises(ValueError):
+            read_int(bad)
+    with pytest.raises(UsageError):
+        parse_field_spec("vars=x,y; twist=[[2_1,0],[0,1]]")
 
 
 def test_parse_field_spec_identity_default():

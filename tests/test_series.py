@@ -23,6 +23,7 @@ from mnseries import (
     identity_spec,
     log_of,
     multiply,
+    series,
 )
 from mnseries.series import _geometric_sum, _vec_sub, multiply_extract
 
@@ -100,6 +101,22 @@ def test_mul_distributes():
     for _ in range(30):
         a, b, c = (_random_poly(rng, XYT, 2, 2) for _ in range(3))
         assert multiply(a, b + c).equals_on(multiply(a, b) + multiply(a, c))
+
+
+def test_power_starts_from_its_base(monkeypatch):
+    calls = []
+    monkeypatch.setattr(series, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
+    for s in (Series(XY, {(1, 0): 1, (0, 1): -2, (1, 1): Fraction(1, 3)},
+                     box=cube(2, 8), exact=False),
+              Series(XY, {(0, 0): 1, (1, -1): Fraction(-1, 2)}, box=cube(2, 5))):
+        calls.clear()
+        power = s ** 6
+        assert len(calls) == 3          # s^2, s^4 and s^2·s^4; no product by 1
+        chain = s
+        for _ in range(5):
+            chain = multiply(chain, s)
+        assert power == chain
+        assert s ** 1 == s and s ** 0 == Series.constant(XY, 1, box=s.box)
 
 
 def test_order_of_product_adds():
