@@ -258,9 +258,15 @@ def format_field_spec(spec):
     return vars_part + "; " + twist_part
 
 
+# The one digit rule of every number reader: ASCII 0-9 (``int``, ``Fraction``,
+# ``Decimal`` and ``str.isdecimal`` also take other scripts' digits or ``1_0``).
+DIGITS = re.compile("[0-9]+")
+_D = DIGITS.pattern
 # ``str(int)`` and ``int(str)`` refuse more than 4300 digits; ``Decimal``
 # converts exactly at any length.
-_RATIO = re.compile(r"\s*([-+]?\d+)(?:/(\d+))?\s*")
+_RATIO = re.compile(rf"\s*([-+]?{_D})(?:/({_D}))?\s*")
+_DECIMAL = re.compile(rf"\s*[-+]?(?:{_D}(?:\.(?:{_D})?)?|\.{_D})(?:[eE][-+]?{_D})?\s*")
+_INT = re.compile(rf"\s*[-+]?{_D}\s*", re.ASCII)
 
 
 def rational_text(value):
@@ -271,26 +277,27 @@ def rational_text(value):
     return text + "/" + str(Decimal(value.denominator))
 
 
-_INT = re.compile(r"\s*[-+]?[0-9]+\s*", re.ASCII)
-
-
 def read_int(text):
-    """The int ``text`` spells as ASCII ``[-+]?[0-9]+``, spaces around allowed,
-    at any length; ValueError otherwise.  ``int(str)`` would also take digit
-    separators (``1_0``) and non-ASCII digits."""
+    """The int ``text`` spells as ``[-+]?`` and ``DIGITS``, spaces around
+    allowed, at any length; ValueError otherwise."""
     if _INT.fullmatch(text) is None:
         raise ValueError(f"not an integer: {text!r}")
     return int(Decimal(text.strip()))
 
 
 def read_rational(text):
-    """The Fraction ``text`` spells, as ``Fraction(text)`` reads it, with no
-    length limit on the ``p`` and ``p/q`` that ``rational_text`` writes."""
-    match = _RATIO.fullmatch(text) if isinstance(text, str) else None
-    if match is None:
+    """The Fraction ``text`` spells, as ``Fraction(text)`` reads it but in
+    ``DIGITS`` only, with no length limit on the ``p`` and ``p/q`` that
+    ``rational_text`` writes; ValueError for any other string."""
+    if not isinstance(text, str):
         return Fraction(text)
-    num, den = match.groups()
-    return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+    match = _RATIO.fullmatch(text)
+    if match is not None:
+        num, den = match.groups()
+        return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"not a rational: {text!r}")
+    return Fraction(text)
 
 
 def parse_rational(text):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonIntegerExponent, ParseError, UnboundVariable, UsageError
-from .ordering import rational_text, read_rational
+from .ordering import DIGITS, rational_text, read_rational
 from .series import Series, exp_of, log_of, multiply
 
 
@@ -105,12 +105,10 @@ def _tokenize(text):
             tokens.append((c, c, i))
             i += 1
             continue
-        if c.isdecimal():
-            j = i
-            while j < len(text) and text[j].isdecimal():
-                j += 1
-            tokens.append(("int", text[i:j], i))
-            i = j
+        digits = DIGITS.match(text, i)
+        if digits:
+            tokens.append(("int", digits.group(), i))
+            i = digits.end()
             continue
         if c.isalpha() or c == "_":
             j = i

@@ -27,9 +27,10 @@ exponent of that support, and everything is intersected (``_product_box``).
 forming the product.  Inversion writes the series as c·x^m·(1 - tau) and
 solves g = 1 + prune(tau·g) one coefficient at a time, in increasing term
 order, on packed integer keys (``_invert_recurrence``); stream composition
-(exp, log) sums box-pruned powers of the positive-order part until they
-become empty.  Both terminate because only finitely many sums of elements
-from a finite revlex-positive set can stay inside a fixed box.
+(exp, log) runs it on its argument lifted by a path-length coordinate, so
+each box-pruned power gets its own coefficient.  It terminates because only
+finitely many sums of elements from a finite revlex-positive set can stay
+inside a fixed box.
 """
 
 from __future__ import annotations
@@ -291,7 +292,13 @@ class Series:
         return Series._trusted(spec, total, result_box, False)
 
     def compose_stream(self, coefficients):
-        """Sum coefficients(n)·self^n for n ≥ 0; needs ord(self) > 0."""
+        """Sum coefficients(n)·self^n for n ≥ 0, each power pruned to the
+        box; needs ord(self) > 0.
+
+        Runs the recurrence of 1/(1 - self) (``_invert_recurrence``) on self
+        lifted by a most significant coordinate that each step raises by 1:
+        a path of n steps ends at (e, n), so the powers stay apart.
+        """
         spec = self.spec
         if self.terms:
             m, _ = self.initial_term()
@@ -299,7 +306,19 @@ class Series:
                 raise NonpositiveOrder(
                     f"composition needs positive order, initial exponent is {m}"
                 )
-        total = _geometric_sum(spec, self.terms, self.box, coefficients)
+        origin = (0,) * (spec.n + 1)
+        terms = {origin: 1, **{e + (1,): -v for e, v in self.terms.items()}}
+        keys = {origin: origin, **{e + (1,): (1,) + spec.key(e) for e in self.terms}}
+        # a positive step rises in term order, so a path visits no box point
+        # twice: its length is at most the number of points in the box
+        length = prod(hi - lo + 1 for lo, hi in self.box.bounds)
+        paths = _invert_recurrence(terms, keys, origin,
+                                   Box(self.box.bounds + ((0, length),)))
+        weights = [_coeff(coefficients(n))
+                   for n in range(max((e[-1] for e in paths), default=0) + 1)]
+        total = {}
+        for e, value in paths.items():
+            total[e[:-1]] = total.get(e[:-1], 0) + weights[e[-1]] * value
         return Series(spec, total, box=self.box, exact=False)
 
     def derivative(self, name):
@@ -642,48 +661,21 @@ def multiply_extract(a, b, names, want):
 
 
 # ----------------------------------------------------------------------
-# geometric machinery
-
-def _geometric_sum(spec, tau, box, coefficients):
-    """Sum of coefficients(n)·tau^n pruned to ``box``.
-
-    Requires every exponent of ``tau`` to be revlex-positive through the
-    twist; the pruned powers then provably die out (only finitely many sums
-    of elements of a finite positive set fit inside a fixed box).
-    """
-    zero = (0,) * spec.n
-    total = {}
-    c0 = _coeff(coefficients(0))
-    if c0 != 0:
-        total[zero] = c0
-    if not tau:
-        return total
-    power = {zero: 1}
-    n = 0
-    while power:
-        n += 1
-        power = _convolve(spec, power, tau, box)
-        if not power:
-            break
-        cn = _coeff(coefficients(n))
-        if cn != 0:
-            for exponent, value in power.items():
-                total[exponent] = total.get(exponent, 0) + value * cn
-    return {k: v for k, v in total.items() if v != 0}
-
+# inversion and composition
 
 def _invert_recurrence(terms, keys, m, box):
     """Terms of the inverse c⁻¹·x^(-m)·g of the series ``terms`` = c·x^m·(1 - tau).
 
     ``keys`` holds each term's ``FieldSpec.key``; ``m`` is the least.  g =
-    1 + prune(tau·g) is the box-pruned power sum ``_geometric_sum(spec, tau,
-    box, lambda n: 1)``: ``g_e`` sums the coefficient products of the tau
-    paths to ``e`` whose every nonempty prefix sum lies in ``box``.  A heap
-    pops exponents in term order, each after its predecessors, from the
-    origin (stored only if ``box`` holds it) on, and pushes each nonzero
-    ``g_e`` along every step that stays in ``box``.  Carried exponents start
-    at -m, and c⁻¹ joins the one normalization of each popped coefficient,
-    an integer numerator over ``den ** level`` (``den``: tau's common denominator).
+    1 + prune(tau·g) is the engine's one box-pruned power sum (every
+    coefficient 1; ``Series.compose_stream`` weights each power): ``g_e``
+    sums the coefficient products of the tau paths to ``e`` whose every
+    nonempty prefix sum lies in ``box``.  A heap pops exponents in term
+    order, each after its predecessors, from the origin (stored only if
+    ``box`` holds it) on, and pushes each nonzero ``g_e`` along every step
+    that stays in ``box``.  Carried exponents start at -m, and c⁻¹ joins the
+    one normalization of each popped coefficient, an integer numerator over
+    ``den ** level`` (``den``: tau's common denominator).
 
     Keys are packed into ints sum_j (k_j - lo_j)·W_j, W_j the product of the
     less significant box widths: in the box, int order is term order and a

@@ -570,6 +570,28 @@ def test_digit_separators_in_box_intervals_and_twists_refused(capsys, argv):
     assert err.startswith("error[usage]: bad ")
 
 
+@pytest.mark.parametrize("argv, kind", [
+    # Fraction() and str.isdecimal take digit separators or non-ASCII digits
+    (("ct", "--vars", "x", "--bind", "p=1_0", "--expr", "p*(1+x)"), "usage"),
+    (("ct", "--vars", "x", "--bind", "p=\u0661\u0662", "--expr", "p*(1+x)"), "usage"),
+    (("ct", "--vars", "x", "--bind", "p=1.5_0", "--expr", "p*(1+x)"), "usage"),
+    (("expand", "--vars", "x", "--expr", "\u0661\u0662*x"), "syntax"),
+    (("expand", "--vars", "x", "--expr", "x^\u0661"), "syntax"),
+])
+def test_non_ascii_digits_and_separators_in_numbers_refused(capsys, argv, kind):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error[{kind}]: ")
+
+
+def test_bound_decimals_still_read(capsys):
+    for value, printed in (("1.5", "3/2"), ("-.25", "-1/4"), ("2e1", "20"),
+                           ("3/4", "3/4")):
+        code, out, _ = run_cli(capsys, "ct", "--vars", "x", "--bind", f"p={value}",
+                               "--expr", "p*(1+x)")
+        assert (code, out) == (0, printed + "\n")
+
+
 def test_missing_files_refused(tmp_path, capsys):
     missing = str(tmp_path / "missing.txt")
     for argv, flag in (

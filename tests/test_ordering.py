@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,7 @@ from mnseries import (
     parse_field_spec,
     transformed_spec,
 )
-from mnseries.ordering import read_int
+from mnseries.ordering import read_int, read_rational
 
 TWIST = FieldSpec(("x", "y"), ((2, 1), (1, 2)))
 
@@ -199,6 +200,19 @@ def test_read_int_takes_ascii_digits_only():
             read_int(bad)
     with pytest.raises(UsageError):
         parse_field_spec("vars=x,y; twist=[[2_1,0],[0,1]]")
+
+
+def test_read_rational_takes_ascii_digits_only():
+    # Fraction(text) also takes digit separators and other scripts' digits
+    for text, value in (("12", 12), (" -3/4 ", Fraction(-3, 4)), ("+7", 7),
+                        ("1.5", Fraction(3, 2)), (".5", Fraction(1, 2)), ("2.", 2),
+                        ("-2.5E-1", Fraction(-1, 4))):
+        assert read_rational(text) == value
+    assert read_rational("9" * 5000 + "/2") == Fraction(10 ** 5000 - 1, 2)
+    for bad in ("1_0", "1_0/3", "1/1_0", "1.5_0", "1e1_0", "\u0663", "1/\u0663",
+                "\uff11.5", "", "1/", "/2", "1 /2", "0x10", "nan", "inf", "1/2/3"):
+        with pytest.raises(ValueError):
+            read_rational(bad)
 
 
 def test_parse_field_spec_identity_default():

@@ -76,10 +76,11 @@ def test_literals_and_exponents_past_the_str_digit_limit():
 
 
 def test_only_decimal_digits_make_a_literal():
-    # a superscript digit is a digit to str.isdigit but no integer
-    with pytest.raises(ParseError):
-        parse("\u00b2")
-    assert parse("\u0663") == lit(3)    # ARABIC-INDIC DIGIT THREE
+    # a superscript digit is a digit to str.isdigit, and an Arabic-Indic
+    # one to str.isdecimal, but only ASCII 0-9 make a literal
+    for text in ("\u00b2", "\u0663", "\u0661\u0662*x", "x^\u0661", "1\u0663"):
+        with pytest.raises(ParseError):
+            parse(text)
 
 
 def test_exp_log_parse():

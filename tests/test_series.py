@@ -2,6 +2,8 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
+from math import factorial
 
 import pytest
 
@@ -25,7 +27,7 @@ from mnseries import (
     multiply,
     series,
 )
-from mnseries.series import _geometric_sum, _vec_sub, multiply_extract
+from mnseries.series import _coeff, _convolve, _vec_sub, multiply_extract
 
 X = identity_spec(("x",))
 XY = FieldSpec(("x", "y"), ((2, 1), (1, 2)))
@@ -173,6 +175,32 @@ def test_invert_round_trips():
         if a.is_zero():
             continue
         assert multiply(a, a.invert()).equals_on(1)
+
+
+def _geometric_sum(spec, tau, box, coefficients):
+    """Reference power sum: coefficients(n)·tau^n over n, each power formed
+    by a pruned product of the previous one with tau, until one is empty.
+    Independent of the engine's recurrence; tau's exponents must be
+    revlex-positive through the twist, so the pruned powers die out."""
+    zero = (0,) * spec.n
+    total = {}
+    c0 = _coeff(coefficients(0))
+    if c0 != 0:
+        total[zero] = c0
+    if not tau:
+        return total
+    power = {zero: 1}
+    n = 0
+    while power:
+        n += 1
+        power = _convolve(spec, power, tau, box)
+        if not power:
+            break
+        cn = _coeff(coefficients(n))
+        if cn != 0:
+            for exponent, value in power.items():
+                total[exponent] = total.get(exponent, 0) + value * cn
+    return {k: v for k, v in total.items() if v != 0}
 
 
 def _power_sum_inverse(s):
@@ -484,6 +512,83 @@ def test_compose_requires_positive_order():
         exp_of(Series(X, {(-1,): 1}))
 
 
+def _reference_compose(s, coefficients):
+    """``s.compose_stream(coefficients)`` by the reference power sum; the
+    refusal is decided from every stored term, not from the initial one."""
+    spec = s.spec
+    if any(spec.key(e) <= (0,) * spec.n for e in s.terms):
+        raise NonpositiveOrder("a term of nonpositive order")
+    total = _geometric_sum(spec, s.terms, s.box, coefficients)
+    return Series(spec, total, box=s.box, exact=False)
+
+
+def _reference_log(s):
+    spec = s.spec
+    zero = (0,) * spec.n
+    if s.terms.get(zero) != 1 or any(spec.key(e) < zero for e in s.terms):
+        raise BadInitialTerm("initial term is not 1")
+    tail = Series(spec, {e: v for e, v in s.terms.items() if e != zero},
+                  box=s.box, exact=s.exact)
+    return _reference_compose(tail, lambda n: Fraction((-1) ** (n + 1), n) if n else 0)
+
+
+_STREAMS = (
+    lambda n: 1,
+    lambda n: Fraction(1, n + 1),
+    lambda n: n % 3 - 1,                                    # zero at n = 1, 4, ...
+    lambda n: 0 if n % 2 else Fraction((-1) ** (n // 2), n + 2),
+)
+
+
+def _exp_stream(n):
+    return Fraction(1, factorial(n))
+
+
+def test_compose_exp_log_equal_the_reference_power_sum():
+    rng = random.Random(23)
+    seen = Counter()
+    for case in range(600):
+        names = ("x", "y", "z")[: rng.randint(1, 3)]
+        spec = identity_spec(names) if case % 2 else _random_twist(rng, names)
+        n = spec.n
+        terms = {}
+        for _ in range(rng.randint(0, 4)):
+            e = tuple(rng.randint(-2, 2) for _ in range(n))
+            while rng.random() < 0.9 and not spec.is_positive(e):
+                e = tuple(rng.randint(-2, 2) for _ in range(n))
+            terms[e] = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3))
+        kind = ("compose", "exp", "log")[case % 3]
+        if kind == "log" and rng.random() < 0.9:
+            terms[(0,) * n] = 1
+        radius = {1: 16, 2: 6, 3: 3}[n]
+        box = Box(tuple((lo, lo + rng.randint(radius // 2, 2 * radius))
+                        for lo in (rng.randint(-radius, 1) for _ in range(n))))
+        s = Series(spec, terms, box=box, exact=rng.random() < 0.4)
+        if kind == "compose":
+            stream = _STREAMS[case // 3 % len(_STREAMS)]
+            got = partial(s.compose_stream, stream)
+            want = partial(_reference_compose, s, stream)
+        elif kind == "exp":
+            got, want = partial(exp_of, s), partial(_reference_compose, s, _exp_stream)
+        else:
+            got, want = partial(log_of, s), partial(_reference_log, s)
+        try:
+            expected = want()
+        except MNError as exc:
+            with pytest.raises(type(exc)):
+                got()
+            seen[type(exc).__name__] += 1
+            continue
+        assert got() == expected, (kind, s)
+        seen["twisted"] += not spec.is_identity_twist()
+        seen["truncated"] += not s.exact
+        seen["origin outside"] += not box.contains((0,) * n)
+        seen["long"] += len(expected.terms) >= 6
+    wanted = ("NonpositiveOrder", "BadInitialTerm", "twisted", "truncated",
+              "origin outside", "long")
+    assert min(seen[k] for k in wanted) >= 30, seen
+
+
 def test_strict_convergence_matches_manual_sum():
     # every output coefficient is the finite sum over contributing powers;
     # cross-check against an independent manual summation with extra slack
@@ -630,6 +735,12 @@ def _series_document(**changes):
                  id="zero-denominator"),
     pytest.param(_series_document(terms=[{"exp": [1, 0], "coeff": "abc"}]),
                  id="word-coefficient"),
+    pytest.param(_series_document(terms=[{"exp": [1, 0], "coeff": "1_0"}]),
+                 id="digit-separator-coefficient"),
+    pytest.param(_series_document(terms=[{"exp": [1, 0], "coeff": "\u0663"}]),
+                 id="arabic-digit-coefficient"),
+    pytest.param(_series_document(terms=[{"exp": [1, 0], "coeff": "1/\uff12"}]),
+                 id="fullwidth-digit-denominator"),
     pytest.param(_series_document(terms=[{"exp": [1, 0]}]), id="missing-coefficient"),
     pytest.param({k: v for k, v in _series_document().items() if k != "box"},
                  id="missing-box"),
