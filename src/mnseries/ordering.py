@@ -265,7 +265,10 @@ _D = DIGITS.pattern
 # ``str(int)`` and ``int(str)`` refuse more than 4300 digits; ``Decimal``
 # converts exactly at any length.
 _RATIO = re.compile(rf"\s*([-+]?{_D})(?:/({_D}))?\s*")
-_DECIMAL = re.compile(rf"\s*[-+]?(?:{_D}(?:\.(?:{_D})?)?|\.{_D})(?:[eE][-+]?{_D})?\s*")
+_DECIMAL = re.compile(rf"\s*[-+]?(?:{_D}(?:\.(?:{_D})?)?|\.{_D})(?:[eE]([-+]?{_D}))?\s*")
+# ``Fraction`` builds ``10**exponent``, whose size grows with the exponent's
+# value, not with the length of the text
+MAX_DECIMAL_EXPONENT = 10_000
 _INT = re.compile(rf"\s*[-+]?{_D}\s*", re.ASCII)
 
 
@@ -288,15 +291,25 @@ def read_int(text):
 def read_rational(text):
     """The Fraction ``text`` spells, as ``Fraction(text)`` reads it but in
     ``DIGITS`` only, with no length limit on the ``p`` and ``p/q`` that
-    ``rational_text`` writes; ValueError for any other string."""
-    if not isinstance(text, str):
+    ``rational_text`` writes.  A decimal's exponent (``1.5e-3``) may not
+    exceed ``MAX_DECIMAL_EXPONENT`` in size.  An int is taken as it is.
+    ValueError for any other string, for a bigger exponent and for any other
+    type (a float or a bool is not an exact rational)."""
+    if type(text) is int:
         return Fraction(text)
+    if not isinstance(text, str):
+        raise ValueError(f"not an exact rational: {text!r}")
     match = _RATIO.fullmatch(text)
     if match is not None:
         num, den = match.groups()
         return Fraction(int(Decimal(num)), int(Decimal(den or 1)))
-    if _DECIMAL.fullmatch(text) is None:
+    match = _DECIMAL.fullmatch(text)
+    if match is None:
         raise ValueError(f"not a rational: {text!r}")
+    size = (match.group(1) or "").lstrip("+-").lstrip("0")
+    # its length first: int() of a long exponent is itself slow
+    if len(size) > len(str(MAX_DECIMAL_EXPONENT)) or int(size or 0) > MAX_DECIMAL_EXPONENT:
+        raise ValueError(f"decimal exponent beyond {MAX_DECIMAL_EXPONENT}: {text!r}")
     return Fraction(text)
 
 

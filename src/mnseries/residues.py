@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from operator import add
 
 from .errors import (
     BadNormalization,
@@ -271,13 +272,14 @@ def _check_power_series_normalized(F):
 
 def _pmul(a, b, cap):
     """Dict product truncated to total degree <= cap."""
+    right = [(kb, vb, sum(kb)) for kb, vb in b.items()]
     out = {}
     for ka, va in a.items():
-        da = sum(ka)
-        for kb, vb in b.items():
-            if da + sum(kb) > cap:
+        room = cap - sum(ka)
+        for kb, vb, db in right:
+            if db > room:
                 continue
-            key = tuple(x + y for x, y in zip(ka, kb))
+            key = tuple(map(add, ka, kb))
             out[key] = out.get(key, 0) + va * vb
     return {k: v for k, v in out.items() if v != 0}
 

@@ -28,9 +28,12 @@ forming the product.  Inversion writes the series as c·x^m·(1 - tau) and
 solves g = 1 + prune(tau·g) one coefficient at a time, in increasing term
 order, on packed integer keys (``_invert_recurrence``); stream composition
 (exp, log) runs it on its argument lifted by a path-length coordinate, so
-each box-pruned power gets its own coefficient.  It terminates because only
-finitely many sums of elements from a finite revlex-positive set can stay
-inside a fixed box.
+each box-pruned power gets its own coefficient.  A negative power s^(-n),
+n ≥ 2, of a series with two or more terms is that stream on tau with the
+binomial weights C(j+n-1, n-1) of (1 - tau)^(-n), scaled by c^(-n) and
+shifted by x^(-n·m): one power sum and no product.  The recurrence
+terminates because only finitely many sums of elements from a finite
+revlex-positive set can stay inside a fixed box.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from heapq import heappop, heappush
-from math import factorial, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import add as _int_add, itemgetter, mul, sub
 
 from .errors import (
@@ -245,8 +248,34 @@ class Series:
         return self.scale(other)
 
     def __pow__(self, n):
+        """The n-th power; a negative one of a series with two or more terms
+        by one pruned power sum.
+
+        Writes the series as c·x^m·(1 - tau), as ``invert`` does, and returns
+        c^n·x^(n·m)·Σ_j C(j+p-1, p-1)·tau^j for n = -p ≤ -2: the binomial
+        weights of (1 - tau)^(-p), from one ``compose_stream`` call on tau
+        over the box ``invert`` walks, claimed on that box shifted by
+        n·phi(m).  A monomial, n = -1 and the zero series go through
+        ``invert``; n ≥ 0 squares and multiplies.
+        """
         if not isinstance(n, int):
             raise UsageError("series powers must be integers")
+        if n < -1 and len(self.terms) > 1:
+            spec, p = self.spec, -n
+            m, c = self.initial_term()
+            c = Fraction(c)
+            # the recurrence's steps, not a series known on the box:
+            # compose_stream reads only terms and box
+            tau = Series._trusted(
+                spec, {_vec_sub(e, m): _coeff(-v / c)
+                       for e, v in self.terms.items() if e != m},
+                self.box, self.exact)
+            g = tau.compose_stream(lambda j: comb(j + p - 1, p - 1))
+            lead = _coeff(c ** n)
+            shift = tuple(n * x for x in m)
+            return Series._trusted(
+                spec, {_vec_add(e, shift): _coeff(v * lead) for e, v in g.terms.items()},
+                self.box.shift(spec.phi(shift)), False)
         if n < 0:
             return self.invert() ** (-n)
         if n == 0:

@@ -584,6 +584,14 @@ def test_non_ascii_digits_and_separators_in_numbers_refused(capsys, argv, kind):
     assert err.startswith(f"error[{kind}]: ")
 
 
+def test_huge_decimal_exponent_refused(capsys):
+    # 10**1000000 would be built and printed in full
+    code, out, err = run_cli(capsys, "ct", "--vars", "x", "--bind", "p=1e1000000",
+                             "--expr", "p*(1+x)")
+    assert (code, out) == (2, "")
+    assert err.startswith("error[usage]: bad rational")
+
+
 def test_bound_decimals_still_read(capsys):
     for value, printed in (("1.5", "3/2"), ("-.25", "-1/4"), ("2e1", "20"),
                            ("3/4", "3/4")):

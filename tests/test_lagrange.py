@@ -124,8 +124,9 @@ def _full_box_coefficient(phi, F, k):
     """The residue formula with every factor on the full padded box.
 
     Reference for the degree budget of ``lagrange_coefficient``: the same
-    box, the same ``s ** (-1 - k_i)`` chain and the same final
-    ``coefficient`` guard, with no factor truncated below the box.
+    box and the same final ``coefficient`` guard, with no factor truncated
+    below the box.  Each power is the chain ``s.invert() ** (1 + k_i)``, so
+    the reference does not share the binomial power sum of ``s ** -n``.
     """
     spec = F[0].spec
     n = spec.n
@@ -138,7 +139,7 @@ def _full_box_coefficient(phi, F, k):
     integrand = Series.constant(gspec, 1, box=box)
     embedded = [embed_graded(s, gspec, box) for s in F]
     for s, ki in zip(embedded, k):
-        integrand = multiply(integrand, s ** (-1 - ki))
+        integrand = multiply(integrand, s.invert() ** (1 + ki))
     integrand = multiply(integrand, expand(phi, gspec, box=box))
     integrand = multiply(integrand, jacobian(embedded, spec.variables))
     return integrand.coefficient((-1,) * n + (0,))

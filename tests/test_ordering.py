@@ -17,7 +17,7 @@ from mnseries import (
     parse_field_spec,
     transformed_spec,
 )
-from mnseries.ordering import read_int, read_rational
+from mnseries.ordering import MAX_DECIMAL_EXPONENT, rational_text, read_int, read_rational
 
 TWIST = FieldSpec(("x", "y"), ((2, 1), (1, 2)))
 
@@ -253,3 +253,25 @@ def _cofactor_det(m):
         term = m[0][j] * _cofactor_det(minor)
         total += -term if j % 2 else term
     return total
+
+
+def test_read_rational_bounds_the_decimal_exponent():
+    # Fraction builds 10**exponent: "1e999999999" would run out of memory,
+    # "1e1000000" takes a tenth of a second
+    bound = MAX_DECIMAL_EXPONENT
+    assert read_rational(f"1e{bound}") == 10 ** bound
+    assert read_rational(f"2.5E-{bound}") == Fraction(5, 2 * 10 ** bound)
+    assert read_rational(f"1e-000{bound}") == Fraction(1, 10 ** bound)
+    for bad in (f"1e{bound + 1}", f"1e-{bound + 1}", "1e1000000", "1e" + "9" * 100000):
+        with pytest.raises(ValueError):
+            read_rational(bad)
+    # every p and p/q that rational_text writes still reads back, at any length
+    for value in (Fraction(-3, 7), 10 ** 20000, Fraction(1, 10 ** 20001), 0):
+        assert read_rational(rational_text(value)) == value
+
+
+def test_read_rational_refuses_inexact_numbers():
+    assert read_rational(7) == 7
+    for bad in (0.1, 2.0, True, False, None):
+        with pytest.raises(ValueError):
+            read_rational(bad)

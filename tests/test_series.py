@@ -121,6 +121,69 @@ def test_power_starts_from_its_base(monkeypatch):
         assert s ** 1 == s and s ** 0 == Series.constant(XY, 1, box=s.box)
 
 
+def _outcome(compute):
+    """The value, or the class of the MNError raised."""
+    try:
+        return compute()
+    except MNError as exc:
+        return type(exc)
+
+
+def test_negative_power_equals_the_inverse_chain():
+    # s ** -n sums the binomial weights C(j+n-1, n-1) of (1 - tau)^-n over
+    # one pruned power sum.  Where every generator e - m is nonnegative in phi
+    # and the box holds the origin, that pruning is sound, and the result is
+    # the chain of n inverses, claimed box and exactness included.
+    rng = random.Random(1313)
+    seen = Counter()
+    cases = 0
+    while cases < 600:
+        names = ("x", "y", "z")[: rng.randint(1, 3)]
+        twisted = rng.random() < 0.5
+        spec = _random_twist(rng, names) if twisted else identity_spec(names)
+        low = [rng.randint(-2, 2) for _ in names]
+        terms = {tuple(a + rng.randint(0, 2) for a in low):
+                 Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 3))
+                 for _ in range(rng.randint(1, 5))}
+        # a box about the support that sometimes cuts it or misses the origin
+        phis = [spec.phi(e) for e in terms]
+        bounds = []
+        for i in range(spec.n):
+            lo = min(p[i] for p in phis) - rng.randint(0, 3)
+            bounds.append((lo, max(lo, max(p[i] for p in phis) + rng.randint(-2, 6))))
+        box = Box(tuple(bounds))
+        exact = rng.random() < 0.3
+        s = Series(spec, terms, box=box, exact=exact)
+        if not box.contains((0,) * spec.n):
+            continue
+        if s.terms:
+            m, _ = s.initial_term()
+            if any(x < 0 for e in s.terms for x in spec.phi(_vec_sub(e, m))):
+                continue
+        n = rng.randint(2, 5)
+        cases += 1
+        got = _outcome(lambda: s ** -n)
+        assert got == _outcome(lambda: s.invert() ** n), (s, n)
+        seen["twisted" if twisted else "identity"] += 1
+        seen["exact" if exact else "truncated"] += 1
+        seen[f"{spec.n} variables"] += 1
+        seen[f"n={n}"] += 1
+        seen[got.__name__ if isinstance(got, type)
+             else "monomial" if len(s.terms) == 1 else "2+ terms"] += 1
+    assert min(seen.values()) >= 10 and seen["2+ terms"] >= 300, seen
+
+
+def test_negative_power_makes_no_product(monkeypatch):
+    calls = []
+    monkeypatch.setattr(series, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
+    s = Series(XY, {(0, 0): 2, (1, 0): -1, (1, 1): Fraction(1, 3)},
+               box=cube(2, 6), exact=False)
+    power = s ** -4
+    assert calls == []
+    assert power.coefficient((1, 0)) == Fraction(4, 2 ** 5)   # C(4,3)·(1/2)/2^4
+    assert power.box == s.box
+
+
 def test_order_of_product_adds():
     rng = random.Random(4)
     for _ in range(60):
@@ -741,6 +804,10 @@ def _series_document(**changes):
                  id="arabic-digit-coefficient"),
     pytest.param(_series_document(terms=[{"exp": [1, 0], "coeff": "1/\uff12"}]),
                  id="fullwidth-digit-denominator"),
+    pytest.param(_series_document(terms=[{"exp": [1, 0], "coeff": 0.1}]),
+                 id="float-coefficient"),
+    pytest.param(_series_document(terms=[{"exp": [1, 0], "coeff": True}]),
+                 id="bool-coefficient"),
     pytest.param(_series_document(terms=[{"exp": [1, 0]}]), id="missing-coefficient"),
     pytest.param({k: v for k, v in _series_document().items() if k != "box"},
                  id="missing-box"),
