@@ -333,8 +333,11 @@ def lagrange_inverse(F, degree):
 def lagrange_coefficient(phi, F, k):
     """[y^k] Phi(G(y)) as the residue Res_x F^{-1-k} Phi(x) J(F).
 
-    Everything is computed in the degree-graded field, whose last
-    phi-coordinate is the total degree.  Phi and J(F) use a box sized from
+    Everything but J(F) is computed in the degree-graded field, whose last
+    phi-coordinate is the total degree.  J(F) is the exact polynomial
+    det(dF_i/dx_j) of the caller's F in its own field (so the derivatives of
+    each F_i are computed once over all the coefficients read from it),
+    embedded with aux exponent 0.  Phi and J(F) carry a box sized from
     the degrees of F and k with a padding of four degrees.  The wanted
     coefficient sits at degree -n, and every factor lies at or above its
     initial degree, so a term of F_i^{-1-k_i} more than
@@ -371,6 +374,5 @@ def lagrange_coefficient(phi, F, k):
         power_box = Box(box.bounds[:-1] + ((lo, min(hi, budget + 1)),))
     powers = (embed_graded(s, gspec, power_box) ** (-1 - ki) for s, ki in zip(F, k))
     integrand = multiply(reduce(multiply, powers), phi_series)
-    embedded = [embed_graded(s, gspec, box) for s in F]
-    return multiply_extract(integrand, jacobian(embedded, spec.variables),
-                            gspec.variables, (-1,) * n + (0,))
+    J = embed_graded(jacobian(F, spec.variables), gspec, box)
+    return multiply_extract(integrand, J, gspec.variables, (-1,) * n + (0,))

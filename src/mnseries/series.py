@@ -19,6 +19,11 @@ box and normalizes each output coefficient once, and the inversion
 recurrence pushes only exponents inside the box (and stores the origin it
 starts from only when the box holds it).
 
+A ``Series`` is a value: its fields are never changed after construction.
+So ``invert()`` and ``derivative(name)`` are computed once per object and
+returned again on later calls on that same object (never on an equal one);
+a refusal is not stored and is raised again on every call.
+
 Box propagation through products follows the shift-and-intersect rule: each
 factor's box is shifted by the other factor's initial phi-exponent, or — when
 the other factor is exact, hence has fully known finite support — by every
@@ -84,9 +89,14 @@ def _vec_neg(a):
 
 
 class Series:
-    """A truncated element of a twisted iterated Laurent field."""
+    """A truncated element of a twisted iterated Laurent field.
 
-    __slots__ = ("spec", "terms", "box", "exact")
+    An immutable value: ``spec``, ``terms``, ``box`` and ``exact`` are never
+    changed after construction, so ``_memo`` (``None`` until first use)
+    holds this object's inverse and derivatives once they are computed.
+    """
+
+    __slots__ = ("spec", "terms", "box", "exact", "_memo")
 
     def __init__(self, spec, terms, box=None, exact=True):
         if box is None:
@@ -109,6 +119,7 @@ class Series:
         self.terms = clean
         self.box = box
         self.exact = exact
+        self._memo = None
 
     @classmethod
     def _trusted(cls, spec, terms, box, exact):
@@ -126,7 +137,16 @@ class Series:
         self.terms = terms
         self.box = box
         self.exact = exact
+        self._memo = None
         return self
+
+    def _remember(self, key, value):
+        """Store ``value`` as this object's result for ``key`` and return it:
+        ``None`` for the inverse, a variable's index for its derivative."""
+        if self._memo is None:
+            self._memo = {}
+        self._memo[key] = value
+        return value
 
     # ------------------------------------------------------------------
     # constructors
@@ -305,7 +325,10 @@ class Series:
         Writes the series as c·x^m·(1 - tau) with ord(tau) positive and
         solves g = 1 + prune(tau·g) in term order (``_invert_recurrence``);
         only finitely many box points are reachable, so it terminates.
+        Computed once per object; a refusal is raised again on every call.
         """
+        if self._memo is not None and None in self._memo:
+            return self._memo[None]
         if not self.terms:
             if self.exact:
                 raise ZeroDivisor("cannot invert the zero series")
@@ -315,10 +338,11 @@ class Series:
         m = min(keys, key=keys.get)
         result_box = self.box.shift(_vec_neg(keys[m][::-1]))
         if len(keys) == 1:
-            return Series(spec, {_vec_neg(m): _recip(self.terms[m])},
-                          box=result_box, exact=self.exact)
+            return self._remember(None, Series(
+                spec, {_vec_neg(m): _recip(self.terms[m])},
+                box=result_box, exact=self.exact))
         total = _invert_recurrence(self.terms, keys, m, self.box)
-        return Series._trusted(spec, total, result_box, False)
+        return self._remember(None, Series._trusted(spec, total, result_box, False))
 
     def compose_stream(self, coefficients):
         """Sum coefficients(n)·self^n for n ≥ 0, each power pruned to the
@@ -351,8 +375,11 @@ class Series:
         return Series(spec, total, box=self.box, exact=False)
 
     def derivative(self, name):
-        """Termwise d/dx on the named variable's exponent."""
+        """Termwise d/dx on the named variable's exponent, computed once per
+        object and variable."""
         i = self.spec.index(name)
+        if self._memo is not None and i in self._memo:
+            return self._memo[i]
         unit = self.spec.unit(name)
         out = {}
         for exponent, value in self.terms.items():
@@ -360,7 +387,7 @@ class Series:
             if e:
                 out[_vec_sub(exponent, unit)] = value * e
         box = self.box.shift(_vec_neg(self.spec.phi(unit)))
-        return Series(self.spec, out, box=box, exact=self.exact)
+        return self._remember(i, Series(self.spec, out, box=box, exact=self.exact))
 
     # ------------------------------------------------------------------
     # coefficient extraction

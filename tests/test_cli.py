@@ -391,6 +391,28 @@ def test_lagrange_phi_with_a_far_negative_term(capsys):
     assert (code, out) == (0, "-58261\n")
 
 
+@pytest.mark.xfail(strict=True, reason="the inverse of a truncated series "
+                   "claims box - phi(m); tau is only known on that box, so the "
+                   "inverse is known on box - 2*phi(m)")
+@pytest.mark.parametrize("expr, truth", [
+    ("1/(x/(1-x))", "x^-1 - 1\n"),          # prints x^-1 - 1 + x^5
+    ("1/(x^3/(1-x))", "x^-3 - x^-2\n"),     # prints x^-3 - x^-2 + x^3 - x^4
+], ids=["m=1", "m=3"])
+def test_inverse_of_a_truncated_series_claims_too_much(capsys, expr, truth):
+    code, out, _ = run_cli(capsys, "expand", "--vars", "x", "--box=-5:5", "--expr", expr)
+    assert (code, out) in ((0, truth), (1, ""))
+
+
+@pytest.mark.xfail(strict=True, reason="a lower box bound prunes the paths of "
+                   "the recurrence that start below the box")
+def test_ct_with_a_box_above_the_origin(capsys):
+    # CT_x x^-1/(1-x-y) = [x^1] 1/(1-x-y) = sum (k+1)·y^k; while the defect
+    # stands this prints 1 + y + y^2 + y^3 with exit 0
+    code, out, _ = run_cli(capsys, "ct", "--vars", "x,y", "--box=1:5,-3:3",
+                           "--over", "x", "--expr", "x^-1/(1-x-y)")
+    assert (code, out) in ((0, "1 + 2*y + 3*y^2 + 4*y^3\n"), (1, ""))
+
+
 def test_golden_stability(capsys):
     outs = set()
     for _ in range(2):

@@ -14,6 +14,7 @@ from mnseries import (
     lagrange_inverse,
     parse,
 )
+from mnseries import residues
 from mnseries import series as series_module
 from mnseries.ordering import Box
 from mnseries.parser import expand
@@ -231,3 +232,19 @@ def test_coefficient_refuses_non_integer_indices(k):
     F = Series(X, {(1,): 1, (2,): -1})
     with pytest.raises(UsageError):
         lagrange_coefficient(parse("x"), [F], k)
+
+
+def test_jacobian_is_taken_from_the_callers_F(monkeypatch):
+    # J(F) is formed from the caller's F_i themselves, in their own field, so
+    # each F_i's derivatives are computed once over all the targets read
+    spec = identity_spec(("x1", "x2"))
+    F = [Series(spec, {(1, 0): 1, (1, 1): 2, (0, 3): -1}),
+         Series(spec, {(0, 1): 1, (2, 0): 1, (1, 2): -2})]
+    G = lagrange_inverse(F, 4)
+    seen = []
+    monkeypatch.setattr(residues, "jacobian",
+                        lambda F, names: seen.append(F) or jacobian(F, names))
+    for k in ((1, 0), (0, 2), (2, 2)):
+        assert lagrange_coefficient(parse("x1"), F, k) == G[0].terms.get(k + (0,), 0)
+    assert len(seen) == 3
+    assert all(s is t for got in seen for s, t in zip(got, F, strict=True))
