@@ -12,6 +12,7 @@ import argparse
 import json
 import shlex
 import sys
+from math import factorial
 
 from .errors import MNError, UsageError
 from .identities import (
@@ -189,7 +190,7 @@ def _cmd_expand(args):
     return 0
 
 
-def _extract_command(args, want):
+def _extract_command(args):
     spec, box, bindings = _inputs_from_args(args)
     node = parse(_expr_from_args(args))
     if isinstance(node, (Mul, Div)):
@@ -222,22 +223,14 @@ def _extract_command(args, want):
             report["ct_log_jacobian_equals_jnum"] = bool(check)
         print(_compact(report), file=sys.stderr)
     if len(factors) == 2:
-        result = multiply_extract(*factors, over, want)
+        result = multiply_extract(*factors, over, args.want)
     else:
-        result = factors[0].extract(over, want)
+        result = factors[0].extract(over, args.want)
     if isinstance(result, Series):
         _print_series(result, args)
     else:
         _print_scalar(result, args)
     return 0
-
-
-def _cmd_ct(args):
-    return _extract_command(args, 0)
-
-
-def _cmd_res(args):
-    return _extract_command(args, -1)
 
 
 def _jacobian_inputs(args):
@@ -296,23 +289,22 @@ def _cmd_lagrange(args):
     return 0
 
 
-def _cmd_dyson(args):
-    a = _int_list(args.a, "--a")
-    instance = DysonInstance(len(a), a, generalized=args.generalized)
-    lhs = dyson_ct(instance)
-    rhs = dyson_rhs(instance)
+def _print_sides(lhs, rhs):
+    """Both sides of an identity as JSON; exit 0 if they agree, else 1."""
     print(_compact({"lhs": rational_text(lhs), "rhs": rational_text(rhs),
                     "equal": lhs == rhs}))
     return 0 if lhs == rhs else 1
+
+
+def _cmd_dyson(args):
+    a = _int_list(args.a, "--a")
+    instance = DysonInstance(len(a), a, generalized=args.generalized)
+    return _print_sides(dyson_ct(instance), dyson_rhs(instance))
 
 
 def _cmd_dixon(args):
     a, b, c = _int_list(args.abc, "--abc", 3)
-    lhs = dixon_sum(a, b, c)
-    rhs = dyson_ct(DysonInstance(3, (a, b, c)))
-    print(_compact({"lhs": rational_text(lhs), "rhs": rational_text(rhs),
-                    "equal": lhs == rhs}))
-    return 0 if lhs == rhs else 1
+    return _print_sides(dixon_sum(a, b, c), dyson_ct(DysonInstance(3, (a, b, c))))
 
 
 def _cmd_wilson(args):
@@ -323,9 +315,7 @@ def _cmd_wilson(args):
         _print_series(wilson_v(n, args.j, spec, box), args)
         return 0
     vs = [wilson_v(n, j, spec, box) for j in range(1, n + 1)]
-    total = vs[0]
-    for v in vs[1:]:
-        total = total + v
+    total = sum(vs[1:], vs[0])
     # opposing geometric tails pollute the outer shell of the box, so the
     # identities are checked on the interior half-radius region
     inner = cube(n, max(1, args.box // 2))
@@ -333,11 +323,7 @@ def _cmd_wilson(args):
     if n >= 2:
         names = [spec.variables[j] for j in range(n - 1)]
         lj = log_jacobian(vs[: n - 1], names)
-        factor = 1
-        for m in range(2, n):
-            factor *= m
-        if (n - 1) % 2:
-            factor = -factor
+        factor = (-1) ** (n - 1) * factorial(n - 1)
         # LJ(v_1..v_{n-1}) = (-1)^(n-1) (n-1)! v_n: the sign is the parity of
         # the triangular initial-exponent matrix with diagonal -(n-j)
         report["lj_identity"] = lj.equals_on(vs[n - 1].scale(factor), box=inner)
@@ -380,8 +366,7 @@ def _build_parser():
     p.add_argument("--expr-file")
     p.set_defaults(func=_cmd_expand)
 
-    for name, func, blurb in (("ct", _cmd_ct, "constant term"),
-                              ("res", _cmd_res, "residue")):
+    for name, want, blurb in (("ct", 0, "constant term"), ("res", -1, "residue")):
         p = sub.add_parser(name, parents=[field], help=f"{blurb} of an expression")
         p.add_argument("--expr")
         p.add_argument("--expr-file")
@@ -389,7 +374,7 @@ def _build_parser():
         p.add_argument("--cov", help="change-of-variables expressions F1;F2;... "
                                      "(reported on stderr)")
         p.add_argument("--xvars", help="the variables the cov series replace")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_extract_command, want=want)
 
     for name, func in (("jacobian", _cmd_jacobian), ("jnum", _cmd_jnum),
                        ("lj", _cmd_lj)):

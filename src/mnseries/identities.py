@@ -274,9 +274,7 @@ def dixon_sum(a, b, c):
     if min(a, b, c) < 0:
         raise UsageError("arguments must be nonnegative")
     total = 0
-    for j in range(-max(a, b, c), max(a, b, c) + 1):
-        if not (-a <= j <= b and -b <= j <= c and -c <= j <= a):
-            continue
+    for j in range(-min(a, b, c), min(a, b, c) + 1):
         term = comb(a + b, a + j) * comb(b + c, b + j) * comb(c + a, c + j)
         total += -term if j % 2 else term
     return total

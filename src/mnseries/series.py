@@ -29,16 +29,15 @@ factor's box is shifted by the other factor's initial phi-exponent, or — when
 the other factor is exact, hence has fully known finite support — by every
 exponent of that support, and everything is intersected (``_product_box``).
 ``multiply_extract`` reads a CT/Res slice of a product on that box without
-forming the product.  Inversion writes the series as c·x^m·(1 - tau) and
-solves g = 1 + prune(tau·g) one coefficient at a time, in increasing term
-order, on packed integer keys (``_invert_recurrence``); stream composition
-(exp, log) runs it on its argument lifted by a path-length coordinate, so
-each box-pruned power gets its own coefficient.  A negative power s^(-n),
-n ≥ 2, of a series with two or more terms is that stream on tau with the
-binomial weights C(j+n-1, n-1) of (1 - tau)^(-n), scaled by c^(-n) and
-shifted by x^(-n·m): one power sum and no product.  The recurrence
-terminates because only finitely many sums of elements from a finite
-revlex-positive set can stay inside a fixed box.
+forming the product.  One body, ``Series._reciprocal_power``, makes every
+inverse and every negative power of a series with two or more terms: it
+writes the series as c·x^m·(1 - tau) and returns c^(-p)·x^(-p·m)·(1 - tau)^(-p).
+Its kernel, ``_invert_recurrence``, takes tau's steps and keys and solves
+g = 1 + prune(tau·g) one coefficient at a time, in increasing term order, on
+packed integer keys.  p ≥ 2 and stream composition (exp, log) run it on tau
+lifted by a path-length coordinate, so each box-pruned power gets its own
+coefficient.  The recurrence terminates because only finitely many sums of
+elements from a finite revlex-positive set can stay inside a fixed box.
 """
 
 from __future__ import annotations
@@ -62,18 +61,13 @@ from .ordering import Box, FieldSpec, rational_text, read_rational
 
 
 def _coeff(value):
-    """Normalize a coefficient: integral Fractions become plain ints."""
+    """Normalize a coefficient: integral Fractions become plain ints; a bool
+    or anything else but an int or a Fraction is refused."""
     if type(value) is int:
         return value
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
-    if isinstance(value, int):
-        return value
     raise UsageError(f"coefficient {value!r} is not an exact rational")
-
-
-def _recip(value):
-    return _coeff(1 / Fraction(value))
 
 
 def _vec_add(a, b):
@@ -82,10 +76,6 @@ def _vec_add(a, b):
 
 def _vec_sub(a, b):
     return tuple(x - y for x, y in zip(a, b))
-
-
-def _vec_neg(a):
-    return tuple(-x for x in a)
 
 
 class Series:
@@ -268,34 +258,16 @@ class Series:
         return self.scale(other)
 
     def __pow__(self, n):
-        """The n-th power; a negative one of a series with two or more terms
-        by one pruned power sum.
+        """The n-th power: n ≥ 0 by square-and-multiply, a negative one by
+        ``_reciprocal_power``.
 
-        Writes the series as c·x^m·(1 - tau), as ``invert`` does, and returns
-        c^n·x^(n·m)·Σ_j C(j+p-1, p-1)·tau^j for n = -p ≤ -2: the binomial
-        weights of (1 - tau)^(-p), from one ``compose_stream`` call on tau
-        over the box ``invert`` walks, claimed on that box shifted by
-        n·phi(m).  A monomial, n = -1 and the zero series go through
-        ``invert``; n ≥ 0 squares and multiplies.
+        A monomial and n = -1 take ``invert() ** -n``, which keeps a
+        monomial's bookkeeping box.
         """
         if not isinstance(n, int):
             raise UsageError("series powers must be integers")
         if n < -1 and len(self.terms) > 1:
-            spec, p = self.spec, -n
-            m, c = self.initial_term()
-            c = Fraction(c)
-            # the recurrence's steps, not a series known on the box:
-            # compose_stream reads only terms and box
-            tau = Series._trusted(
-                spec, {_vec_sub(e, m): _coeff(-v / c)
-                       for e, v in self.terms.items() if e != m},
-                self.box, self.exact)
-            g = tau.compose_stream(lambda j: comb(j + p - 1, p - 1))
-            lead = _coeff(c ** n)
-            shift = tuple(n * x for x in m)
-            return Series._trusted(
-                spec, {_vec_add(e, shift): _coeff(v * lead) for e, v in g.terms.items()},
-                self.box.shift(spec.phi(shift)), False)
+            return self._reciprocal_power(-n)
         if n < 0:
             return self.invert() ** (-n)
         if n == 0:
@@ -314,21 +286,32 @@ class Series:
     def __truediv__(self, other):
         if isinstance(other, Series):
             return self * other.invert()
-        return self.scale(_recip(other))
+        return self.scale(1 / Fraction(_coeff(other)))
 
     def __rtruediv__(self, other):
         return self.invert().scale(other)
 
     def invert(self):
-        """Multiplicative inverse, truncated to the shifted box.
+        """Multiplicative inverse, truncated to the shifted box
+        (``_reciprocal_power(1)``).
 
-        Writes the series as c·x^m·(1 - tau) with ord(tau) positive and
-        solves g = 1 + prune(tau·g) in term order (``_invert_recurrence``);
-        only finitely many box points are reachable, so it terminates.
         Computed once per object; a refusal is raised again on every call.
         """
         if self._memo is not None and None in self._memo:
             return self._memo[None]
+        return self._remember(None, self._reciprocal_power(1))
+
+    def _reciprocal_power(self, p):
+        """self^(-p), p ≥ 1: c^(-p)·x^(-p·m)·(1 - tau)^(-p) for self =
+        c·x^m·(1 - tau) with ord(tau) positive.
+
+        Each term is keyed once; tau's steps are e - m, keyed key(e) - key(m).
+        p = 1 runs the recurrence g = 1 + prune(tau·g) with x^(-m) and c⁻¹
+        folded into its normalization; p ≥ 2 is one ``compose_stream`` call
+        on tau with the binomial weights C(j+p-1, p-1).  The walk stays in
+        this series' box, and the result is claimed on that box shifted by
+        -p·phi(m), the one place a reciprocal's claim is made.
+        """
         if not self.terms:
             if self.exact:
                 raise ZeroDivisor("cannot invert the zero series")
@@ -336,37 +319,47 @@ class Series:
         spec = self.spec
         keys = {exponent: spec.key(exponent) for exponent in self.terms}
         m = min(keys, key=keys.get)
-        result_box = self.box.shift(_vec_neg(keys[m][::-1]))
+        c = Fraction(self.terms[m])
+        shift = tuple(-p * x for x in m)
+        box = self.box.shift(tuple(-p * x for x in reversed(keys[m])))
+        lead = _coeff(c ** -p)
         if len(keys) == 1:
-            return self._remember(None, Series(
-                spec, {_vec_neg(m): _recip(self.terms[m])},
-                box=result_box, exact=self.exact))
-        total = _invert_recurrence(self.terms, keys, m, self.box)
-        return self._remember(None, Series._trusted(spec, total, result_box, False))
+            return Series(spec, {shift: lead}, box=box, exact=self.exact)
+        tau = {_vec_sub(e, m): _coeff(-v / c) for e, v in self.terms.items() if e != m}
+        if p == 1:
+            steps = {_vec_sub(e, m): _vec_sub(k, keys[m]) for e, k in keys.items() if e != m}
+            total = _invert_recurrence(tau, steps, self.box, shift, lead)
+            return Series._trusted(spec, total, box, False)
+        # the recurrence's steps, not a series known on the box:
+        # compose_stream reads only terms and box
+        g = Series._trusted(spec, tau, self.box, self.exact).compose_stream(
+            lambda j: comb(j + p - 1, p - 1))
+        return Series._trusted(
+            spec, {_vec_add(e, shift): _coeff(v * lead) for e, v in g.terms.items()},
+            box, False)
 
     def compose_stream(self, coefficients):
         """Sum coefficients(n)·self^n for n ≥ 0, each power pruned to the
         box; needs ord(self) > 0.
 
-        Runs the recurrence of 1/(1 - self) (``_invert_recurrence``) on self
+        Hands self to the power-sum kernel (``_invert_recurrence``) as tau,
         lifted by a most significant coordinate that each step raises by 1:
         a path of n steps ends at (e, n), so the powers stay apart.
         """
         spec = self.spec
-        if self.terms:
-            m, _ = self.initial_term()
-            if not spec.is_positive(m):
-                raise NonpositiveOrder(
-                    f"composition needs positive order, initial exponent is {m}"
-                )
-        origin = (0,) * (spec.n + 1)
-        terms = {origin: 1, **{e + (1,): -v for e, v in self.terms.items()}}
-        keys = {origin: origin, **{e + (1,): (1,) + spec.key(e) for e in self.terms}}
+        keys = {e: spec.key(e) for e in self.terms}
+        m = min(keys, key=keys.get, default=None)
+        if m is not None and keys[m] <= (0,) * spec.n:
+            raise NonpositiveOrder(
+                f"composition needs positive order, initial exponent is {m}"
+            )
         # a positive step rises in term order, so a path visits no box point
         # twice: its length is at most the number of points in the box
         length = prod(hi - lo + 1 for lo, hi in self.box.bounds)
-        paths = _invert_recurrence(terms, keys, origin,
-                                   Box(self.box.bounds + ((0, length),)))
+        paths = _invert_recurrence({e + (1,): v for e, v in self.terms.items()},
+                                   {e + (1,): (1,) + k for e, k in keys.items()},
+                                   Box(self.box.bounds + ((0, length),)),
+                                   (0,) * (spec.n + 1), 1)
         weights = [_coeff(coefficients(n))
                    for n in range(max((e[-1] for e in paths), default=0) + 1)]
         total = {}
@@ -386,7 +379,7 @@ class Series:
             e = exponent[i]
             if e:
                 out[_vec_sub(exponent, unit)] = value * e
-        box = self.box.shift(_vec_neg(self.spec.phi(unit)))
+        box = self.box.shift(tuple(-x for x in self.spec.phi(unit)))
         return self._remember(i, Series(self.spec, out, box=box, exact=self.exact))
 
     # ------------------------------------------------------------------
@@ -719,17 +712,18 @@ def multiply_extract(a, b, names, want):
 # ----------------------------------------------------------------------
 # inversion and composition
 
-def _invert_recurrence(terms, keys, m, box):
-    """Terms of the inverse c⁻¹·x^(-m)·g of the series ``terms`` = c·x^m·(1 - tau).
+def _invert_recurrence(tau, keys, box, start, scale):
+    """Terms of scale·x^start·g, g = 1/(1 - tau) = 1 + prune(tau·g).
 
-    ``keys`` holds each term's ``FieldSpec.key``; ``m`` is the least.  g =
-    1 + prune(tau·g) is the engine's one box-pruned power sum (every
-    coefficient 1; ``Series.compose_stream`` weights each power): ``g_e``
-    sums the coefficient products of the tau paths to ``e`` whose every
-    nonempty prefix sum lies in ``box``.  A heap pops exponents in term
-    order, each after its predecessors, from the origin (stored only if
-    ``box`` holds it) on, and pushes each nonzero ``g_e`` along every step
-    that stays in ``box``.  Carried exponents start at -m, and c⁻¹ joins the
+    ``tau`` maps each step, an exponent positive in term order, to its
+    coefficient, and ``keys`` maps it to its ``FieldSpec.key``.  This is the
+    engine's one box-pruned power sum (every coefficient 1;
+    ``Series.compose_stream`` weights each power): ``g_e`` sums the
+    coefficient products of the tau paths to ``e`` whose every nonempty
+    prefix sum lies in ``box``.  A heap pops exponents in term order, each
+    after its predecessors, from the origin (stored only if ``box`` holds
+    it) on, and pushes each nonzero ``g_e`` along every step that stays in
+    ``box``.  Carried exponents start at ``start``, and ``scale`` joins the
     one normalization of each popped coefficient, an integer numerator over
     ``den ** level`` (``den``: tau's common denominator).
 
@@ -740,21 +734,20 @@ def _invert_recurrence(terms, keys, m, box):
     of the steps that keep that coordinate inside, and takes the step list
     cached per bitset: a candidate costs one int add and one dict lookup.
     """
-    c = Fraction(terms[m])
-    den, tau = _int_normal({e: _coeff(-v / c) for e, v in terms.items() if e != m})
+    den, tau = _int_normal(tau)
     bounds = box.bounds[::-1]
     widths = [hi - lo + 1 for lo, hi in bounds]
     weights = [prod(widths[j + 1:]) for j in range(len(widths))]
-    moves = [_vec_sub(keys[e], keys[m]) for e in tau]
-    steps = [(sum(map(mul, k, weights)), _vec_sub(e, m), v)
-             for k, (e, v) in zip(moves, tau.items())]
+    moves = [keys[e] for e in tau]
+    steps = [(sum(map(mul, k, weights)), e, v) for k, (e, v) in zip(moves, tau.items())]
     columns = list(zip(*moves))
     tables = [{} for _ in bounds]   # per coordinate: digit -> bitset of steps
     chosen = {}                     # bitset -> its steps
     pending = {}                    # packed key -> [exponent, numerator, level]
     heap = []
-    exponent, value, level = _vec_neg(m), 1, 0
-    total = {exponent: _recip(c)} if box.contains((0,) * len(m)) else {}
+    exponent, value, level = start, 1, 0
+    total = {start: scale} if box.contains((0,) * len(box)) else {}
+    num, dnm = scale.numerator, scale.denominator
     digits = [-lo for lo, _ in bounds]
     key = sum(map(mul, digits, weights))
     while True:
@@ -785,8 +778,7 @@ def _invert_recurrence(terms, keys, m, box):
             key = heappop(heap)
             exponent, value, level = pending.pop(key)
             if value:
-                total[exponent] = _coeff(Fraction(value * c.denominator,
-                                                  den ** level * c.numerator))
+                total[exponent] = _coeff(Fraction(value * num, den ** level * dnm))
                 break
         else:
             return total

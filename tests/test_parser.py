@@ -117,6 +117,7 @@ def test_print_parse_round_trip():
     for _ in range(300):
         node = _random_ast(rng, rng.randint(1, 4))
         assert parse(to_text(node)) == node
+        assert parse(to_text(Log(node))) == Log(node)
 
 
 def test_expand_geometric_identity_field():

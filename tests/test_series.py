@@ -863,6 +863,35 @@ def test_zero_coefficients_pruned():
     assert s.terms == {(1,): 2}
 
 
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("make", [
+    lambda v: Series(X, {(1,): v}),
+    lambda v: Series.constant(X, v),
+    lambda v: Series(X, {(1,): 1}).scale(v),
+    lambda v: Series(X, {(1,): 1}) / v,
+], ids=["Series", "constant", "scale", "divide"])
+def test_bool_coefficients_refused(make, value):
+    # a bool is an int to isinstance, but not an exact rational coefficient
+    with pytest.raises(UsageError, match="is not an exact rational"):
+        make(value)
+
+
+def test_operators_by_scalars_and_series_and_their_text():
+    x = Series.variable(X, "x", box=cube(1, 4))
+    one_minus_x = 1 - x                                   # __rsub__
+    assert one_minus_x == Series(X, {(0,): 1, (1,): -1}, box=cube(1, 4))
+    geo = 1 / one_minus_x                                 # __rtruediv__
+    assert geo == one_minus_x.invert()
+    assert (3 / one_minus_x).terms == {(k,): 3 for k in range(5)}
+    assert x / one_minus_x == multiply(x, geo)            # by a series
+    assert (x / 2).terms == {(1,): Fraction(1, 2)}        # by a scalar
+    with pytest.raises(UsageError):
+        x / "1/2"
+    assert repr(geo) == "Series(1 + x + x^2 + x^3 + x^4 | x | truncated)"
+    assert repr(x - x) == "Series(0 | x | exact)"
+    assert str(Series.zero(X)) == "0"
+
+
 def test_box_enlargement_consistency():
     # recompute a pipeline with a strictly larger box; results agree on the
     # smaller box
