@@ -202,7 +202,7 @@ def _extract_command(args):
         _product_box(*factors)
     else:
         factors = (expand(node, spec, box=box, bindings=bindings),)
-    if args.over:
+    if args.over is not None:
         over = tuple(v.strip() for v in args.over.split(",") if v.strip())
     else:
         over = spec.variables

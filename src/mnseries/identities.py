@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cache
 from math import comb, factorial
 from operator import sub
 
@@ -25,8 +26,9 @@ from .ordering import Box, identity_spec, int_det, unit_vector
 from .series import Series, _coeff, _convolve, det, multiply
 
 
+@cache
 def zspec(n):
-    """The plain iterated Laurent field on z_1..z_n."""
+    """The plain iterated Laurent field on z_1..z_n, built once per n."""
     return identity_spec(tuple(f"z{i}" for i in range(1, n + 1)))
 
 

@@ -14,7 +14,9 @@ which the residue identity asserts are equal whenever the Jacobian number
 j(F) — the determinant of the initial x-exponent rows — is nonzero.  The
 constant-term variant multiplies by the log Jacobian LJ instead of J.  Phi is
 expanded in the twisted field *first*: failure there is exactly the
-composition gate, and aborts before any base-field work.
+composition gate, and aborts before any base-field work.  J, LJ and the
+initial-term data (hence j) depend on the substitution alone: each is
+computed once per substitution and kept in ``F[0]._memo`` beside ``F[1:]``.
 
 Lagrange inversion lives in the degree-graded field (an auxiliary most
 significant variable with twist row x_i -> x_i·aux), where the power-series
@@ -30,8 +32,8 @@ independent of the residue path it serves as an oracle for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
+from functools import cache, reduce, wraps
+from operator import add, is_
 
 from .errors import (
     BadNormalization,
@@ -57,23 +59,38 @@ from .series import Series, det, multiply, multiply_extract
 # ----------------------------------------------------------------------
 # Jacobian machinery
 
-def _substitution(F, xnames):
-    """Check that F holds one series per distinct x-name, all in one field."""
-    F = tuple(F)
-    xnames = tuple(xnames)
-    if not F:
-        raise SpecMismatch("need at least one series to substitute")
-    if len(F) != len(xnames):
-        raise SpecMismatch("need exactly one series per x-variable")
-    for s in F[1:]:
-        F[0]._require_same_spec(s)
-    F[0]._selected_indices(xnames)
-    return F, xnames
+def _per_substitution(compute):
+    """Run ``compute(F, xnames)`` on a checked substitution (one series per
+    distinct x-name, all in one field), once per substitution.
+
+    The result is stored in ``F[0]._memo`` under ``(name, xnames)`` beside
+    ``F[1:]``, and returned again only when the very same series come back in
+    the same order (``is``): equal but distinct series, or a permuted F,
+    recompute.  A refusal is not stored.
+    """
+    name = compute.__name__
+
+    @wraps(compute)
+    def once(F, xnames):
+        F, xnames = tuple(F), tuple(xnames)
+        if not F:
+            raise SpecMismatch("need at least one series to substitute")
+        if len(F) != len(xnames):
+            raise SpecMismatch("need exactly one series per x-variable")
+        for s in F[1:]:
+            F[0]._require_same_spec(s)
+        F[0]._selected_indices(xnames)
+        key, memo = (name, xnames), F[0]._memo
+        if memo is not None and key in memo and all(map(is_, memo[key][0], F[1:])):
+            return memo[key][1]
+        return F[0]._remember(key, (F[1:], compute(F, xnames)))[1]
+
+    return once
 
 
+@_per_substitution
 def jacobian(F, xnames):
     """det(dF_i/dx_j) over series arithmetic."""
-    F, xnames = _substitution(F, xnames)
     return det([[s.derivative(name) for name in xnames] for s in F])
 
 
@@ -82,17 +99,11 @@ def jacobian_number(F, xnames):
     return change_of_variables(F, xnames).jnum
 
 
+@_per_substitution
 def log_jacobian(F, xnames):
     """(x_1···x_n / F_1···F_n) · J(F)."""
-    F, xnames = _substitution(F, xnames)
-    spec = F[0].spec
-    shift = [0] * spec.n
-    for name in xnames:
-        shift[spec.index(name)] += 1
-    product = F[0]
-    for s in F[1:]:
-        product = multiply(product, s)
-    return multiply(jacobian(F, xnames).shift(tuple(shift)), product.invert())
+    shift = tuple(int(name in xnames) for name in F[0].spec.variables)
+    return multiply(jacobian(F, xnames).shift(shift), reduce(multiply, F).invert())
 
 
 # ----------------------------------------------------------------------
@@ -110,8 +121,8 @@ class ChangeOfVariables:
     target: FieldSpec | None      # twisted field; None exactly when jnum == 0
 
 
+@_per_substitution
 def change_of_variables(F, xnames):
-    F, xnames = _substitution(F, xnames)
     base = F[0].spec
     selected = [base.index(name) for name in xnames]
     leading = []
@@ -225,8 +236,13 @@ def graded_spec(names):
 
     The auxiliary phi-coordinate of a pure-x monomial is its total degree, so
     ordering is degree-first and a box interval on it is a degree truncation.
+    Built once per tuple of names.
     """
-    names = tuple(names)
+    return _graded_spec(tuple(names))
+
+
+@cache
+def _graded_spec(names):
     aux = "_deg"
     while aux in names:
         aux += "_"
@@ -335,8 +351,8 @@ def lagrange_coefficient(phi, F, k):
 
     Everything but J(F) is computed in the degree-graded field, whose last
     phi-coordinate is the total degree.  J(F) is the exact polynomial
-    det(dF_i/dx_j) of the caller's F in its own field (so the derivatives of
-    each F_i are computed once over all the coefficients read from it),
+    det(dF_i/dx_j) of the caller's F in its own field (so it is computed
+    once per F over all the coefficients read from it),
     embedded with aux exponent 0.  Phi and J(F) carry a box sized from
     the degrees of F and k with a padding of four degrees.  The wanted
     coefficient sits at degree -n, and every factor lies at or above its

@@ -22,7 +22,8 @@ starts from only when the box holds it).
 A ``Series`` is a value: its fields are never changed after construction.
 So ``invert()`` and ``derivative(name)`` are computed once per object and
 returned again on later calls on that same object (never on an equal one);
-a refusal is not stored and is raised again on every call.
+a refusal is not stored and is raised again on every call.  The residue
+module stores a substitution's Jacobian data in its first series the same way.
 
 Box propagation through products follows the shift-and-intersect rule: each
 factor's box is shifted by the other factor's initial phi-exponent, or — when
@@ -83,7 +84,8 @@ class Series:
 
     An immutable value: ``spec``, ``terms``, ``box`` and ``exact`` are never
     changed after construction, so ``_memo`` (``None`` until first use)
-    holds this object's inverse and derivatives once they are computed.
+    holds this object's inverse (key ``None``), derivatives (a variable's
+    index) and, under tuple keys, the results of substitutions it heads.
     """
 
     __slots__ = ("spec", "terms", "box", "exact", "_memo")
@@ -132,7 +134,8 @@ class Series:
 
     def _remember(self, key, value):
         """Store ``value`` as this object's result for ``key`` and return it:
-        ``None`` for the inverse, a variable's index for its derivative."""
+        ``None`` for the inverse, a variable's index for its derivative, a
+        ``(name, xnames)`` tuple for a substitution's result."""
         if self._memo is None:
             self._memo = {}
         self._memo[key] = value

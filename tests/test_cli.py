@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -285,8 +286,10 @@ def test_slice_outside_the_box_refused(capsys):
 
 
 def test_empty_over_list_refused(capsys):
-    for expr in ("x*y", "x+y"):
-        assert run_cli(capsys, "ct", "--vars", "x,y", "--over", ",", "--expr", expr) == (
+    # an empty string names no variable, as an empty list does
+    for over, command, expr in itertools.product((",", ""), ("ct", "res"), ("x*y", "x+y")):
+        assert run_cli(capsys, command, "--vars", "x,y", "--over", over,
+                       "--expr", expr) == (
             2, "", "error[usage]: name at least one variable to extract over\n")
 
 
@@ -401,7 +404,7 @@ def test_ct_reads_the_last_product_without_forming_it(capsys, monkeypatch):
     assert 0 < sum(pairs) < 1000
 
 
-@pytest.mark.xfail(strict=True, reason="unsound precision box (ROADMAP item 2): "
+@pytest.mark.xfail(strict=True, reason="unsound precision box (ROADMAP item 1): "
                    "the box-pruned inversion drops paths that leave the box "
                    "and come back")
 def test_big_example_at_a_small_box(capsys):

@@ -10,9 +10,11 @@ from mnseries import (
     SpecMismatch,
     UnboundVariable,
     UsageError,
+    ZeroSeries,
     change_of_variables,
     cube,
     expand_text,
+    graded_spec,
     identity_spec,
     jacobian,
     jacobian_number,
@@ -20,6 +22,7 @@ from mnseries import (
     multiply,
     parse,
     residue_verify,
+    zspec,
 )
 
 X = identity_spec(("x",))
@@ -208,7 +211,7 @@ def test_change_of_variables_data():
 # ----------------------------------------------------------------------
 # random instance generators shared with the acceptance suite
 
-def random_cov_instance(rng, max_vars=3):
+def random_cov_instance(rng, max_vars=3, box_radius=8):
     """Laurent polynomial F with nonzero Jacobian number, as the lemmas need."""
     n = rng.randint(1, max_vars)
     spec = identity_spec(tuple(f"x{i}" for i in range(1, n + 1)))
@@ -227,7 +230,7 @@ def random_cov_instance(rng, max_vars=3):
             if any(bump):
                 exponent = tuple(a + b for a, b in zip(rows[i], bump))
                 terms.setdefault(exponent, rng.randint(-3, 3))
-        F.append(Series(spec, terms, box=cube(spec.n, 8)))
+        F.append(Series(spec, terms, box=cube(spec.n, box_radius)))
     return spec, F, rows
 
 
@@ -339,3 +342,73 @@ def test_extra_ct_lemma():
             assert lhs.coefficient(exponent) == value
         for exponent in lhs.terms:
             assert expected.get(exponent, 0) == lhs.terms[exponent]
+
+
+# ----------------------------------------------------------------------
+# a substitution's Jacobian, log Jacobian and initial-term data, once
+
+def _copies(F):
+    return [Series(s.spec, s.terms, box=s.box, exact=s.exact) for s in F]
+
+
+def _cov_data(cov):
+    return (cov.leading_exponents, cov.jnum, cov.target)
+
+
+def test_a_substitution_is_computed_once():
+    spec = identity_spec(("x1", "x2"))
+    names = ["x1", "x2"]
+    F = [Series(spec, {(-1, 2): 1, (1, 3): 3}, box=cube(2, 8)),
+         Series(spec, {(-2, 0): 1, (-2, 1): -3, (-1, 1): 1}, box=cube(2, 8))]
+    for compute in (jacobian, log_jacobian, change_of_variables):
+        first = compute(F, names)
+        assert compute(tuple(F), tuple(names)) is first, compute.__name__
+        again = compute(_copies(F), names)
+        assert again is not first and again == first, compute.__name__
+    J = jacobian(F, names)
+    # a permuted F or permuted names is another substitution: J changes sign
+    for swapped in (jacobian(F[::-1], names), jacobian(F, names[::-1])):
+        assert swapped is not J and swapped == -J
+    assert jacobian(F, names) is J and jacobian_number(F[::-1], names) == -4
+    assert jacobian_number(F, names) == 4
+    # so is one whose first series is the same object but not the rest
+    assert jacobian([F[0], F[1].scale(2)], names) == J.scale(2)
+
+
+def test_a_refused_substitution_is_refused_again():
+    spec = identity_spec(("x1", "x2"))
+    names = ["x1", "x2"]
+    F = [Series.zero(spec), Series.variable(spec, "x2")]
+    for _ in range(2):
+        with pytest.raises(ZeroSeries):
+            change_of_variables(F, names)
+        with pytest.raises(ZeroSeries):
+            jacobian_number(F, names)
+    assert jacobian(F, names) is jacobian(F, names)
+
+
+def test_stored_substitution_results_equal_a_recomputation():
+    # criterion 9's instances (its seed and box): after both forms of the
+    # identity have run on F, each stored result reads as a recomputation on
+    # new objects does
+    rng = random.Random(777)
+    for _ in range(50):
+        spec, F, _ = random_cov_instance(rng, box_radius=12)
+        names = list(spec.variables)
+        phi = parse("*".join(f"{v}^{rng.randint(-1, 1)}" for v in names))
+        fresh = _copies(F)
+        verdicts = {}
+        for G in (F, F, fresh):
+            for form in ("res", "ct"):
+                verdicts.setdefault(form, []).append(
+                    residue_verify(phi, G, names, form=form).to_json())
+        assert all(v[0] == v[1] == v[2] for v in verdicts.values())
+        assert jacobian(F, names).to_json() == jacobian(fresh, names).to_json()
+        assert log_jacobian(F, names).to_json() == log_jacobian(fresh, names).to_json()
+        assert _cov_data(change_of_variables(F, names)) == \
+            _cov_data(change_of_variables(fresh, names))
+
+
+def test_field_specs_are_built_once():
+    assert zspec(3) is zspec(3)
+    assert graded_spec(["a", "b"]) is graded_spec(("a", "b"))

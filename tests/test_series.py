@@ -371,7 +371,7 @@ def test_invert_refuses_a_step_that_wraps_in_the_packed_key():
 def test_invert_starts_from_the_origin_outside_the_box():
     # The recurrence starts at tau's origin even though the box [3, 10] does
     # not contain it, exactly as the power sum does.  Making the box sound
-    # (ROADMAP item 2) may change this value on purpose.
+    # (ROADMAP item 1) may change this value on purpose.
     inv = Series(X, {(5,): 1, (8,): 1}, box=Box(((3, 10),)), exact=False).invert()
     assert inv.terms == {(-2,): -1, (1,): 1, (4,): -1}
     assert inv.box == Box(((-2, 5),))
@@ -460,8 +460,9 @@ def test_lemma_checks_reuse_each_inverse(recurrence_runs):
     # One criterion-9 instance through the lemma checks: Res J, Res J·F^e,
     # Res J/ΠF, CT LJ and both forms of the residue identity.  The recurrence
     # runs once for F_1^-2 (the binomial power sum), once per F_i (Res J/ΠF,
-    # reused by the substitution x_i^-1 of the Res form) and once per log
-    # Jacobian's F_1·F_2: 5 runs, where recomputing every inverse takes 7.
+    # reused by the substitution x_i^-1 of the Res form) and once for the
+    # inverse of F_1·F_2 in the log Jacobian, which CT LJ and the CT form
+    # share: 4 runs, where recomputing every inverse takes 7.
     runs = recurrence_runs
     spec = identity_spec(("x1", "x2"))
     names = list(spec.variables)
@@ -483,7 +484,7 @@ def test_lemma_checks_reuse_each_inverse(recurrence_runs):
         v_res = residue_verify(parse("x1^-1*x2^-1"), F, names, form="res")
         v_ct = residue_verify(parse("1"), F, names, form="ct")
         assert v_res.equal and v_ct.equal and v_res.lhs == v_ct.lhs
-        assert len(runs) == 5
+        assert len(runs) == 4
 
 
 def _assert_holds_the_constructor_invariant(r):
