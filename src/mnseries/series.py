@@ -30,9 +30,14 @@ factor's box is shifted by the other factor's initial phi-exponent, or — when
 the other factor is exact, hence has fully known finite support — by every
 exponent of that support, and everything is intersected (``_product_box``).
 ``multiply_extract`` reads a CT/Res slice of a product on that box without
-forming the product.  One body, ``Series._reciprocal_power``, makes every
-inverse and every negative power of a series with two or more terms: it
-writes the series as c·x^m·(1 - tau) and returns c^(-p)·x^(-p·m)·(1 - tau)^(-p).
+forming the product.  ``_convolve`` prunes a product's pairs to the box by
+comparing phi tuples, or, from ``PACKED_PAIRS`` pairs on, by two guard-bit
+mask tests on packed phi keys (Monagan and Pearce's packed exponent
+vectors); packing is paid once per call, so only big calls take it.
+
+One body, ``Series._reciprocal_power``, makes every inverse and every
+negative power of a series with two or more terms: it writes the series as
+c·x^m·(1 - tau) and returns c^(-p)·x^(-p·m)·(1 - tau)^(-p).
 Its kernel, ``_invert_recurrence``, takes tau's steps and keys and solves
 g = 1 + prune(tau·g) one coefficient at a time, in increasing term order, on
 packed integer keys.  p ≥ 2 and stream composition (exp, log) run it on tau
@@ -91,6 +96,8 @@ class Series:
     __slots__ = ("spec", "terms", "box", "exact", "_memo")
 
     def __init__(self, spec, terms, box=None, exact=True):
+        if type(exact) is not bool:
+            raise UsageError(f"expected true or false for exact, got {exact!r}")
         if box is None:
             box = spec.default_box()
         if len(box) != spec.n:
@@ -267,7 +274,7 @@ class Series:
         A monomial and n = -1 take ``invert() ** -n``, which keeps a
         monomial's bookkeeping box.
         """
-        if not isinstance(n, int):
+        if type(n) is not int:
             raise UsageError("series powers must be integers")
         if n < -1 and len(self.terms) > 1:
             return self._reciprocal_power(-n)
@@ -550,8 +557,6 @@ class Series:
                 ints(item["exp"]): read_rational(item["coeff"]) for item in data["terms"]
             }
             exact = data["exact"]
-            if type(exact) is not bool:
-                raise UsageError(f"expected true or false for exact, got {exact!r}")
         except KeyError as exc:
             raise UsageError(f"series document lacks the key {exc}") from None
         except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -582,11 +587,25 @@ def _int_normal(terms):
     return den, {e: v.numerator * (den // v.denominator) for e, v in terms.items()}
 
 
+# A pruned product of at least this many pairs runs on packed phi keys: at
+# the measured crossover, below it packing costs more than the pairs save.
+PACKED_PAIRS = 64
+
+
 def _convolve(spec, aterms, bterms, keep):
     """Raw convolution of sparse term dicts, pruned to ``keep`` if given.
 
     The pair loop runs on integers (common denominators pulled out first);
     rational normalization happens once per output term, not once per pair.
+    A pruned call has two loops.  Below ``PACKED_PAIRS`` pairs it compares
+    phi tuples with the box, scanning for each term of the smaller operand
+    the band of the other, sorted by its last phi-coordinate.  From
+    ``PACKED_PAIRS`` on, ``_packed_keep`` packs each term's phi into one int
+    of guard-bit fields, framed by the operands' phi ranges, and keeps a pair
+    by two mask tests on the sum of its keys.  Packing costs a fixed few
+    tens of microseconds a call, which small calls (most of a Dyson pass)
+    do not repay and big ones (the lemma suite's determinants) repay
+    threefold.
     """
     int_add = _int_add
     if not aterms or not bterms:
@@ -603,6 +622,8 @@ def _convolve(spec, aterms, bterms, keep):
             for kb, vb in bitems:
                 key = tuple(map(int_add, ka, kb))
                 out[key] = get(key, 0) + va * vb
+    elif len(aterms) * len(bterms) >= PACKED_PAIRS:
+        out = _packed_keep(spec.twist, aterms, bterms, keep.bounds)
     else:
         bounds = keep.bounds
         # sort by the most significant phi-coordinate so each outer term only
@@ -632,6 +653,77 @@ def _convolve(spec, aterms, bterms, keep):
     if scale == 1:
         return {k: v for k, v in out.items() if v != 0}
     return {k: _coeff(Fraction(v, scale)) for k, v in out.items() if v != 0}
+
+
+def _packed_keep(twist, aterms, bterms, bounds):
+    """The pairs of two integer term dicts whose phi-sum lies in ``bounds``,
+    summed by exponent, zeros kept: ``_convolve``'s loop for big calls.
+
+    Frame: over each operand, phi_j lies in the range its per-variable
+    exponent ranges give through the twist (exact on the identity twist).
+    Less both operands' lower ends, a pair's phi_j is an s_j in [0, span_j],
+    and the box asks L_j <= s_j <= H_j, clipped to that range (an empty clip
+    keeps nothing).  Field j holds B_j value bits, 2^B_j > span_j, under one
+    guard bit, the last phi-coordinate on top; a term is packed by one dot
+    product with the twist rows packed once.  The a-side carries the bias
+    2^B_j - 1 - H_j, so a sum's guard bits are all clear iff every s_j <= H_j;
+    with 2^B_j - L_j in its place they are all set iff every s_j >= L_j.  No
+    field leaves its B_j + 1 bits, so no carry crosses fields and the test is
+    exact for any box, twist and sign.  The b-side is sorted by packed key,
+    so each a-term scans the band its top field allows.  Equal packed sums
+    are equal exponents; each exponent tuple is built once per key.
+    """
+    # each twist column split into its positive and negative entries
+    columns = [([max(t, 0) for t in column], [min(t, 0) for t in column])
+               for column in zip(*twist)]
+
+    def frame(terms):
+        exponents = list(zip(*terms))
+        lows, highs = list(map(min, exponents)), list(map(max, exponents))
+        return [(sum(map(mul, up, lows)) + sum(map(mul, down, highs)),
+                 sum(map(mul, up, highs)) + sum(map(mul, down, lows)))
+                for up, down in columns]
+
+    weights = []
+    abase = bbase = upper = lower = guard = shift = 0
+    for (lo, hi), (alo, ahi), (blo, bhi) in zip(bounds, frame(aterms), frame(bterms)):
+        span = ahi - alo + bhi - blo
+        low, high = max(lo - alo - blo, 0), min(hi - alo - blo, span)
+        if low > high:
+            return {}
+        bits = span.bit_length()
+        weight = 1 << shift
+        weights.append(weight)
+        abase += alo * weight
+        bbase += blo * weight
+        upper += ((1 << bits) - 1 - high) * weight
+        lower += ((1 << bits) - low) * weight
+        guard |= 1 << (shift + bits)
+        shift += bits + 1
+    rows = [sum(map(mul, row, weights)) for row in twist]
+    bpacked = sorted(((sum(map(mul, kb, rows)) - bbase, kb, vb)
+                      for kb, vb in bterms.items()), key=itemgetter(0))
+    bkeys = [item[0] for item in bpacked]
+    top = weights[-1]
+    first, stop = low * top, (high + 1) * top   # low, high: the top field's
+    lift = lower - upper
+    out = {}
+    get = out.get
+    for ka, va in aterms.items():
+        pa = sum(map(mul, ka, rows)) - abase
+        base = pa - pa % top
+        ua = pa + upper
+        for pb, kb, vb in bpacked[bisect_left(bkeys, first - base):
+                                  bisect_left(bkeys, stop - base)]:
+            key = ua + pb
+            if key & guard or (key + lift) & guard != guard:
+                continue
+            entry = get(key)
+            if entry is None:
+                out[key] = [va * vb, ka, kb]
+            else:
+                entry[0] += va * vb
+    return {tuple(map(_int_add, ka, kb)): v for v, ka, kb in out.values()}
 
 
 def det(matrix):

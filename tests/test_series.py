@@ -33,7 +33,7 @@ from mnseries import (
     residue_verify,
     series,
 )
-from mnseries.series import _coeff, _convolve, _vec_sub, multiply_extract
+from mnseries.series import _coeff, _convolve, _vec_add, _vec_sub, multiply_extract
 
 X = identity_spec(("x",))
 XY = FieldSpec(("x", "y"), ((2, 1), (1, 2)))
@@ -111,6 +111,58 @@ def test_mul_distributes():
         assert multiply(a, b + c).equals_on(multiply(a, b) + multiply(a, c))
 
 
+def test_pruned_products_equal_the_filtered_full_product():
+    # the keep branch (tuple loop below PACKED_PAIRS, guard-bit loop from it
+    # on) against the unpruned product filtered by the box
+    rng = random.Random(6174)
+    seen = Counter()
+    far = 10 ** 8                       # beyond any phi-sum drawn here
+
+    def operand(n, size):
+        centre = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
+        spread = rng.choice((1, 3, 10 ** 6))
+        terms = {}
+        for _ in range(size):
+            e = tuple(max(-10 ** 6, min(10 ** 6, c + rng.randint(-spread, spread)))
+                      for c in centre)
+            terms[e] = _coeff(rng.choice((rng.choice((-2, -1, 1, 3)),
+                                          Fraction(rng.choice((-3, -1, 1, 2)),
+                                                   rng.randint(1, 4)))))
+        return terms
+
+    for _ in range(2000):
+        names = ("a", "b", "c", "d", "e")[: rng.randint(1, 5)]
+        if rng.random() < 0.5:
+            spec = identity_spec(names)
+        else:
+            while True:
+                rows = tuple(tuple(rng.randint(-1, 3) for _ in names) for _ in names)
+                try:
+                    spec = FieldSpec(names, rows)
+                    break
+                except SingularTwist:
+                    continue
+        a = operand(spec.n, rng.randint(1, 12))
+        b = operand(spec.n, rng.randint(1, 30))
+        centre = spec.phi(_vec_add(rng.choice(list(a)), rng.choice(list(b))))
+        radii = (0, 1, 3, 10, 10 ** 6, 10 ** 7)
+        bounds = [(c - rng.choice(radii), c + rng.choice(radii)) for c in centre]
+        if rng.random() < 0.15:
+            j = rng.randrange(spec.n)
+            bounds[j] = (far, far + 10) if rng.random() < 0.5 else (-far - 10, -far)
+        keep = Box(tuple(bounds))
+        got = _convolve(spec, a, b, keep)
+        want = {e: v for e, v in _convolve(spec, a, b, None).items()
+                if keep.contains(spec.phi(e))}
+        assert got == want
+        assert {e: type(v) for e, v in got.items()} == {e: type(v) for e, v in want.items()}
+        side = "packed" if len(a) * len(b) >= series.PACKED_PAIRS else "tuples"
+        seen[side, "kept some" if got else "kept nothing"] += 1
+        seen[side, "identity" if spec.is_identity_twist() else "twisted"] += 1
+        seen[side, "a fraction" if Fraction in map(type, got.values()) else "ints"] += 1
+    assert len(seen) == 12 and min(seen.values()) >= 100, seen
+
+
 def test_power_starts_from_its_base(monkeypatch):
     calls = []
     monkeypatch.setattr(series, "multiply", lambda a, b: calls.append(1) or multiply(a, b))
@@ -125,6 +177,14 @@ def test_power_starts_from_its_base(monkeypatch):
             chain = multiply(chain, s)
         assert power == chain
         assert s ** 1 == s and s ** 0 == Series.constant(XY, 1, box=s.box)
+
+
+@pytest.mark.parametrize("n", [True, False])
+def test_bool_powers_refused(n):
+    # a bool is an int to isinstance, but not a series exponent
+    s = Series(XY, {(1, 0): 1, (0, 1): -2})
+    with pytest.raises(UsageError, match="series powers must be integers"):
+        s ** n
 
 
 def _outcome(compute):
@@ -926,6 +986,21 @@ def test_json_round_trip_past_the_str_digit_limit():
     again = Series.from_json(json.loads(blob))
     assert again == s
     assert json.dumps(again.to_json()) == blob
+
+
+@pytest.mark.parametrize("exact", ["no", 1])
+def test_exact_must_be_a_bool(exact):
+    # stored as given, either one made to_json write a document that
+    # from_json refuses
+    with pytest.raises(UsageError, match=f"expected true or false for exact, got {exact!r}"):
+        Series(X, {(0,): 1, (1,): 2}, exact=exact)
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_json_round_trip_keeps_exact(exact):
+    s = Series(X, {(0,): 1, (1,): 2}, box=cube(1, 4), exact=exact)
+    again = Series.from_json(json.loads(json.dumps(s.to_json())))
+    assert again == s and again.exact is exact
 
 
 def _series_document(**changes):
