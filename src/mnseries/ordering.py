@@ -60,6 +60,8 @@ class Box:
 
     def __post_init__(self):
         for lo, hi in self.bounds:
+            if type(lo) is not int or type(hi) is not int:
+                raise UsageError(f"box bounds must be integers, got [{lo}, {hi}]")
             if lo > hi:
                 raise UsageError(f"empty box interval [{lo}, {hi}]")
 

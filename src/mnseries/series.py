@@ -10,7 +10,7 @@ the box is only carried along for bookkeeping.
 Coefficients are ``fractions.Fraction`` values, with plain ``int`` allowed to
 flow through as a fast path; both prune to nothing when they equal zero.
 
-``Series(...)`` validates what it is given: exponent lengths, coefficient
+``Series(...)`` validates its input: exponent lengths and entries, coefficient
 types, zeros and, on a truncated series, that every term lies in the box.
 The results of ``multiply`` and ``invert`` skip that pass
 (``Series._trusted``), because they hold by construction: the operands were
@@ -30,20 +30,20 @@ factor's box is shifted by the other factor's initial phi-exponent, or — when
 the other factor is exact, hence has fully known finite support — by every
 exponent of that support, and everything is intersected (``_product_box``).
 ``multiply_extract`` reads a CT/Res slice of a product on that box without
-forming the product.  ``_convolve`` prunes a product's pairs to the box by
-comparing phi tuples, or, from ``PACKED_PAIRS`` pairs on, by two guard-bit
-mask tests on packed phi keys (Monagan and Pearce's packed exponent
-vectors); packing is paid once per call, so only big calls take it.
+forming the product.  Both pruned kernels, ``_packed_keep`` (``_convolve``
+from ``PACKED_PAIRS`` pairs on) and the inversion recurrence, pack phi into
+one int of guard-bit fields, ``_packed_layout`` (Monagan and Pearce's
+packed exponent vectors), and keep a sum in the box by two mask tests.
 
 One body, ``Series._reciprocal_power``, makes every inverse and every
 negative power of a series with two or more terms: it writes the series as
 c·x^m·(1 - tau) and returns c^(-p)·x^(-p·m)·(1 - tau)^(-p).
-Its kernel, ``_invert_recurrence``, takes tau's steps and keys and solves
-g = 1 + prune(tau·g) one coefficient at a time, in increasing term order, on
-packed integer keys.  p ≥ 2 and stream composition (exp, log) run it on tau
-lifted by a path-length coordinate, so each box-pruned power gets its own
-coefficient.  The recurrence terminates because only finitely many sums of
-elements from a finite revlex-positive set can stay inside a fixed box.
+Its kernel, ``_invert_recurrence``, solves g = 1 + prune(tau·g) one
+coefficient at a time, in increasing term order.  p ≥ 2 and stream
+composition (exp, log) run it on tau lifted by a path-length coordinate, so
+each box-pruned power gets its own coefficient.  The recurrence terminates
+because only finitely many sums of elements from a finite revlex-positive
+set can stay inside a fixed box.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from heapq import heappop, heappush
+from itertools import chain
 from math import comb, factorial, lcm, prod
 from operator import add as _int_add, itemgetter, mul, sub
 
@@ -74,6 +75,18 @@ def _coeff(value):
     if isinstance(value, Fraction):
         return int(value) if value.denominator == 1 else value
     raise UsageError(f"coefficient {value!r} is not an exact rational")
+
+
+def _exponents(exponents, n):
+    """``exponents`` as a list of tuples of ``n`` ints (a bool is not one)."""
+    exponents = [tuple(e) for e in exponents]
+    for e in exponents:
+        if len(e) != n:
+            raise SpecMismatch(f"exponent {e} does not fit a {n}-variable field")
+    # one pass over all entries: a check per exponent made Series(...) 1.6x slower
+    if not {int}.issuperset(map(type, chain.from_iterable(exponents))):
+        raise UsageError("exponent entries must be integers")
+    return exponents
 
 
 def _vec_add(a, b):
@@ -103,12 +116,7 @@ class Series:
         if len(box) != spec.n:
             raise SpecMismatch("box dimension does not match the field")
         clean = {}
-        for exponent, value in terms.items():
-            exponent = tuple(exponent)
-            if len(exponent) != spec.n:
-                raise SpecMismatch(
-                    f"exponent {exponent} does not fit a {spec.n}-variable field"
-                )
+        for exponent, value in zip(_exponents(terms, spec.n), terms.values()):
             value = _coeff(value)
             if value == 0:
                 continue
@@ -183,24 +191,15 @@ class Series:
         best = min(self.terms, key=self.spec.key)
         return best, self.terms[best]
 
-    def _fit(self, exponent):
-        """``exponent`` as a tuple; SpecMismatch unless it fits the field."""
-        exponent = tuple(exponent)
-        if len(exponent) != self.spec.n:
-            raise SpecMismatch(
-                f"exponent {exponent} does not fit a {self.spec.n}-variable field"
-            )
-        return exponent
-
     def coefficient(self, exponent):
         """Coefficient at an exponent; OutOfPrecision outside the guarantee."""
-        exponent = self._fit(exponent)
+        [exponent] = _exponents([exponent], self.spec.n)
         if not self.exact and not self.box.contains(self.spec.phi(exponent)):
             raise OutOfPrecision(f"exponent {exponent} is outside the guaranteed box")
         return self.terms.get(exponent, 0)
 
     def guarantees(self, exponent):
-        exponent = self._fit(exponent)
+        [exponent] = _exponents([exponent], self.spec.n)
         return self.exact or self.box.contains(self.spec.phi(exponent))
 
     # ------------------------------------------------------------------
@@ -296,7 +295,10 @@ class Series:
     def __truediv__(self, other):
         if isinstance(other, Series):
             return self * other.invert()
-        return self.scale(1 / Fraction(_coeff(other)))
+        other = _coeff(other)
+        if other == 0:
+            raise ZeroDivisor("cannot divide by zero")
+        return self.scale(1 / Fraction(other))
 
     def __rtruediv__(self, other):
         return self.invert().scale(other)
@@ -315,7 +317,7 @@ class Series:
         """self^(-p), p ≥ 1: c^(-p)·x^(-p·m)·(1 - tau)^(-p) for self =
         c·x^m·(1 - tau) with ord(tau) positive.
 
-        Each term is keyed once; tau's steps are e - m, keyed key(e) - key(m).
+        Each term is keyed once, to find m; tau's steps are e - m.
         p = 1 runs the recurrence g = 1 + prune(tau·g) with x^(-m) and c⁻¹
         folded into its normalization; p ≥ 2 is one ``compose_stream`` call
         on tau with the binomial weights C(j+p-1, p-1).  The walk stays in
@@ -337,8 +339,7 @@ class Series:
             return Series(spec, {shift: lead}, box=box, exact=self.exact)
         tau = {_vec_sub(e, m): _coeff(-v / c) for e, v in self.terms.items() if e != m}
         if p == 1:
-            steps = {_vec_sub(e, m): _vec_sub(k, keys[m]) for e, k in keys.items() if e != m}
-            total = _invert_recurrence(tau, steps, self.box, shift, lead)
+            total = _invert_recurrence(tau, spec.twist, self.box, shift, lead)
             return Series._trusted(spec, total, box, False)
         # the recurrence's steps, not a series known on the box:
         # compose_stream reads only terms and box
@@ -357,17 +358,15 @@ class Series:
         a path of n steps ends at (e, n), so the powers stay apart.
         """
         spec = self.spec
-        keys = {e: spec.key(e) for e in self.terms}
-        m = min(keys, key=keys.get, default=None)
-        if m is not None and keys[m] <= (0,) * spec.n:
+        key, m = min(((spec.key(e), e) for e in self.terms), default=(None, None))
+        if m is not None and key <= (0,) * spec.n:
             raise NonpositiveOrder(
-                f"composition needs positive order, initial exponent is {m}"
-            )
+                f"composition needs positive order, initial exponent is {m}")
         # a positive step rises in term order, so a path visits no box point
         # twice: its length is at most the number of points in the box
         length = prod(hi - lo + 1 for lo, hi in self.box.bounds)
-        paths = _invert_recurrence({e + (1,): v for e, v in self.terms.items()},
-                                   {e + (1,): (1,) + k for e, k in keys.items()},
+        lifted = [(*row, 0) for row in spec.twist] + [(0,) * spec.n + (1,)]
+        paths = _invert_recurrence({e + (1,): v for e, v in self.terms.items()}, lifted,
                                    Box(self.box.bounds + ((0, length),)),
                                    (0,) * (spec.n + 1), 1)
         weights = [_coeff(coefficients(n))
@@ -600,9 +599,7 @@ def _convolve(spec, aterms, bterms, keep):
     A pruned call has two loops.  Below ``PACKED_PAIRS`` pairs it compares
     phi tuples with the box, scanning for each term of the smaller operand
     the band of the other, sorted by its last phi-coordinate.  From
-    ``PACKED_PAIRS`` on, ``_packed_keep`` packs each term's phi into one int
-    of guard-bit fields, framed by the operands' phi ranges, and keeps a pair
-    by two mask tests on the sum of its keys.  Packing costs a fixed few
+    ``PACKED_PAIRS`` on it runs ``_packed_keep``.  Packing costs a fixed few
     tens of microseconds a call, which small calls (most of a Dyson pass)
     do not repay and big ones (the lemma suite's determinants) repay
     threefold.
@@ -655,42 +652,45 @@ def _convolve(spec, aterms, bterms, keep):
     return {k: _coeff(Fraction(v, scale)) for k, v in out.items() if v != 0}
 
 
-def _packed_keep(twist, aterms, bterms, bounds):
-    """The pairs of two integer term dicts whose phi-sum lies in ``bounds``,
-    summed by exponent, zeros kept: ``_convolve``'s loop for big calls.
+def _phi_frame(twist, terms):
+    """Per phi-coordinate, the least and greatest phi that ``terms``'
+    exponent ranges allow through ``twist``."""
+    exponents = list(zip(*terms))
+    los, his = [0] * len(twist), [0] * len(twist)
+    for lo, hi, row in zip(map(min, exponents), map(max, exponents), twist):
+        for j, t in enumerate(row):
+            if t:
+                los[j] += min(t * lo, t * hi)
+                his[j] += max(t * lo, t * hi)
+    return list(zip(los, his))
 
-    Frame: over each operand, phi_j lies in the range its per-variable
-    exponent ranges give through the twist (exact on the identity twist).
-    Less both operands' lower ends, a pair's phi_j is an s_j in [0, span_j],
-    and the box asks L_j <= s_j <= H_j, clipped to that range (an empty clip
-    keeps nothing).  Field j holds B_j value bits, 2^B_j > span_j, under one
-    guard bit, the last phi-coordinate on top; a term is packed by one dot
-    product with the twist rows packed once.  The a-side carries the bias
-    2^B_j - 1 - H_j, so a sum's guard bits are all clear iff every s_j <= H_j;
-    with 2^B_j - L_j in its place they are all set iff every s_j >= L_j.  No
-    field leaves its B_j + 1 bits, so no carry crosses fields and the test is
-    exact for any box, twist and sign.  The b-side is sorted by packed key,
-    so each a-term scans the band its top field allows.  Equal packed sums
-    are equal exponents; each exponent tuple is built once per key.
+
+def _packed_layout(twist, aframe, bterms, bounds):
+    """The packed-key layout of both pruned kernels, for sums of an a-side
+    within ``aframe`` (per phi-coordinate) and a term of the integer dict
+    ``bterms``, tested against the box ``bounds``: ``(rows, abase, bbase,
+    upper, lift, guard, (top, first, stop), bpacked, bkeys)``.
+
+    Less both sides' lower ends, a sum's phi_j is an s_j in [0, span_j], and
+    the box asks L_j <= s_j <= H_j (if no s_j can, the b-side is left
+    empty).  Field j holds B_j value bits, 2^B_j > span_j, under one guard
+    bit, the last phi-coordinate on top; e packs to e·rows.  An a-side key
+    (e·rows - abase) plus ``upper`` (2^B_j - 1 - H_j per field) plus a
+    b-side key has all guard bits clear iff every s_j <= H_j; plus ``lift``
+    (to 2^B_j - L_j), all set iff every s_j >= L_j.  No carry crosses
+    fields, so the test is exact for any box, twist and sign.  ``bpacked``
+    is (e·rows - bbase, e, value) per b-term, sorted by key: an a-side key
+    ``pa`` meets only the ``bkeys`` in [first - base, stop - base), base =
+    pa - pa % top, that its top field allows.
     """
-    # each twist column split into its positive and negative entries
-    columns = [([max(t, 0) for t in column], [min(t, 0) for t in column])
-               for column in zip(*twist)]
-
-    def frame(terms):
-        exponents = list(zip(*terms))
-        lows, highs = list(map(min, exponents)), list(map(max, exponents))
-        return [(sum(map(mul, up, lows)) + sum(map(mul, down, highs)),
-                 sum(map(mul, up, highs)) + sum(map(mul, down, lows)))
-                for up, down in columns]
-
     weights = []
     abase = bbase = upper = lower = guard = shift = 0
-    for (lo, hi), (alo, ahi), (blo, bhi) in zip(bounds, frame(aterms), frame(bterms)):
+    bframe = _phi_frame(twist, bterms)
+    for (lo, hi), (alo, ahi), (blo, bhi) in zip(bounds, aframe, bframe):
         span = ahi - alo + bhi - blo
         low, high = max(lo - alo - blo, 0), min(hi - alo - blo, span)
         if low > high:
-            return {}
+            bterms = {}         # no sum can be kept
         bits = span.bit_length()
         weight = 1 << shift
         weights.append(weight)
@@ -703,10 +703,19 @@ def _packed_keep(twist, aterms, bterms, bounds):
     rows = [sum(map(mul, row, weights)) for row in twist]
     bpacked = sorted(((sum(map(mul, kb, rows)) - bbase, kb, vb)
                       for kb, vb in bterms.items()), key=itemgetter(0))
-    bkeys = [item[0] for item in bpacked]
     top = weights[-1]
-    first, stop = low * top, (high + 1) * top   # low, high: the top field's
-    lift = lower - upper
+    return (rows, abase, bbase, upper, lower - upper, guard,
+            (top, low * top, (high + 1) * top),   # low, high: the top field's
+            bpacked, [item[0] for item in bpacked])
+
+
+def _packed_keep(twist, aterms, bterms, bounds):
+    """The pairs of two integer term dicts whose phi-sum lies in ``bounds``,
+    summed by exponent, zeros kept: ``_convolve``'s loop for big calls, on
+    ``_packed_layout`` with the a-terms' ``_phi_frame``.  Equal packed sums
+    are equal exponents, so each exponent tuple is built once per key."""
+    rows, abase, _, upper, lift, guard, (top, first, stop), bpacked, bkeys = _packed_layout(
+        twist, _phi_frame(twist, aterms), bterms, bounds)
     out = {}
     get = out.get
     for ka, va in aterms.items():
@@ -807,58 +816,47 @@ def multiply_extract(a, b, names, want):
 # ----------------------------------------------------------------------
 # inversion and composition
 
-def _invert_recurrence(tau, keys, box, start, scale):
+def _invert_recurrence(tau, twist, box, start, scale):
     """Terms of scale·x^start·g, g = 1/(1 - tau) = 1 + prune(tau·g).
 
-    ``tau`` maps each step, an exponent positive in term order, to its
-    coefficient, and ``keys`` maps it to its ``FieldSpec.key``.  This is the
-    engine's one box-pruned power sum (every coefficient 1;
-    ``Series.compose_stream`` weights each power): ``g_e`` sums the
-    coefficient products of the tau paths to ``e`` whose every nonempty
-    prefix sum lies in ``box``.  A heap pops exponents in term order, each
-    after its predecessors, from the origin (stored only if ``box`` holds
-    it) on, and pushes each nonzero ``g_e`` along every step that stays in
-    ``box``.  Carried exponents start at ``start``, and ``scale`` joins the
-    one normalization of each popped coefficient, an integer numerator over
-    ``den ** level`` (``den``: tau's common denominator).
+    ``tau`` maps each step, an exponent positive in term order through
+    ``twist``, to its coefficient.  This is the engine's one box-pruned power
+    sum (every coefficient 1; ``Series.compose_stream`` weights each power):
+    ``g_e`` sums the coefficient products of the tau paths to ``e`` whose
+    every nonempty prefix sum lies in ``box``.  A heap pops exponents in term
+    order, each after its predecessors, from the origin (stored only if
+    ``box`` holds it) on, and pushes each nonzero ``g_e`` along every step
+    that stays in ``box``.  Carried exponents start at ``start``, and
+    ``scale`` joins the one normalization of each popped coefficient, an
+    integer numerator over ``den ** level`` (``den``: tau's common
+    denominator).
 
-    Keys are packed into ints sum_j (k_j - lo_j)·W_j, W_j the product of the
-    less significant box widths: in the box, int order is term order and a
-    step adds its packed key.  A packed sum can wrap into the next field, so
-    each popped term ANDs per-coordinate bitsets (filled lazily, per digit)
-    of the steps that keep that coordinate inside, and takes the step list
-    cached per bitset: a candidate costs one int add and one dict lookup.
+    Keys are ``_packed_layout``'s, with tau's steps as the b-side and the
+    a-side framed by the box joined with the origin, where every walked
+    exponent lies, so int order is term order.  Each popped term keeps a
+    step of its band by ``_packed_keep``'s two mask tests.
     """
     den, tau = _int_normal(tau)
-    bounds = box.bounds[::-1]
-    widths = [hi - lo + 1 for lo, hi in bounds]
-    weights = [prod(widths[j + 1:]) for j in range(len(widths))]
-    moves = [keys[e] for e in tau]
-    steps = [(sum(map(mul, k, weights)), e, v) for k, (e, v) in zip(moves, tau.items())]
-    columns = list(zip(*moves))
-    tables = [{} for _ in bounds]   # per coordinate: digit -> bitset of steps
-    chosen = {}                     # bitset -> its steps
+    total = {start: scale} if box.contains((0,) * len(box)) else {}
+    _, abase, bbase, upper, lift, guard, (top, first, stop), steps, keys = _packed_layout(
+        twist, [(min(lo, 0), max(hi, 0)) for lo, hi in box.bounds], tau, box.bounds)
+    # a term is keyed by the tested sum that reached it, which is its a-side
+    # key less ``back`` (the origin's a-side key is -abase)
+    back = bbase - upper
     pending = {}                    # packed key -> [exponent, numerator, level]
     heap = []
-    exponent, value, level = start, 1, 0
-    total = {start: scale} if box.contains((0,) * len(box)) else {}
+    key, exponent, value, level = -abase - back, start, 1, 0
     num, dnm = scale.numerator, scale.denominator
-    digits = [-lo for lo, _ in bounds]
-    key = sum(map(mul, digits, weights))
     while True:
-        mask = -1
-        for table, column, width, d in zip(tables, columns, widths, digits):
-            bits = table.get(d)
-            if bits is None:
-                bits = table[d] = sum(1 << i for i, a in enumerate(column)
-                                      if 0 <= d + a < width)
-            mask &= bits
-        admissible = chosen.get(mask)
-        if admissible is None:
-            admissible = chosen[mask] = [s for i, s in enumerate(steps) if mask >> i & 1]
+        pa = key + back
+        base = pa - pa % top
+        ua = key + bbase
         up = level + 1
-        for step_key, step, step_value in admissible:
-            nxt = key + step_key
+        for step_key, step, step_value in steps[bisect_left(keys, first - base):
+                                                bisect_left(keys, stop - base)]:
+            nxt = ua + step_key
+            if nxt & guard or (nxt + lift) & guard != guard:
+                continue
             entry = pending.get(nxt)
             if entry is None:
                 pending[nxt] = [tuple(map(_int_add, exponent, step)),
@@ -877,7 +875,6 @@ def _invert_recurrence(tau, keys, box, start, scale):
                 break
         else:
             return total
-        digits = [key // w % width for w, width in zip(weights, widths)]
 
 
 def exp_of(series):

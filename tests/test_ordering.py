@@ -172,6 +172,10 @@ def test_box_basics():
     assert box.intersect(Box(((0, 9), (4, 9)))).bounds == ((0, 3), (4, 5))
     assert box.intersect(Box(((9, 9), (0, 5)))) is None
     assert box.top_corner() == (3, 5)
+    # only ints bound a box: a float one used to reach the packed kernels
+    for bounds in (((0.5, 3),), ((0, True),), ((0, Fraction(3)),)):
+        with pytest.raises(UsageError, match="box bounds must be integers"):
+            Box(bounds)
 
 
 def test_parse_field_spec_round_trip():

@@ -389,6 +389,51 @@ def test_invert_equals_box_pruned_power_sum():
     assert origin_outside > 0
     assert min(missed.values()) >= 30, missed
 
+    # Fields of 20+ bits (one variable scaled past 2^20 on the identity
+    # twist), a box coordinate one point wide (at 0, where every term of the
+    # support lies), and the origin 2^20 or more outside the box (supports
+    # as above from o, and 2·o, scaled by 2^20 and more)
+    unit = 2 ** 20 + rng.randint(1, 999)
+    seen = Counter()
+    for case in range(150):
+        kind = ("wide", "point", "far")[case % 3]
+        names = ("x", "y", "z")[: rng.randint(2, 3)]
+        spec = identity_spec(names) if kind == "wide" else _random_twist(rng, names)
+        scale = [unit if kind == "far" else 1 for _ in names]
+        if kind == "wide":
+            scale[rng.randrange(spec.n)] = unit
+        offset = [0 if kind == "point" else rng.randint(-3, 3) for _ in names]
+        if kind == "far":
+            offset = [o + rng.choice((-6, 6)) for o in offset]
+        j = rng.randrange(spec.n)
+        support = [tuple(o * (1 + (kind == "far")) for o in offset)]
+        for _ in range(rng.randint(2, 6)):
+            e = tuple(rng.randint(-1, 1) + o for o in offset)
+            if kind != "point" or spec.phi(e)[j] == 0:
+                support.append(e)
+        terms = {tuple(x * k for x, k in zip(e, scale)):
+                 Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
+                 for e in support}
+        phis = [spec.phi(e) for e in terms]
+        # margins in the unit of the coordinate's exponents, so each walk
+        # takes as few steps as an unscaled one
+        bounds = [(min(p[i] for p in phis) - rng.randint(0, 4) * scale[i],
+                   max(p[i] for p in phis) + rng.randint(0, 10) * scale[i])
+                  for i in range(spec.n)]
+        if kind == "point":
+            bounds[j] = (0, 0)
+        box = Box(tuple(bounds))
+        s = Series(spec, terms, box=box, exact=False)
+        if len(s.terms) < 2:
+            continue
+        inv = s.invert()
+        assert inv == _power_sum_inverse(s), (kind, s, box)
+        seen[kind] += 1
+        seen[kind, "walked"] += len(inv.terms) >= 3
+        if kind == "far":
+            seen[kind, "origin outside"] += not box.contains((0,) * spec.n)
+    assert min(seen.values()) >= 15, seen
+
 
 def test_invert_computes_phi_once_per_input_term(monkeypatch):
     # no phi call per output term or per candidate step: the recurrence
@@ -418,9 +463,9 @@ def test_invert_computes_phi_once_per_input_term(monkeypatch):
 
 def test_invert_refuses_a_step_that_wraps_in_the_packed_key():
     # Term order compares y first, so x + y + x^2 = x·(1 + x^-1·y + x).  The
-    # step x^-1·y leaves x in [0, 3] from the origin, but its packed key,
-    # (y - 0)·4 + (x - 0) = 3, lies in the packed range of the box: only a
-    # per-coordinate check tells that it wraps into the y field.
+    # step x^-1·y leaves x in [0, 3] from the origin, although the packed
+    # sum lies between the box's least and greatest packed keys: the step
+    # must be refused in the x field itself, not by the key's range.
     s = Series(identity_spec(("x", "y")), {(1, 0): 1, (0, 1): 1, (2, 0): 1},
                box=Box(((0, 3), (0, 5))), exact=False)
     inv = s.invert()
@@ -691,6 +736,29 @@ def test_empty_name_list_refused():
     for read in (lambda: s.extract([], 0), lambda: multiply_extract(s, s, [], 0)):
         with pytest.raises(UsageError):
             read()
+
+
+@pytest.mark.parametrize("entry", [0.5, True, "1", Fraction(1)],
+                         ids=["float", "bool", "str", "Fraction"])
+def test_non_integer_exponent_entries_are_refused(entry):
+    # only an int is an exponent entry, as in from_json; a float one used to
+    # be stored and then broke printing and a packed product
+    for exact in (True, False):
+        with pytest.raises(UsageError, match="exponent entries must be integers"):
+            Series(X, {(entry,): 1}, exact=exact)
+        s = Series(XY, {(1, 0): 1}, exact=exact)
+        for read in (s.coefficient, s.guarantees):
+            with pytest.raises(UsageError, match="exponent entries must be integers"):
+                read((entry, 0))
+    with pytest.raises(UsageError):
+        Series(X, {(k + 0.5,): 1 for k in range(10)}, box=cube(1, 20), exact=False)
+
+
+def test_division_by_a_zero_scalar_is_a_zero_divisor():
+    s = Series(XY, {(1, 0): 1, (0, 1): 2}, exact=False)
+    for zero in (0, Fraction(0)):
+        with pytest.raises(ZeroDivisor, match="cannot divide by zero"):
+            s / zero
 
 
 def test_wrong_length_exponent_is_refused_on_every_series():
