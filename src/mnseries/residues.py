@@ -255,7 +255,9 @@ def _graded_spec(names):
 def embed_graded(series, gspec, box):
     """Re-home a plain-field series into the graded field (aux exponent 0)."""
     terms = {k + (0,): v for k, v in series.terms.items()}
-    return Series(gspec, terms, box=box, exact=series.exact)
+    if series.exact:            # an exact series keeps every term it holds
+        return Series._trusted(gspec, terms, box, True)
+    return Series(gspec, terms, box=box, exact=False)
 
 
 def _check_power_series_normalized(F):

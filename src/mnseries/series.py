@@ -12,12 +12,12 @@ flow through as a fast path; both prune to nothing when they equal zero.
 
 ``Series(...)`` validates its input: exponent lengths and entries, coefficient
 types, zeros and, on a truncated series, that every term lies in the box.
-The results of ``multiply`` and ``invert`` skip that pass
-(``Series._trusted``), because they hold by construction: the operands were
-validated, ``_convolve`` keeps only the pairs whose phi lies in the result
-box and normalizes each output coefficient once, and the inversion
-recurrence pushes only exponents inside the box (and stores the origin it
-starts from only when the box holds it).
+The results of ``multiply``, ``invert``, negative powers, ``compose_stream``
+and ``derivative`` skip that pass (``Series._trusted``): they hold by
+construction, as ``_convolve`` keeps only the pairs whose phi lies in the
+result box, the power-sum kernel pushes only exponents inside the box (and
+stores the origin only when the box holds it), a derivative shifts its terms
+with its box, and each drops its zeros and normalizes each coefficient once.
 
 A ``Series`` is a value: its fields are never changed after construction.
 So ``invert()`` and ``derivative(name)`` are computed once per object and
@@ -39,7 +39,8 @@ One body, ``Series._reciprocal_power``, makes every inverse and every
 negative power of a series with two or more terms: it writes the series as
 c·x^m·(1 - tau) and returns c^(-p)·x^(-p·m)·(1 - tau)^(-p).
 Its kernel, ``_invert_recurrence``, solves g = 1 + prune(tau·g) one
-coefficient at a time, in increasing term order.  p ≥ 2 and stream
+coefficient at a time, in increasing term order, on reduced integer
+numerators.  p ≥ 2 and stream
 composition (exp, log) run it on tau lifted by a path-length coordinate, so
 each box-pruned power gets its own coefficient.  The recurrence terminates
 because only finitely many sums of elements from a finite revlex-positive
@@ -77,6 +78,12 @@ def _coeff(value):
     raise UsageError(f"coefficient {value!r} is not an exact rational")
 
 
+def _ratio(n, d):
+    """n/d for ints n and d > 0: the quotient if d divides n, else a Fraction."""
+    q, r = divmod(n, d)
+    return Fraction(n, d) if r else q
+
+
 def _exponents(exponents, n):
     """``exponents`` as a list of tuples of ``n`` ints (a bool is not one)."""
     exponents = [tuple(e) for e in exponents]
@@ -102,8 +109,9 @@ class Series:
 
     An immutable value: ``spec``, ``terms``, ``box`` and ``exact`` are never
     changed after construction, so ``_memo`` (``None`` until first use)
-    holds this object's inverse (key ``None``), derivatives (a variable's
-    index) and, under tuple keys, the results of substitutions it heads.
+    holds this object's inverse (key ``None``), initial term (``"initial"``),
+    derivatives (a variable's index) and, under tuple keys, the results of
+    substitutions it heads.
     """
 
     __slots__ = ("spec", "terms", "box", "exact", "_memo")
@@ -148,9 +156,7 @@ class Series:
         return self
 
     def _remember(self, key, value):
-        """Store ``value`` as this object's result for ``key`` and return it:
-        ``None`` for the inverse, a variable's index for its derivative, a
-        ``(name, xnames)`` tuple for a substitution's result."""
+        """Store ``value`` under ``key`` (see the class docstring) and return it."""
         if self._memo is None:
             self._memo = {}
         self._memo[key] = value
@@ -185,11 +191,13 @@ class Series:
         return not self.terms
 
     def initial_term(self):
-        """Exponent and coefficient of the least stored term."""
+        """Exponent and coefficient of the least stored term, found once."""
+        if self._memo is not None and "initial" in self._memo:
+            return self._memo["initial"]
         if not self.terms:
             raise ZeroSeries("zero series has no initial term")
         best = min(self.terms, key=self.spec.key)
-        return best, self.terms[best]
+        return self._remember("initial", (best, self.terms[best]))
 
     def coefficient(self, exponent):
         """Coefficient at an exponent; OutOfPrecision outside the guarantee."""
@@ -340,7 +348,10 @@ class Series:
         tau = {_vec_sub(e, m): _coeff(-v / c) for e, v in self.terms.items() if e != m}
         if p == 1:
             total = _invert_recurrence(tau, spec.twist, self.box, shift, lead)
-            return Series._trusted(spec, total, box, False)
+            inverse = Series._trusted(spec, total, box, False)
+            if total:           # stored in term order: the first item is the least
+                inverse._remember("initial", next(iter(total.items())))
+            return inverse
         # the recurrence's steps, not a series known on the box:
         # compose_stream reads only terms and box
         g = Series._trusted(spec, tau, self.box, self.exact).compose_stream(
@@ -374,7 +385,8 @@ class Series:
         total = {}
         for e, value in paths.items():
             total[e[:-1]] = total.get(e[:-1], 0) + weights[e[-1]] * value
-        return Series(spec, total, box=self.box, exact=False)
+        return Series._trusted(spec, {e: _coeff(v) for e, v in total.items() if v},
+                               self.box, False)
 
     def derivative(self, name):
         """Termwise d/dx on the named variable's exponent, computed once per
@@ -387,9 +399,9 @@ class Series:
         for exponent, value in self.terms.items():
             e = exponent[i]
             if e:
-                out[_vec_sub(exponent, unit)] = value * e
+                out[_vec_sub(exponent, unit)] = _coeff(value * e)
         box = self.box.shift(tuple(-x for x in self.spec.phi(unit)))
-        return self._remember(i, Series(self.spec, out, box=box, exact=self.exact))
+        return self._remember(i, Series._trusted(self.spec, out, box, self.exact))
 
     # ------------------------------------------------------------------
     # coefficient extraction
@@ -649,7 +661,7 @@ def _convolve(spec, aterms, bterms, keep):
     scale = da * db
     if scale == 1:
         return {k: v for k, v in out.items() if v != 0}
-    return {k: _coeff(Fraction(v, scale)) for k, v in out.items() if v != 0}
+    return {k: _ratio(v, scale) for k, v in out.items() if v != 0}
 
 
 def _phi_frame(twist, terms):
@@ -826,10 +838,10 @@ def _invert_recurrence(tau, twist, box, start, scale):
     every nonempty prefix sum lies in ``box``.  A heap pops exponents in term
     order, each after its predecessors, from the origin (stored only if
     ``box`` holds it) on, and pushes each nonzero ``g_e`` along every step
-    that stays in ``box``.  Carried exponents start at ``start``, and
-    ``scale`` joins the one normalization of each popped coefficient, an
-    integer numerator over ``den ** level`` (``den``: tau's common
-    denominator).
+    that stays in ``box``.  ``g_e`` is an integer over ``den ** level``
+    (``den``: tau's common denominator), brought to its lowest level before
+    it is stored or pushed.  Carried exponents start at ``start``, and
+    ``scale`` joins each stored coefficient's one ``_ratio``.
 
     Keys are ``_packed_layout``'s, with tau's steps as the b-side and the
     a-side framed by the box joined with the origin, where every walked
@@ -871,7 +883,10 @@ def _invert_recurrence(tau, twist, box, start, scale):
             key = heappop(heap)
             exponent, value, level = pending.pop(key)
             if value:
-                total[exponent] = _coeff(Fraction(value * num, den ** level * dnm))
+                while den != 1 and level and not value % den:   # lowest level
+                    value //= den
+                    level -= 1
+                total[exponent] = _ratio(value * num, den ** level * dnm)
                 break
         else:
             return total

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from math import factorial
+from math import comb, factorial, lcm
 
 import pytest
 
@@ -33,6 +33,7 @@ from mnseries import (
     residue_verify,
     series,
 )
+from mnseries.residues import embed_graded, graded_spec
 from mnseries.series import _coeff, _convolve, _vec_add, _vec_sub, multiply_extract
 
 X = identity_spec(("x",))
@@ -332,17 +333,19 @@ def _geometric_sum(spec, tau, box, coefficients):
     return {k: v for k, v in total.items() if v != 0}
 
 
-def _power_sum_inverse(s):
-    """c⁻¹·x^{-m}·(sum of the box-pruned powers of tau), for s = c·x^m·(1 - tau)."""
+def _power_sum_inverse(s, p=1):
+    """s^(-p) as c^(-p)·x^(-p·m)·(sum of C(j+p-1, p-1) times the j-th
+    box-pruned power of tau), for s = c·x^m·(1 - tau)."""
     spec = s.spec
     m, c = s.initial_term()
     inv_c = 1 / Fraction(c)
     tau = {_vec_sub(e, m): -v * inv_c for e, v in s.terms.items() if e != m}
-    total = _geometric_sum(spec, tau, s.box, lambda n: 1)
+    total = _geometric_sum(spec, tau, s.box, lambda j: comb(j + p - 1, p - 1))
+    shift = tuple(-p * x for x in m)
     return Series(
         spec,
-        {_vec_sub(e, m): v * inv_c for e, v in total.items()},
-        box=s.box.shift(tuple(-p for p in spec.phi(m))),
+        {_vec_add(e, shift): v * inv_c ** p for e, v in total.items()},
+        box=s.box.shift(tuple(-p * x for x in spec.phi(m))),
         exact=False,
     )
 
@@ -354,6 +357,49 @@ def _random_twist(rng, names):
             return FieldSpec(names, rows)
         except SingularTwist:
             continue
+
+
+def _shared_denominator_series(rng):
+    """A truncated series with coefficients ±1/k! and ±1/(2^a·3^b), so that
+    tau's denominators share factors, on a box about its support that often
+    misses the origin."""
+    spec = _random_twist(rng, ("x", "y", "z")[: rng.randint(2, 3)])
+    offset = [rng.randint(-2, 2) for _ in range(spec.n)]
+    terms = {}
+    for _ in range(rng.randint(2, 5)):
+        e = tuple(rng.randint(-1, 1) + o for o in offset)
+        if rng.random() < 0.5:
+            den = factorial(rng.randint(1, 5))
+        else:
+            den = 2 ** rng.randint(0, 3) * 3 ** rng.randint(0, 2)
+        terms[e] = Fraction(rng.choice((-1, 1)), den)
+    phis = [spec.phi(e) for e in terms]
+    box = Box(tuple((min(p[i] for p in phis) - rng.randint(0, 3),
+                     max(p[i] for p in phis) + rng.randint(2, 8))
+                    for i in range(spec.n)))
+    return Series(spec, terms, box=box, exact=False)
+
+
+def _levels_shed(s, inv):
+    """Per term of g = 1/(1 - tau) in ``inv`` = s⁻¹, how many factors of
+    tau's common denominator den the kernel divides out of its numerator:
+    a numerator arrives one level above its highest predecessor's and is
+    stored at the least level k with den^k·g_e integral."""
+    m, c = s.initial_term()
+    tau = {_vec_sub(e, m): Fraction(-v, c) for e, v in s.terms.items() if e != m}
+    den = lcm(*(v.denominator for v in tau.values()))
+    levels = {}
+    for e, v in inv.terms.items():
+        v *= c
+        levels[_vec_add(e, m)] = next(k for k in range(99) if (v * den ** k).denominator == 1)
+    origin = (0,) * s.spec.n
+    levels.setdefault(origin, 0)        # the walk starts there, stored or not
+    shed = Counter()
+    for e, level in levels.items():
+        if e != origin:
+            arrived = 1 + max(levels[p] for p in (_vec_sub(e, t) for t in tau) if p in levels)
+            shed[arrived - level] += 1
+    return shed
 
 
 def test_invert_equals_box_pruned_power_sum():
@@ -433,6 +479,69 @@ def test_invert_equals_box_pruned_power_sum():
         if kind == "far":
             seen[kind, "origin outside"] += not box.contains((0,) * spec.n)
     assert min(seen.values()) >= 15, seen
+
+    # tau's denominators share factors (±1/k!, ±1/(2^a·3^b)), so popped
+    # numerators hold tau's common denominator, often more than once
+    shed = Counter()
+    for _ in range(150):
+        s = _shared_denominator_series(rng)
+        if len(s.terms) < 2:
+            continue
+        inv = s.invert()
+        assert inv == _power_sum_inverse(s), s
+        shed.update(_levels_shed(s, inv))
+    assert shed[1] >= 300 and sum(n for k, n in shed.items() if k >= 2) >= 50, shed
+
+
+def test_shared_denominators_in_powers_exp_and_log():
+    # s ** -n, exp and log on the shared-denominator family, against the
+    # reference power sum
+    rng = random.Random(19)
+    seen = Counter()
+    for case in range(360):
+        s = _shared_denominator_series(rng)
+        if len(s.terms) < 2:
+            continue
+        m, c = s.initial_term()
+        # tau, of positive order, on the box moved with it
+        box = s.box.shift(tuple(-x for x in s.spec.phi(m)))
+        tau = Series(s.spec, {_vec_sub(e, m): Fraction(-v, c) for e, v in s.terms.items()
+                              if e != m}, box=box, exact=False)
+        kind = ("power", "exp", "log")[case % 3]
+        if kind == "power":
+            n = rng.randint(2, 4)
+            got, want = s ** -n, _power_sum_inverse(s, n)
+        elif kind == "exp":
+            got, want = exp_of(tau), _reference_compose(tau, _exp_stream)
+        else:
+            one_plus = tau + Series.constant(s.spec, 1, box=box)
+            got, want = log_of(one_plus), _reference_log(one_plus)
+        assert got == want, (kind, s)
+        seen[kind] += 1
+        seen[kind, "long"] += len(want.terms) >= 6
+        seen[kind, "integral"] += sum(type(v) is int for v in want.terms.values()) >= 2
+    assert min(seen.values()) >= 30, seen
+
+
+def test_an_inverse_is_handed_its_initial_term():
+    # the recurrence stores in term order and hands its first term to the
+    # inverse: it is the least stored term, also where the box misses the origin
+    rng = random.Random(43)
+    seen = Counter()
+    for _ in range(300):
+        s = _shared_denominator_series(rng)
+        inv = s.invert()
+        if not inv.terms:
+            with pytest.raises(ZeroSeries):
+                inv.initial_term()
+            continue
+        least = min(inv.terms, key=inv.spec.key)
+        assert inv.initial_term() == (least, inv.terms[least]), s
+        assert inv.initial_term() == Series(inv.spec, inv.terms, box=inv.box,
+                                            exact=False).initial_term()
+        seen["origin outside" if not s.box.contains((0,) * s.spec.n) else "inside"] += 1
+        seen["long"] += len(inv.terms) >= 5
+    assert min(seen.values()) >= 30, seen
 
 
 def test_invert_computes_phi_once_per_input_term(monkeypatch):
@@ -601,10 +710,13 @@ def _assert_holds_the_constructor_invariant(r):
 
 
 def test_engine_results_hold_the_constructor_invariant():
-    # multiply and invert build their results without revalidating them
+    # multiply, invert, compose_stream, derivative and embed_graded of an
+    # exact series build their results without revalidating them
     rng = random.Random(2718)
     seen = {"exact*exact": 0, "exact*truncated": 0, "truncated*truncated": 0,
-            "invert": 0, "invert, origin outside the box": 0}
+            "invert": 0, "invert, origin outside the box": 0, "compose_stream": 0,
+            "derivative": 0, "derivative, integral from a Fraction": 0,
+            "embed_graded": 0}
 
     def draw(spec, exact):
         terms = {
@@ -638,6 +750,28 @@ def test_engine_results_hold_the_constructor_invariant():
         _assert_holds_the_constructor_invariant(s.invert())
         seen["invert"] += 1
         seen["invert, origin outside the box"] += not s.box.contains((0,) * spec.n)
+        tail = Series(spec, {e: v for e, v in s.terms.items() if spec.is_positive(e)},
+                      box=s.box, exact=s.exact)
+        if tail.terms:
+            # weights with denominators, so that a path sum can come out integral
+            _assert_holds_the_constructor_invariant(
+                tail.compose_stream(lambda n: Fraction((-1) ** n * 3, n + 1)))
+            seen["compose_stream"] += 1
+        # even exponents: a coefficient with denominator 2 differentiates to an int
+        doubled = Series(spec, {tuple(2 * x for x in e): v for e, v in s.terms.items()})
+        for i, name in enumerate(names):
+            for source in (s, doubled):
+                _assert_holds_the_constructor_invariant(source.derivative(name))
+                seen["derivative"] += 1
+                seen["derivative, integral from a Fraction"] += any(
+                    type(v) is Fraction and e[i] and (v * e[i]).denominator == 1
+                    for e, v in source.terms.items())
+        if s.exact:
+            gspec = graded_spec(names)
+            embedded = embed_graded(s, gspec, Box(s.box.bounds + ((-4, 4),)))
+            _assert_holds_the_constructor_invariant(embedded)
+            seen["embed_graded"] += 1
+    assert min(seen.values()) >= 30, sorted(seen.items())
     assert min(seen.values()) >= 10, seen
 
 
