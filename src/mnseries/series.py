@@ -4,8 +4,8 @@ A ``Series`` is a sparse map from exponent vectors to nonzero exact rational
 coefficients, attached to a ``FieldSpec`` (which fixes the term order) and a
 precision ``Box`` on which the stored coefficients are guaranteed to agree
 with the untruncated series.  ``exact=True`` marks a Laurent polynomial whose
-stored terms are its complete support; such values are exact everywhere and
-the box is only carried along for bookkeeping.
+stored terms are its complete support; such values are exact everywhere, and
+the box is the region that their inverse, exp and log walk.
 
 Coefficients are ``fractions.Fraction`` values, with plain ``int`` allowed to
 flow through as a fast path; both prune to nothing when they equal zero.
@@ -28,7 +28,8 @@ module stores a substitution's Jacobian data in its first series the same way.
 Box propagation through products follows the shift-and-intersect rule: each
 factor's box is shifted by the other factor's initial phi-exponent, or — when
 the other factor is exact, hence has fully known finite support — by every
-exponent of that support, and everything is intersected (``_product_box``).
+exponent of that support, and everything is intersected, one pass per
+coordinate (``_product_box``).
 ``multiply_extract`` reads a CT/Res slice of a product on that box without
 forming the product.  Both pruned kernels, ``_packed_keep`` (``_convolve``
 from ``PACKED_PAIRS`` pairs on) and the inversion recurrence, pack phi into
@@ -37,19 +38,18 @@ packed exponent vectors), and keep a sum in the box by two mask tests.
 
 One body, ``Series._reciprocal_power``, makes every inverse and every
 negative power of a series with two or more terms: it writes the series as
-c·x^m·(1 - tau) and returns c^(-p)·x^(-p·m)·(1 - tau)^(-p).
-Its kernel, ``_invert_recurrence``, solves g = 1 + prune(tau·g) one
-coefficient at a time, in increasing term order, on reduced integer
-numerators.  p ≥ 2 and stream
-composition (exp, log) run it on tau lifted by a path-length coordinate, so
-each box-pruned power gets its own coefficient.  The recurrence terminates
-because only finitely many sums of elements from a finite revlex-positive
-set can stay inside a fixed box.
+c·x^m·(1 - tau) and returns c^(-p)·x^(-p·m)·(1 - tau)^(-p) from one
+``_power_sum`` call.  Its kernel, ``_invert_recurrence``, solves
+g = 1 + prune(tau·g) one coefficient at a time, in increasing term order, on
+reduced integer numerators.  p ≥ 2 and stream composition (exp, log) run it
+on tau lifted by a path-length coordinate, so each box-pruned power gets its
+own coefficient.  The recurrence terminates because only finitely many sums
+of elements from a finite revlex-positive set can stay inside a fixed box.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import chain
@@ -325,12 +325,12 @@ class Series:
         """self^(-p), p ≥ 1: c^(-p)·x^(-p·m)·(1 - tau)^(-p) for self =
         c·x^m·(1 - tau) with ord(tau) positive.
 
-        Each term is keyed once, to find m; tau's steps are e - m.
-        p = 1 runs the recurrence g = 1 + prune(tau·g) with x^(-m) and c⁻¹
-        folded into its normalization; p ≥ 2 is one ``compose_stream`` call
-        on tau with the binomial weights C(j+p-1, p-1).  The walk stays in
-        this series' box, and the result is claimed on that box shifted by
-        -p·phi(m), the one place a reciprocal's claim is made.
+        Each term is keyed once, to find m; tau's steps are e - m.  One
+        ``_power_sum`` call on tau, with x^(-p·m) and c^(-p) folded in, makes
+        the result: p = 1 the plain recurrence g = 1 + prune(tau·g), p ≥ 2
+        the lifted one with the binomial weights C(j+p-1, p-1).  The walk
+        stays in this series' box, and the result is claimed on that box
+        shifted by -p·phi(m), the one place a reciprocal's claim is made.
         """
         if not self.terms:
             if self.exact:
@@ -346,47 +346,23 @@ class Series:
         if len(keys) == 1:
             return Series(spec, {shift: lead}, box=box, exact=self.exact)
         tau = {_vec_sub(e, m): _coeff(-v / c) for e, v in self.terms.items() if e != m}
-        if p == 1:
-            total = _invert_recurrence(tau, spec.twist, self.box, shift, lead)
-            inverse = Series._trusted(spec, total, box, False)
-            if total:           # stored in term order: the first item is the least
-                inverse._remember("initial", next(iter(total.items())))
-            return inverse
-        # the recurrence's steps, not a series known on the box:
-        # compose_stream reads only terms and box
-        g = Series._trusted(spec, tau, self.box, self.exact).compose_stream(
-            lambda j: comb(j + p - 1, p - 1))
-        return Series._trusted(
-            spec, {_vec_add(e, shift): _coeff(v * lead) for e, v in g.terms.items()},
-            box, False)
+        weights = None if p == 1 else lambda j: comb(j + p - 1, p - 1)
+        total = _power_sum(tau, spec.twist, self.box, weights, shift, lead)
+        power = Series._trusted(spec, total, box, False)
+        if p == 1 and total:    # stored in term order: the first item is the least
+            power._remember("initial", next(iter(total.items())))
+        return power
 
     def compose_stream(self, coefficients):
         """Sum coefficients(n)·self^n for n ≥ 0, each power pruned to the
-        box; needs ord(self) > 0.
-
-        Hands self to the power-sum kernel (``_invert_recurrence``) as tau,
-        lifted by a most significant coordinate that each step raises by 1:
-        a path of n steps ends at (e, n), so the powers stay apart.
-        """
+        box (``_power_sum`` from the origin, unscaled); needs ord(self) > 0."""
         spec = self.spec
         key, m = min(((spec.key(e), e) for e in self.terms), default=(None, None))
         if m is not None and key <= (0,) * spec.n:
             raise NonpositiveOrder(
                 f"composition needs positive order, initial exponent is {m}")
-        # a positive step rises in term order, so a path visits no box point
-        # twice: its length is at most the number of points in the box
-        length = prod(hi - lo + 1 for lo, hi in self.box.bounds)
-        lifted = [(*row, 0) for row in spec.twist] + [(0,) * spec.n + (1,)]
-        paths = _invert_recurrence({e + (1,): v for e, v in self.terms.items()}, lifted,
-                                   Box(self.box.bounds + ((0, length),)),
-                                   (0,) * (spec.n + 1), 1)
-        weights = [_coeff(coefficients(n))
-                   for n in range(max((e[-1] for e in paths), default=0) + 1)]
-        total = {}
-        for e, value in paths.items():
-            total[e[:-1]] = total.get(e[:-1], 0) + weights[e[-1]] * value
-        return Series._trusted(spec, {e: _coeff(v) for e, v in total.items() if v},
-                               self.box, False)
+        terms = _power_sum(self.terms, spec.twist, self.box, coefficients, (0,) * spec.n, 1)
+        return Series._trusted(spec, terms, self.box, False)
 
     def derivative(self, name):
         """Termwise d/dx on the named variable's exponent, computed once per
@@ -417,18 +393,20 @@ class Series:
 
     def _wanted(self, names, want):
         """The named indices, one wanted exponent per name (``want``: one int
-        for all, or one per name) and the exponent holding them, 0 elsewhere."""
+        for all, or one per name) and the exponent holding them, 0 elsewhere;
+        each wanted exponent passes ``_exponents``' int check."""
         selected = self._selected_indices(names)
         if not selected:
             raise UsageError("name at least one variable to extract over")
-        want = (want,) * len(selected) if isinstance(want, int) else tuple(want)
+        want = tuple(want) if hasattr(want, "__iter__") else (want,) * len(selected)
         if len(want) != len(selected):
             raise UsageError(f"need one wanted exponent per name, got {len(want)} "
                              f"for {len(selected)}")
         target = [0] * self.spec.n
         for i, w in zip(selected, want):
             target[i] = w
-        return selected, want, tuple(target)
+        [target] = _exponents([target], self.spec.n)
+        return selected, want, target
 
     def _project(self, names, want):
         """Terms whose named exponents equal ``want`` (one exponent per
@@ -608,13 +586,12 @@ def _convolve(spec, aterms, bterms, keep):
 
     The pair loop runs on integers (common denominators pulled out first);
     rational normalization happens once per output term, not once per pair.
-    A pruned call has two loops.  Below ``PACKED_PAIRS`` pairs it compares
-    phi tuples with the box, scanning for each term of the smaller operand
-    the band of the other, sorted by its last phi-coordinate.  From
-    ``PACKED_PAIRS`` on it runs ``_packed_keep``.  Packing costs a fixed few
-    tens of microseconds a call, which small calls (most of a Dyson pass)
-    do not repay and big ones (the lemma suite's determinants) repay
-    threefold.
+    A pruned call has two loops.  Below ``PACKED_PAIRS`` pairs it computes
+    each term's phi once and tests every pair with the box, coordinate by
+    coordinate; from ``PACKED_PAIRS`` on it runs ``_packed_keep``.  Packing
+    costs a fixed few tens of microseconds a call, which small calls (most
+    of a Dyson pass) do not repay and big ones (the lemma suite's
+    determinants) repay threefold.
     """
     int_add = _int_add
     if not aterms or not bterms:
@@ -635,29 +612,16 @@ def _convolve(spec, aterms, bterms, keep):
         out = _packed_keep(spec.twist, aterms, bterms, keep.bounds)
     else:
         bounds = keep.bounds
-        # sort by the most significant phi-coordinate so each outer term only
-        # scans the admissible band
-        bphi = sorted(
-            ((spec.phi(k), k, v) for k, v in bterms.items()),
-            key=lambda item: item[0][-1],
-        )
-        blast = [item[0][-1] for item in bphi]
-        lo_last, hi_last = bounds[-1]
+        bphi = [(spec.phi(k), k, v) for k, v in bterms.items()]
         for ka, va in aterms.items():
-            pa = spec.phi(ka)
-            shifted = tuple((lo - x, hi - x) for (lo, hi), x in zip(bounds, pa))
-            start = bisect_left(blast, lo_last - pa[-1])
-            stop = bisect_right(blast, hi_last - pa[-1])
-            for pb, kb, vb in bphi[start:stop]:
-                ok = True
+            shifted = tuple((lo - x, hi - x) for (lo, hi), x in zip(bounds, spec.phi(ka)))
+            for pb, kb, vb in bphi:
                 for y, (lo, hi) in zip(pb, shifted):
                     if y < lo or y > hi:
-                        ok = False
                         break
-                if not ok:
-                    continue
-                key = tuple(map(int_add, ka, kb))
-                out[key] = get(key, 0) + va * vb
+                else:
+                    key = tuple(map(int_add, ka, kb))
+                    out[key] = get(key, 0) + va * vb
     scale = da * db
     if scale == 1:
         return {k: v for k, v in out.items() if v != 0}
@@ -768,30 +732,29 @@ def det(matrix):
 
 
 def _product_box(a, b):
-    """``(box, exact)`` of the product: shift-and-intersect, or the met boxes
-    of an exact product or of one with an exact zero operand."""
+    """``(box, exact)`` of the product: the met boxes of an exact product or
+    of one with an exact zero operand, else each truncated box shifted by
+    every phi of an exact other's support (by a truncated other's initial
+    phi, by 0 if it is empty) and met, one pass: [lo + max phi_j, hi + min phi_j]."""
     a._require_same_spec(b)
     if (a.exact and (b.exact or not a.terms)) or (b.exact and not b.terms):
         return _meet_boxes(a, b), True
     spec = a.spec
-    candidates = []
+    bounds = None
     for mine, other in ((a, b), (b, a)):
         if mine.exact:
             continue
         if other.exact:
-            for exponent in other.terms:
-                candidates.append(mine.box.shift(spec.phi(exponent)))
-        elif other.terms:
-            initial, _ = other.initial_term()
-            candidates.append(mine.box.shift(spec.phi(initial)))
+            shifts = [spec.phi(exponent) for exponent in other.terms]
         else:
-            candidates.append(mine.box)
-    result_box = candidates[0]
-    for candidate in candidates[1:]:
-        result_box = result_box.intersect(candidate)
-        if result_box is None:
-            raise OutOfPrecision("product has no guaranteed region")
-    return result_box, False
+            shifts = [spec.phi(other.initial_term()[0]) if other.terms else (0,) * spec.n]
+        side = [(lo + max(column), hi + min(column))
+                for (lo, hi), column in zip(mine.box.bounds, zip(*shifts))]
+        bounds = side if bounds is None else [
+            (max(lo, low), min(hi, high)) for (lo, hi), (low, high) in zip(bounds, side)]
+    if any(lo > hi for lo, hi in bounds):
+        raise OutOfPrecision("product has no guaranteed region")
+    return Box(tuple(bounds)), False
 
 
 def multiply(a, b):
@@ -833,7 +796,7 @@ def _invert_recurrence(tau, twist, box, start, scale):
 
     ``tau`` maps each step, an exponent positive in term order through
     ``twist``, to its coefficient.  This is the engine's one box-pruned power
-    sum (every coefficient 1; ``Series.compose_stream`` weights each power):
+    sum (every coefficient 1; ``_power_sum`` weights each power):
     ``g_e`` sums the coefficient products of the tau paths to ``e`` whose
     every nonempty prefix sum lies in ``box``.  A heap pops exponents in term
     order, each after its predecessors, from the origin (stored only if
@@ -890,6 +853,28 @@ def _invert_recurrence(tau, twist, box, start, scale):
                 break
         else:
             return total
+
+
+def _power_sum(tau, twist, box, weights, start, scale):
+    """Terms of scale·x^start·sum_n weights(n)·tau^n, each power's walk pruned
+    to ``box``; ``weights=None`` is the plain recurrence 1/(1 - tau).  Else tau
+    is lifted by a most significant coordinate that each step raises by 1, so
+    a path of n steps ends at (e, n), apart from other powers, and gets
+    weights(n)·scale."""
+    if weights is None:
+        return _invert_recurrence(tau, twist, box, start, scale)
+    # a positive step rises in term order, so a path visits no box point
+    # twice: its length is at most the number of points in the box
+    length = prod(hi - lo + 1 for lo, hi in box.bounds)
+    lifted = [(*row, 0) for row in twist] + [(0,) * len(twist) + (1,)]
+    paths = _invert_recurrence({e + (1,): v for e, v in tau.items()}, lifted,
+                               Box(box.bounds + ((0, length),)), start + (0,), 1)
+    scaled = [_coeff(_coeff(weights(j)) * scale)
+              for j in range(max((e[-1] for e in paths), default=0) + 1)]
+    total = {}
+    for e, value in paths.items():
+        total[e[:-1]] = total.get(e[:-1], 0) + scaled[e[-1]] * value
+    return {e: _coeff(v) for e, v in total.items() if v}
 
 
 def exp_of(series):

@@ -80,6 +80,23 @@ def test_add_spec_mismatch():
         Series(X, {(1,): 1}) + Series(identity_spec(("y",)), {(1,): 1})
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="an exact operand's box narrows a sum (ROADMAP item 8)")
+def test_exact_operand_keeps_the_sums_box():
+    # t + 1 keeps t's box, but 1 + t meets it with the constant's default
+    # [-16, 16]: it claims less on [-40, 40] and is refused on [20, 30]
+    def box_of_sum(t):
+        try:
+            return (Series.constant(X, 1) + t).box
+        except OutOfPrecision:
+            return None
+
+    ts = [Series(X, {(25,): 1, (30,): 2}, box=Box((bounds,)), exact=False)
+          for bounds in ((-40, 40), (20, 30))]
+    assert [(t + 1).box for t in ts] == [t.box for t in ts]
+    assert [box_of_sum(t) for t in ts] == [t.box for t in ts]
+
+
 # ----------------------------------------------------------------------
 # mul
 
@@ -162,6 +179,66 @@ def test_pruned_products_equal_the_filtered_full_product():
         seen[side, "identity" if spec.is_identity_twist() else "twisted"] += 1
         seen[side, "a fraction" if Fraction in map(type, got.values()) else "ints"] += 1
     assert len(seen) == 12 and min(seen.values()) >= 100, seen
+
+
+def _shift_and_intersect(a, b):
+    """The product's ``(box, exact)`` by the per-exponent rule: one shifted
+    box per shift, intersected one at a time."""
+    if (a.exact and (b.exact or not a.terms)) or (b.exact and not b.terms):
+        met = a.box.intersect(b.box)
+        if met is None and not (a.exact and b.exact):
+            raise OutOfPrecision("operand boxes do not overlap")
+        return met or a.box, True
+    candidates = []
+    for mine, other in ((a, b), (b, a)):
+        if mine.exact:
+            continue
+        if other.exact:
+            candidates += [mine.box.shift(a.spec.phi(e)) for e in other.terms]
+        elif other.terms:
+            candidates.append(mine.box.shift(a.spec.phi(other.initial_term()[0])))
+        else:
+            candidates.append(mine.box)
+    box = candidates[0]
+    for candidate in candidates[1:]:
+        box = box.intersect(candidate)
+        if box is None:
+            raise OutOfPrecision("product has no guaranteed region")
+    return box, False
+
+
+def test_product_box_equals_the_per_exponent_shift_and_intersect():
+    rng = random.Random(2718)
+    seen = Counter()
+    kinds = ("exact", "truncated", "empty truncated", "exact zero")
+
+    def operand(spec, kind):
+        centre = [rng.randint(-30, 30) for _ in range(spec.n)]
+        box = Box(tuple((c - rng.randint(0, 12), c + rng.randint(0, 12)) for c in centre))
+        if kind in ("empty truncated", "exact zero"):
+            return Series(spec, {}, box=box, exact=kind == "exact zero")
+        terms = {tuple(rng.randint(-3, 3) for _ in range(spec.n)): rng.choice((-2, 1, 3))
+                 for _ in range(rng.randint(1, 5))}
+        if kind == "truncated":       # keep at least one term inside the box
+            terms[next(iter(terms))] = 1
+            box = Box(tuple((lo + c - x, hi + c - x) for (lo, hi), c, x
+                            in zip(box.bounds, spec.phi(next(iter(terms))), centre)))
+        return Series(spec, terms, box=box, exact=kind == "exact")
+
+    for _ in range(3000):
+        names = ("x", "y", "z")[: rng.randint(1, 3)]
+        twisted = rng.random() < 0.5
+        spec = _random_twist(rng, names) if twisted else identity_spec(names)
+        pair = (rng.choice(kinds), rng.choice(kinds))
+        a, b = (operand(spec, kind) for kind in pair)
+        want = _outcome(lambda: _shift_and_intersect(a, b))
+        assert _outcome(lambda: series._product_box(a, b)) == want, (a.to_json(), b.to_json())
+        seen[pair] += 1
+        seen["twisted" if twisted else "identity"] += 1
+        seen["refused" if want is OutOfPrecision else "claimed"] += 1
+        if "exact" not in pair and want is OutOfPrecision:
+            seen["truncated pair refused"] += 1
+    assert len(seen) == 21 and min(seen.values()) >= 30, seen
 
 
 def test_power_starts_from_its_base(monkeypatch):
@@ -567,6 +644,10 @@ def test_invert_computes_phi_once_per_input_term(monkeypatch):
         calls.clear()
         long_runs += len(s.invert().terms) >= 3 * len(s.terms)
         assert len(calls) <= len(s.terms)   # len(tau) + 1
+        for n in (2, 3, 4):             # s ** -n keys tau once too
+            calls.clear()
+            s ** -n
+            assert len(calls) <= len(s.terms), n
     assert long_runs >= 5
 
 
@@ -870,6 +951,21 @@ def test_empty_name_list_refused():
     for read in (lambda: s.extract([], 0), lambda: multiply_extract(s, s, [], 0)):
         with pytest.raises(UsageError):
             read()
+
+
+@pytest.mark.parametrize("want", [1.5, ["0"], [0.5], True, [True], Fraction(1)],
+                         ids=["float", "str entry", "float entry", "bool", "bool entry",
+                              "Fraction"])
+def test_non_integer_wanted_exponent_refused(want):
+    # a partial naming used to raise TypeError, return an empty series for
+    # [0.5], or read True as the x^1 slice; only an int is a wanted exponent
+    s = Series(identity_spec(("x", "y")), {(0, 0): 1, (1, 1): -1}, box=cube(2, 4)).invert()
+    for names in (["x"], ["x", "y"]):
+        wanted = want * len(names) if isinstance(want, list) else want   # one per name
+        for read in (lambda: s.extract(names, wanted),
+                     lambda: multiply_extract(s, s, names, wanted)):
+            with pytest.raises(UsageError):
+                read()
 
 
 @pytest.mark.parametrize("entry", [0.5, True, "1", Fraction(1)],
