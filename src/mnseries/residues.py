@@ -253,11 +253,9 @@ def _graded_spec(names):
 
 
 def embed_graded(series, gspec, box):
-    """Re-home a plain-field series into the graded field (aux exponent 0)."""
-    terms = {k + (0,): v for k, v in series.terms.items()}
-    if series.exact:            # an exact series keeps every term it holds
-        return Series._trusted(gspec, terms, box, True)
-    return Series(gspec, terms, box=box, exact=False)
+    """Re-home an exact plain-field series into the graded field (aux
+    exponent 0); it keeps every term it holds."""
+    return Series._trusted(gspec, {k + (0,): v for k, v in series.terms.items()}, box, True)
 
 
 def _check_power_series_normalized(F):

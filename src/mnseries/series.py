@@ -1,40 +1,44 @@
 """Truncated Malcev-Neumann series with exact rational coefficients.
 
 A ``Series`` is a sparse map from exponent vectors to nonzero exact rational
-coefficients, attached to a ``FieldSpec`` (which fixes the term order) and a
-precision ``Box`` on which the stored coefficients are guaranteed to agree
-with the untruncated series.  ``exact=True`` marks a Laurent polynomial whose
-stored terms are its complete support; such values are exact everywhere, and
-the box is the region that their inverse, exp and log walk.
+coefficients (``Fraction``, or ``int`` when integral), attached to a
+``FieldSpec`` (which fixes the term order) and a precision ``Box`` on which
+the stored coefficients agree with the untruncated series.  ``exact=True``
+marks a Laurent polynomial whose stored terms are its complete support: it is
+exact everywhere, and its box is only the region its own inverse, exp and log
+walk.  A ``Series`` is a value, never changed after construction, so
+``invert()`` and ``derivative(name)`` are computed once per object (never for
+an equal one); a refusal is raised again on every call.  The residue module
+stores a substitution's Jacobian data in its first series the same way.
 
-Coefficients are ``fractions.Fraction`` values, with plain ``int`` allowed to
-flow through as a fast path; both prune to nothing when they equal zero.
+One claim rule, ``_claim``: a result's box is the meet of the boxes of its
+truncated operands, and an exact operand adds its support, never its box.
+``equals_on`` takes it as it is, sums and exact products through
+``_result_claim`` (two exact operands meet their boxes, or keep the left one
+if they are disjoint); a truncated
+product shifts each truncated box by the other operand's initial phi, or by
+every phi of an exact other's support, and meets the shifts, one pass per
+coordinate (``_product_box``).  ``multiply_extract`` reads a CT/Res slice of
+a product on that box without forming the product.  A reciprocal s^(-p) of a
+truncated s = c·x^m·(1 - tau) is claimed on box - (p+1)·phi(m), as tau is
+known only on box - phi(m), where it is walked.
 
-``Series(...)`` validates its input: exponent lengths and entries, coefficient
-types, zeros and, on a truncated series, that every term lies in the box.
-The results of ``multiply``, ``invert``, negative powers, ``compose_stream``
-and ``derivative`` skip that pass (``Series._trusted``): they hold by
-construction, as ``_convolve`` keeps only the pairs whose phi lies in the
-result box, the power-sum kernel pushes only exponents inside the box (and
-stores the origin only when the box holds it), a derivative shifts its terms
-with its box, and each drops its zeros and normalizes each coefficient once.
+One term filter, ``_kept``: normalize each coefficient (``_coeff``), drop the
+zeros and keep a truncated result's terms inside its box.  ``Series(...)``
+runs it after checking its input (exponent lengths and entries, coefficient
+types), and sums, ``multiply_extract`` and ``_project`` through
+``Series._filtered``.  What holds it by construction is built as it is,
+``Series._trusted``: ``_convolve`` keeps only the pairs whose phi lies in the
+box, the power-sum kernel pushes only exponents inside the box (and stores
+the origin only when the box holds it), a negation, a nonzero scale, a shift
+and a derivative move each term with the box, and a truncated one-term
+reciprocal's term, at -p·phi(m), lies in box - (p+1)·phi(m) as phi(m) lies
+in the series' box.
 
-A ``Series`` is a value: its fields are never changed after construction.
-So ``invert()`` and ``derivative(name)`` are computed once per object and
-returned again on later calls on that same object (never on an equal one);
-a refusal is not stored and is raised again on every call.  The residue
-module stores a substitution's Jacobian data in its first series the same way.
-
-Box propagation through products follows the shift-and-intersect rule: each
-factor's box is shifted by the other factor's initial phi-exponent, or — when
-the other factor is exact, hence has fully known finite support — by every
-exponent of that support, and everything is intersected, one pass per
-coordinate (``_product_box``).
-``multiply_extract`` reads a CT/Res slice of a product on that box without
-forming the product.  Both pruned kernels, ``_packed_keep`` (``_convolve``
-from ``PACKED_PAIRS`` pairs on) and the inversion recurrence, pack phi into
-one int of guard-bit fields, ``_packed_layout`` (Monagan and Pearce's
-packed exponent vectors), and keep a sum in the box by two mask tests.
+Both pruned kernels, ``_packed_keep`` (``_convolve`` from ``PACKED_PAIRS``
+pairs on) and the inversion recurrence, pack phi into one int of guard-bit
+fields, ``_packed_layout`` (Monagan and Pearce's packed exponent vectors),
+and keep a sum in the box by two mask tests.
 
 One body, ``Series._reciprocal_power``, makes every inverse and every
 negative power of a series with two or more terms: it writes the series as
@@ -96,6 +100,18 @@ def _exponents(exponents, n):
     return exponents
 
 
+def _kept(spec, items, box, exact):
+    """The one term filter: (exponent, value) pairs as a term dict, each
+    value normalized by ``_coeff``, zeros dropped and, unless ``exact``,
+    only the exponents whose phi lies in ``box``."""
+    terms = {}
+    for exponent, value in items:
+        value = _coeff(value)
+        if value != 0 and (exact or box.contains(spec.phi(exponent))):
+            terms[exponent] = value
+    return terms
+
+
 def _vec_add(a, b):
     return tuple(x + y for x, y in zip(a, b))
 
@@ -123,30 +139,17 @@ class Series:
             box = spec.default_box()
         if len(box) != spec.n:
             raise SpecMismatch("box dimension does not match the field")
-        clean = {}
-        for exponent, value in zip(_exponents(terms, spec.n), terms.values()):
-            value = _coeff(value)
-            if value == 0:
-                continue
-            if exact or box.contains(spec.phi(exponent)):
-                clean[exponent] = value
         self.spec = spec
-        self.terms = clean
+        self.terms = _kept(spec, zip(_exponents(terms, spec.n), terms.values()), box, exact)
         self.box = box
         self.exact = exact
         self._memo = None
 
     @classmethod
     def _trusted(cls, spec, terms, box, exact):
-        """A series from an engine result, taken as it is.
-
-        ``terms`` must already hold what ``__init__`` would keep: tuple
-        exponents of the field's length, nonzero normalized coefficients
-        (``_coeff``) and, unless ``exact``, only exponents whose phi lies in
-        ``box``.  Nothing is checked, so only operations whose construction
-        guarantees this may call it; input from outside goes through
-        ``Series(...)``.
-        """
+        """A series from an engine result, taken as it is: nothing is
+        checked, so ``terms`` must already be what ``_kept`` keeps, with tuple
+        exponents of the field's length (see the module docstring)."""
         self = object.__new__(cls)
         self.spec = spec
         self.terms = terms
@@ -154,6 +157,11 @@ class Series:
         self.exact = exact
         self._memo = None
         return self
+
+    @classmethod
+    def _filtered(cls, spec, items, box, exact):
+        """A series of an engine result's (exponent, value) pairs, ``_kept``."""
+        return cls._trusted(spec, _kept(spec, items, box, exact), box, exact)
 
     def _remember(self, key, value):
         """Store ``value`` under ``key`` (see the class docstring) and return it."""
@@ -221,22 +229,16 @@ class Series:
         if not isinstance(other, Series):
             other = Series.constant(self.spec, other, box=self.box)
         self._require_same_spec(other)
-        exact = self.exact and other.exact
-        box = _meet_boxes(self, other)
+        box = _result_claim(self, other)
         terms = dict(self.terms)
         for exponent, value in other.terms.items():
             terms[exponent] = terms.get(exponent, 0) + value
-        return Series(self.spec, terms, box=box, exact=exact)
+        return Series._filtered(self.spec, terms.items(), box, self.exact and other.exact)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series(
-            self.spec,
-            {k: -v for k, v in self.terms.items()},
-            box=self.box,
-            exact=self.exact,
-        )
+        return self.scale(-1)
 
     def __sub__(self, other):
         if not isinstance(other, Series):
@@ -248,23 +250,15 @@ class Series:
 
     def scale(self, value):
         value = _coeff(value)
-        return Series(
-            self.spec,
-            {k: v * value for k, v in self.terms.items()},
-            box=self.box,
-            exact=self.exact,
-        )
+        terms = {k: _coeff(v * value) for k, v in self.terms.items()} if value else {}
+        return Series._trusted(self.spec, terms, self.box, self.exact)
 
     def shift(self, exponent):
         """Multiply by the monomial x^exponent (exactness preserved)."""
-        exponent = tuple(exponent)
+        [exponent] = _exponents([exponent], self.spec.n)
         moved = {_vec_add(k, exponent): v for k, v in self.terms.items()}
-        return Series(
-            self.spec,
-            moved,
-            box=self.box.shift(self.spec.phi(exponent)),
-            exact=self.exact,
-        )
+        return Series._trusted(self.spec, moved, self.box.shift(self.spec.phi(exponent)),
+                               self.exact)
 
     def __mul__(self, other):
         if not isinstance(other, Series):
@@ -328,8 +322,9 @@ class Series:
         Each term is keyed once, to find m; tau's steps are e - m.  One
         ``_power_sum`` call on tau, with x^(-p·m) and c^(-p) folded in, makes
         the result: p = 1 the plain recurrence g = 1 + prune(tau·g), p ≥ 2
-        the lifted one with the binomial weights C(j+p-1, p-1).  The walk
-        stays in this series' box, and the result is claimed on that box
+        the lifted one with the binomial weights C(j+p-1, p-1).  tau is
+        walked where it is known, a truncated series' box less phi(m) (an
+        exact one walks its own box), and the result is claimed on the walk
         shifted by -p·phi(m), the one place a reciprocal's claim is made.
         """
         if not self.terms:
@@ -341,13 +336,15 @@ class Series:
         m = min(keys, key=keys.get)
         c = Fraction(self.terms[m])
         shift = tuple(-p * x for x in m)
-        box = self.box.shift(tuple(-p * x for x in reversed(keys[m])))
+        down = tuple(-x for x in reversed(keys[m]))         # -phi(m)
+        walk = self.box if self.exact else self.box.shift(down)
+        box = walk.shift(tuple(p * x for x in down))
         lead = _coeff(c ** -p)
-        if len(keys) == 1:
-            return Series(spec, {shift: lead}, box=box, exact=self.exact)
+        if len(keys) == 1:      # -p·phi(m) is in box, as phi(m) is in self.box
+            return Series._trusted(spec, {shift: lead}, box, self.exact)
         tau = {_vec_sub(e, m): _coeff(-v / c) for e, v in self.terms.items() if e != m}
         weights = None if p == 1 else lambda j: comb(j + p - 1, p - 1)
-        total = _power_sum(tau, spec.twist, self.box, weights, shift, lead)
+        total = _power_sum(tau, spec.twist, walk, weights, shift, lead)
         power = Series._trusted(spec, total, box, False)
         if p == 1 and total:    # stored in term order: the first item is the least
             power._remember("initial", next(iter(total.items())))
@@ -424,11 +421,10 @@ class Series:
             tuple(spec.variables[i] for i in keep),
             tuple(tuple(spec.twist[i][j] for j in keep) for i in keep),
         )
-        out = {}
-        for exponent, value in self.terms.items():
-            if tuple(exponent[i] for i in selected) == want:
-                out[tuple(exponent[i] for i in keep)] = value
-        return Series(residual, out, box=self.box.project(keep), exact=self.exact)
+        out = ((tuple(exponent[i] for i in keep), value)
+               for exponent, value in self.terms.items()
+               if tuple(exponent[i] for i in selected) == want)
+        return Series._filtered(residual, out, self.box.project(keep), self.exact)
 
     def extract(self, names, want):
         """CT (``want=0``) or Res (``want=-1``) in the named variables, or
@@ -464,12 +460,7 @@ class Series:
         self._require_same_spec(other)
         if box is not None and len(box) != self.spec.n:
             raise SpecMismatch("box dimension does not match the field")
-        region = box
-        for side in (self, other):
-            if not side.exact:
-                region = side.box if region is None else region.intersect(side.box)
-                if region is None:
-                    raise OutOfPrecision("no common guaranteed box to compare on")
+        region = _claim(self, other, box, "no common guaranteed box to compare on")
         spec = self.spec
         for exponent in set(self.terms) | set(other.terms):
             if region is not None and not region.contains(spec.phi(exponent)):
@@ -556,13 +547,21 @@ class Series:
 # ----------------------------------------------------------------------
 # multiplication
 
-def _meet_boxes(a, b):
-    box = a.box.intersect(b.box)
-    if box is None:
-        if a.exact and b.exact:
-            return a.box
-        raise OutOfPrecision("operand boxes do not overlap")
-    return box
+def _claim(a, b, region=None, refusal="operand boxes do not overlap"):
+    """The claim rule: ``region`` met with the truncated operands' boxes (an
+    exact operand adds its support, never its box); None if nothing is met,
+    OutOfPrecision (``refusal``) if the meet is empty."""
+    for side in (a, b):
+        if not side.exact:
+            region = side.box if region is None else region.intersect(side.box)
+            if region is None:
+                raise OutOfPrecision(refusal)
+    return region
+
+
+def _result_claim(a, b):
+    """A sum's or exact product's box: ``_claim``, or two exact boxes met (or the left)."""
+    return _claim(a, b) or a.box.intersect(b.box) or a.box
 
 
 def _int_normal(terms):
@@ -732,13 +731,13 @@ def det(matrix):
 
 
 def _product_box(a, b):
-    """``(box, exact)`` of the product: the met boxes of an exact product or
-    of one with an exact zero operand, else each truncated box shifted by
-    every phi of an exact other's support (by a truncated other's initial
+    """``(box, exact)`` of the product: by ``_result_claim`` for an exact
+    product or one with an exact zero operand, else each truncated box shifted
+    by every phi of an exact other's support (by a truncated other's initial
     phi, by 0 if it is empty) and met, one pass: [lo + max phi_j, hi + min phi_j]."""
     a._require_same_spec(b)
     if (a.exact and (b.exact or not a.terms)) or (b.exact and not b.terms):
-        return _meet_boxes(a, b), True
+        return _result_claim(a, b), True
     spec = a.spec
     bounds = None
     for mine, other in ((a, b), (b, a)):
@@ -784,8 +783,8 @@ def multiply_extract(a, b, names, want):
         for ka, va in partners.get(named(kb), ()):
             e = tuple(map(_int_add, ka, kb))
             out[e] = out.get(e, 0) + va * vb
-    # Series(...) keeps, as multiply's pair filter does, only what is in the box
-    return Series(a.spec, out, box=box, exact=exact).extract(names, want)
+    # _kept keeps, as multiply's pair filter does, only what is in the box
+    return Series._filtered(a.spec, out.items(), box, exact).extract(names, want)
 
 
 # ----------------------------------------------------------------------

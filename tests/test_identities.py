@@ -86,6 +86,11 @@ def test_dyson_validation():
         DysonInstance(3, (1, 1))
     with pytest.raises(UsageError):
         DysonInstance(2, (-1, 1))
+    # the other families' size and sign checks
+    for build in (lambda: u_r_build(1, 2), lambda: j_r_closed_form(1, 2),
+                  lambda: vandermonde(0), lambda: dixon_sum(1, -1, 1)):
+        with pytest.raises(UsageError):
+            build()
 
 
 @pytest.mark.parametrize("bad", [1.5, "1"])

@@ -8,6 +8,7 @@ from mnseries import (
     MNError,
     OutOfPrecision,
     Series,
+    SpecMismatch,
     UsageError,
     identity_spec,
     lagrange_coefficient,
@@ -71,6 +72,13 @@ def test_normalization_errors():
         lagrange_inverse([Series(X, {(1,): 1, (0,): 1})], 4)
     with pytest.raises(BadNormalization):
         lagrange_inverse([Series(X, {(2,): 1})], 4)
+    # one series per variable, exact, with no negative exponent
+    F = Series(X, {(1,): 1, (2,): -1})
+    for refused, error in (([F, F], SpecMismatch),
+                           ([Series(X, F.terms, exact=False)], BadNormalization),
+                           ([Series(X, {(1,): 1, (-2,): 1})], BadNormalization)):
+        with pytest.raises(error):
+            lagrange_inverse(refused, 4)
 
 
 def test_coefficient_formula_catalan_values():

@@ -228,6 +228,16 @@ def test_parse_field_spec_identity_default():
 def test_singular_twist_rejected():
     with pytest.raises(SingularTwist):
         FieldSpec(("x", "y"), ((1, 1), (1, 1)))
+    # and the other malformed fields, built or parsed
+    for build in (lambda: FieldSpec((), ()),
+                  lambda: FieldSpec(("x", "x"), ((1, 0), (0, 1))),
+                  lambda: FieldSpec(("x", "y"), ((1, 0),)),
+                  lambda: FieldSpec(("x", "y"), ((1, 0), (0,))),
+                  lambda: parse_field_spec("vars=x,y; lex"),
+                  lambda: parse_field_spec("vars=x,y; order=lex"),
+                  lambda: parse_field_spec("twist=[[1]]")):
+        with pytest.raises(UsageError):
+            build()
 
 
 def test_unknown_variable():

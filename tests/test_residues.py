@@ -181,6 +181,8 @@ def test_singular_usage_error_is_not_a_refusal():
     F = expand_text("1+x", X)
     with pytest.raises(UnboundVariable):
         residue_verify(parse("x*q"), [F], ["x"])
+    with pytest.raises(UsageError, match="unknown form 'x'"):
+        residue_verify(parse("x"), [F], ["x"], form="x")
 
 
 def test_singular_laurent_polynomial_still_holds():

@@ -80,11 +80,10 @@ def test_add_spec_mismatch():
         Series(X, {(1,): 1}) + Series(identity_spec(("y",)), {(1,): 1})
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="an exact operand's box narrows a sum (ROADMAP item 8)")
 def test_exact_operand_keeps_the_sums_box():
-    # t + 1 keeps t's box, but 1 + t meets it with the constant's default
-    # [-16, 16]: it claims less on [-40, 40] and is refused on [20, 30]
+    # an exact operand adds its support, never its box: 1 + t keeps t's box
+    # as t + 1 does (meeting the constant's default [-16, 16], it claimed
+    # less on [-40, 40] and was refused on [20, 30])
     def box_of_sum(t):
         try:
             return (Series.constant(X, 1) + t).box
@@ -183,12 +182,14 @@ def test_pruned_products_equal_the_filtered_full_product():
 
 def _shift_and_intersect(a, b):
     """The product's ``(box, exact)`` by the per-exponent rule: one shifted
-    box per shift, intersected one at a time."""
+    box per shift, intersected one at a time.  An exact zero operand makes an
+    exact product claimed on the other's box if it is truncated."""
     if (a.exact and (b.exact or not a.terms)) or (b.exact and not b.terms):
-        met = a.box.intersect(b.box)
-        if met is None and not (a.exact and b.exact):
-            raise OutOfPrecision("operand boxes do not overlap")
-        return met or a.box, True
+        if not b.exact:
+            return b.box, True
+        if not a.exact:
+            return a.box, True
+        return a.box.intersect(b.box) or a.box, True
     candidates = []
     for mine, other in ((a, b), (b, a)):
         if mine.exact:
@@ -412,17 +413,21 @@ def _geometric_sum(spec, tau, box, coefficients):
 
 def _power_sum_inverse(s, p=1):
     """s^(-p) as c^(-p)·x^(-p·m)·(sum of C(j+p-1, p-1) times the j-th
-    box-pruned power of tau), for s = c·x^m·(1 - tau)."""
+    box-pruned power of tau), for s = c·x^m·(1 - tau).  tau's box is where
+    it is known: s's box less phi(m) if s is truncated (an exact s walks its
+    own box), and the result is claimed on tau's box less p·phi(m)."""
     spec = s.spec
     m, c = s.initial_term()
     inv_c = 1 / Fraction(c)
     tau = {_vec_sub(e, m): -v * inv_c for e, v in s.terms.items() if e != m}
-    total = _geometric_sum(spec, tau, s.box, lambda j: comb(j + p - 1, p - 1))
+    down = tuple(-x for x in spec.phi(m))
+    walk = s.box if s.exact else s.box.shift(down)
+    total = _geometric_sum(spec, tau, walk, lambda j: comb(j + p - 1, p - 1))
     shift = tuple(-p * x for x in m)
     return Series(
         spec,
         {_vec_add(e, shift): v * inv_c ** p for e, v in total.items()},
-        box=s.box.shift(tuple(-p * x for x in spec.phi(m))),
+        box=walk.shift(tuple(p * x for x in down)),
         exact=False,
     )
 
@@ -652,24 +657,28 @@ def test_invert_computes_phi_once_per_input_term(monkeypatch):
 
 
 def test_invert_refuses_a_step_that_wraps_in_the_packed_key():
-    # Term order compares y first, so x + y + x^2 = x·(1 + x^-1·y + x).  The
-    # step x^-1·y leaves x in [0, 3] from the origin, although the packed
-    # sum lies between the box's least and greatest packed keys: the step
-    # must be refused in the x field itself, not by the key's range.
+    # Term order compares y first, so x + y + x^2 = x·(1 + x^-1·y + x), and
+    # tau is walked on the box less x, [-1, 2] in x.  A second step x^-1·y
+    # from x^-1·y leaves it, although the packed sum lies between the box's
+    # least and greatest packed keys: the step must be refused in the x
+    # field itself, not by the key's range.  So g = 1/(1 - tau) has no
+    # x^-2·y^2, and of the three paths to x^-1·y^2 only the two that avoid
+    # it count.
     s = Series(identity_spec(("x", "y")), {(1, 0): 1, (0, 1): 1, (2, 0): 1},
                box=Box(((0, 3), (0, 5))), exact=False)
     inv = s.invert()
     assert inv == _power_sum_inverse(s)
-    assert (-2, 1) not in inv.terms and inv.coefficient((-1, 1)) == 1
+    assert (-3, 2) not in inv.terms and inv.coefficient((-2, 2)) == -2
 
 
 def test_invert_starts_from_the_origin_outside_the_box():
-    # The recurrence starts at tau's origin even though the box [3, 10] does
-    # not contain it, exactly as the power sum does.  Making the box sound
-    # (ROADMAP item 1) may change this value on purpose.
+    # tau = -x^3 is known on [3, 10] - 5 = [-2, 5], which holds its origin;
+    # the recurrence starts there and walks tau's box, and the inverse is
+    # claimed on [-7, 0], where x^-5·(1 - x^3 + ...) is the true inverse.
+    # Making the box sound (ROADMAP item 1) may change this value on purpose.
     inv = Series(X, {(5,): 1, (8,): 1}, box=Box(((3, 10),)), exact=False).invert()
-    assert inv.terms == {(-2,): -1, (1,): 1, (4,): -1}
-    assert inv.box == Box(((-2, 5),))
+    assert inv.terms == {(-5,): 1, (-2,): -1}
+    assert inv.box == Box(((-7, 0),))
 
 
 @pytest.mark.xfail(strict=True, reason="unsound precision box (ROADMAP item 1): "
@@ -791,13 +800,14 @@ def _assert_holds_the_constructor_invariant(r):
 
 
 def test_engine_results_hold_the_constructor_invariant():
-    # multiply, invert, compose_stream, derivative and embed_graded of an
-    # exact series build their results without revalidating them
+    # multiply, invert, compose_stream, derivative, negation, scale, shift
+    # and embed_graded of an exact series build their results without
+    # revalidating them
     rng = random.Random(2718)
     seen = {"exact*exact": 0, "exact*truncated": 0, "truncated*truncated": 0,
             "invert": 0, "invert, origin outside the box": 0, "compose_stream": 0,
             "derivative": 0, "derivative, integral from a Fraction": 0,
-            "embed_graded": 0}
+            "negation, scale and shift": 0, "embed_graded": 0}
 
     def draw(spec, exact):
         terms = {
@@ -830,6 +840,10 @@ def test_engine_results_hold_the_constructor_invariant():
             continue
         _assert_holds_the_constructor_invariant(s.invert())
         seen["invert"] += 1
+        # a scale by 3/2 makes the thirds integral
+        for derived in (-s, s.scale(Fraction(3, 2)), s.scale(0), s.shift((1,) * spec.n)):
+            _assert_holds_the_constructor_invariant(derived)
+        seen["negation, scale and shift"] += 1
         seen["invert, origin outside the box"] += not s.box.contains((0,) * spec.n)
         tail = Series(spec, {e: v for e, v in s.terms.items() if spec.is_positive(e)},
                       box=s.box, exact=s.exact)
@@ -1353,3 +1367,10 @@ def test_comparison_box_must_match_the_field():
             s.equals_on(t, box=cube(n, 5))
         with pytest.raises(SpecMismatch):
             s.is_zero_on(box=cube(n, 5))
+        with pytest.raises(SpecMismatch):
+            Series(plain, {}, box=cube(n, 5))
+    # truncated on disjoint boxes, or on one disjoint from the box asked for
+    far = Series(plain, {}, box=Box(((20, 30), (20, 30))), exact=False)
+    for compare in (lambda: s.equals_on(far), lambda: far.equals_on(t, box=cube(2, 5))):
+        with pytest.raises(OutOfPrecision, match="no common guaranteed box to compare on"):
+            compare()
