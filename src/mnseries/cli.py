@@ -29,11 +29,13 @@ from .ordering import (
     DEFAULT_RADIUS,
     Box,
     cube,
+    field_spec,
     format_field_spec,
     parse_field_spec,
     parse_rational,
     rational_text,
     read_int,
+    read_names,
 )
 from .parser import Div, Mul, expand, parse
 from .residues import (
@@ -96,17 +98,11 @@ def _inputs_from_args(args):
 
 
 def _field_from_args(args):
-    if getattr(args, "field", None):
-        spec = parse_field_spec(args.field)
-    elif getattr(args, "vars", None):
-        names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
-        if getattr(args, "twist", None):
-            spec = parse_field_spec(f"vars={','.join(names)}; twist={args.twist}")
-        else:
-            spec = parse_field_spec("vars=" + ",".join(names))
-    else:
-        raise UsageError("specify the field with --vars (and --twist) or --field")
-    return spec
+    if args.field:
+        return parse_field_spec(args.field)
+    if args.vars:
+        return field_spec(args.vars, args.twist or None)
+    raise UsageError("specify the field with --vars (and --twist) or --field")
 
 
 def _box_from_args(args, spec):
@@ -127,7 +123,7 @@ def _box_from_args(args, spec):
 
 def _bindings_from_args(args):
     bindings = {}
-    if getattr(args, "bind", None):
+    if args.bind:
         for item in args.bind.split(","):
             item = item.strip()
             if not item:
@@ -140,9 +136,9 @@ def _bindings_from_args(args):
 
 
 def _expr_from_args(args):
-    if getattr(args, "expr", None) is not None:
+    if args.expr is not None:
         return args.expr
-    if getattr(args, "expr_file", None):
+    if args.expr_file:
         return _read_text(args.expr_file, "--expr-file").strip()
     raise UsageError("an expression is required (--expr or --expr-file)")
 
@@ -156,28 +152,23 @@ def _series_list(text, spec, box, bindings):
     return series
 
 
-def _xvars_from_args(args, spec, count):
-    if getattr(args, "xvars", None):
-        names = tuple(v.strip() for v in args.xvars.split(",") if v.strip())
+def _substitution(args, text, spec, box, bindings):
+    """The series of ``F1;F2;...`` and the x-variables they replace:
+    ``--xvars``, or the field's first variables."""
+    F = _series_list(text, spec, box, bindings)
+    xnames = read_names(args.xvars) if args.xvars else spec.variables[:len(F)]
+    if len(xnames) != len(F):
+        raise UsageError(f"need {len(F)} x-variables, got {len(xnames)}")
+    return F, xnames
+
+
+def _print(value, args):
+    """A series, or a scalar as ``p/q``, as text or as JSON."""
+    if isinstance(value, Series):
+        print(_compact(value.to_json()) if args.format == "json" else value)
     else:
-        names = spec.variables[:count]
-    if len(names) != count:
-        raise UsageError(f"need {count} x-variables, got {len(names)}")
-    return names
-
-
-def _print_series(series, args):
-    if args.format == "json":
-        print(_compact(series.to_json()))
-    else:
-        print(series)
-
-
-def _print_scalar(value, args):
-    if args.format == "json":
-        print(_compact({"value": rational_text(value)}))
-    else:
-        print(rational_text(value))
+        text = rational_text(value)
+        print(_compact({"value": text}) if args.format == "json" else text)
 
 
 # ----------------------------------------------------------------------
@@ -185,8 +176,7 @@ def _print_scalar(value, args):
 
 def _cmd_expand(args):
     spec, box, bindings = _inputs_from_args(args)
-    series = expand(parse(_expr_from_args(args)), spec, box=box, bindings=bindings)
-    _print_series(series, args)
+    _print(expand(parse(_expr_from_args(args)), spec, box=box, bindings=bindings), args)
     return 0
 
 
@@ -202,20 +192,16 @@ def _extract_command(args):
         _product_box(*factors)
     else:
         factors = (expand(node, spec, box=box, bindings=bindings),)
-    if args.over is not None:
-        over = tuple(v.strip() for v in args.over.split(",") if v.strip())
-    else:
-        over = spec.variables
-    if getattr(args, "cov", None):
-        F = _series_list(args.cov, spec, box, bindings)
-        cov = change_of_variables(F, _xvars_from_args(args, spec, len(F)))
+    over = spec.variables if args.over is None else read_names(args.over)
+    if args.cov:
+        cov = change_of_variables(*_substitution(args, args.cov, spec, box, bindings))
         report = {
             "jacobian_number": cov.jnum,
             "initial_exponents": [list(row) for row in cov.leading_exponents],
             "target_field": format_field_spec(cov.target) if cov.target else None,
         }
         if cov.jnum != 0:
-            lj_ct = log_jacobian(F, cov.xnames).extract(cov.xnames, 0)
+            lj_ct = log_jacobian(cov.F, cov.xnames).extract(cov.xnames, 0)
             if isinstance(lj_ct, Series):
                 check = lj_ct.equals_on(cov.jnum)
             else:
@@ -223,45 +209,23 @@ def _extract_command(args):
             report["ct_log_jacobian_equals_jnum"] = bool(check)
         print(_compact(report), file=sys.stderr)
     if len(factors) == 2:
-        result = multiply_extract(*factors, over, args.want)
+        _print(multiply_extract(*factors, over, args.want), args)
     else:
-        result = factors[0].extract(over, args.want)
-    if isinstance(result, Series):
-        _print_series(result, args)
-    else:
-        _print_scalar(result, args)
+        _print(factors[0].extract(over, args.want), args)
     return 0
 
 
-def _jacobian_inputs(args):
-    spec, box, bindings = _inputs_from_args(args)
-    F = _series_list(args.F, spec, box, bindings)
-    return F, _xvars_from_args(args, spec, len(F))
-
-
-def _cmd_jacobian(args):
-    F, xnames = _jacobian_inputs(args)
-    _print_series(jacobian(F, list(xnames)), args)
-    return 0
-
-
-def _cmd_jnum(args):
-    F, xnames = _jacobian_inputs(args)
-    print(rational_text(jacobian_number(F, list(xnames))))
-    return 0
-
-
-def _cmd_lj(args):
-    F, xnames = _jacobian_inputs(args)
-    _print_series(log_jacobian(F, list(xnames)), args)
+def _jacobian_command(args):
+    """``jacobian``, ``jnum`` or ``lj``: ``args.compute(F, xnames)`` printed."""
+    F, xnames = _substitution(args, args.F, *_inputs_from_args(args))
+    _print(args.compute(F, xnames), args)
     return 0
 
 
 def _cmd_cov(args):
     spec, box, bindings = _inputs_from_args(args)
-    F = _series_list(args.cov, spec, box, bindings)
-    xnames = _xvars_from_args(args, spec, len(F))
-    verdict = residue_verify(parse(args.phi), F, list(xnames),
+    F, xnames = _substitution(args, args.cov, spec, box, bindings)
+    verdict = residue_verify(parse(args.phi), F, xnames,
                              bindings=bindings, box=box, form=args.form)
     print(_compact(verdict.to_json()))
     return 0 if verdict.equal else 1
@@ -285,7 +249,7 @@ def _cmd_lagrange(args):
         raise UsageError("lagrange needs --k k1,k2,... or --inverse")
     k = _int_list(args.k, "--k")
     phi = parse(args.phi) if args.phi else parse(spec.variables[0])
-    _print_scalar(lagrange_coefficient(phi, F, k), args)
+    _print(lagrange_coefficient(phi, F, k), args)
     return 0
 
 
@@ -312,7 +276,7 @@ def _cmd_wilson(args):
     spec = zspec(n)
     box = cube(n, args.box)
     if args.j is not None:
-        _print_series(wilson_v(n, args.j, spec, box), args)
+        _print(wilson_v(n, args.j, spec, box), args)
         return 0
     vs = [wilson_v(n, j, spec, box) for j in range(1, n + 1)]
     total = sum(vs[1:], vs[0])
@@ -376,12 +340,12 @@ def _build_parser():
         p.add_argument("--xvars", help="the variables the cov series replace")
         p.set_defaults(func=_extract_command, want=want)
 
-    for name, func in (("jacobian", _cmd_jacobian), ("jnum", _cmd_jnum),
-                       ("lj", _cmd_lj)):
+    for name, compute in (("jacobian", jacobian), ("jnum", jacobian_number),
+                          ("lj", log_jacobian)):
         p = sub.add_parser(name, parents=[field])
         p.add_argument("--F", required=True, help="series expressions F1;F2;...")
         p.add_argument("--xvars")
-        p.set_defaults(func=func)
+        p.set_defaults(func=_jacobian_command, compute=compute)
 
     p = sub.add_parser("cov", parents=[field],
                        help="verify both sides of the residue identity")

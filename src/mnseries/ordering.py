@@ -118,6 +118,9 @@ class FieldSpec:
         n = len(self.variables)
         if n == 0:
             raise UsageError("a field needs at least one variable")
+        for name in self.variables:
+            if not (isinstance(name, str) and name and name_end(name) == len(name)):
+                raise UsageError(f"bad variable name {name!r}")
         if len(set(self.variables)) != n:
             raise UsageError("variable names must be distinct")
         if len(self.twist) != n or any(len(row) != n for row in self.twist):
@@ -169,6 +172,26 @@ class FieldSpec:
         return cube(self.n)
 
 
+# The one name rule of fields and expressions: a letter (``str.isalpha``, any
+# script) or "_", then letters, digits and "_" (``\w`` is ``str.isalnum``
+# and "_"), so every field variable can be spelled in an expression.
+_WORD = re.compile(r"\w+")
+
+
+def name_end(text, start=0):
+    """Where the variable name beginning at ``text[start]`` ends; ``start``
+    if none begins there."""
+    if start < len(text) and (text[start].isalpha() or text[start] == "_"):
+        return _WORD.match(text, start).end()
+    return start
+
+
+def read_names(text):
+    """The names of a comma separated list, blanks around them and empty
+    items dropped."""
+    return tuple(name.strip() for name in text.split(",") if name.strip())
+
+
 def identity_spec(names):
     names = tuple(names)
     n = len(names)
@@ -211,10 +234,19 @@ def transformed_spec(base, substituted_rows):
     return FieldSpec(base.variables, matmul(subst, base.twist))
 
 
+def field_spec(names, twist=None):
+    """The field over the comma separated ``names``, twisted by the matrix
+    the text ``twist`` spells (the identity when None)."""
+    rows = None if twist is None else _parse_matrix(twist)
+    names = read_names(names)
+    if not names:
+        raise UsageError("field spec needs vars=...")
+    return identity_spec(names) if rows is None else FieldSpec(names, rows)
+
+
 def parse_field_spec(text):
     """Parse ``vars=x,y,t; twist=[[2,1,0],[1,2,0],[0,0,1]]`` (twist optional)."""
-    names = None
-    twist = None
+    parts = {}
     for part in text.split(";"):
         part = part.strip()
         if not part:
@@ -223,18 +255,12 @@ def parse_field_spec(text):
             raise UsageError(f"bad field spec fragment {part!r}")
         key, _, value = part.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key == "vars":
-            names = tuple(v.strip() for v in value.split(",") if v.strip())
-        elif key == "twist":
-            twist = _parse_matrix(value)
-        else:
+        if key not in ("vars", "twist"):
             raise UsageError(f"unknown field spec key {key!r}")
-    if not names:
-        raise UsageError("field spec needs vars=...")
-    if twist is None:
-        return identity_spec(names)
-    return FieldSpec(names, twist)
+        if key in parts:
+            raise UsageError(f"field spec key {key!r} given twice")
+        parts[key] = value
+    return field_spec(parts.get("vars", ""), parts.get("twist"))
 
 
 def _parse_matrix(text):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonIntegerExponent, ParseError, UnboundVariable, UsageError
-from .ordering import DIGITS, rational_text, read_rational
+from .ordering import DIGITS, name_end, rational_text, read_rational
 from .series import Series, exp_of, log_of, multiply
 
 
@@ -110,10 +110,8 @@ def _tokenize(text):
             tokens.append(("int", digits.group(), i))
             i = digits.end()
             continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
+        j = name_end(text, i)
+        if j > i:
             tokens.append(("name", text[i:j], i))
             i = j
             continue

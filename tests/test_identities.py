@@ -269,6 +269,11 @@ def test_u_r_sums():
     assert u_r_build(3, 3).sum().equals_on(
         multiply(z_sum, vandermonde(3, spec))
     )
+    # r < 0 has no sum rule to check: u_j = (-1)^(j-1) z_j^r Delta_j still
+    family = u_r_build(3, -1)
+    assert family.r == -1
+    assert family.u[0].terms == {(-1, 1, 0): 1, (-1, 0, 1): -1}
+    assert family.u[1].terms == {(1, -1, 0): -1, (0, -1, 1): 1}
 
 
 def test_u_r_initial_exponents_match_matrix():

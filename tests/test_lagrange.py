@@ -242,6 +242,13 @@ def test_coefficient_refuses_non_integer_indices(k):
         lagrange_coefficient(parse("x"), [F], k)
 
 
+@pytest.mark.parametrize("k", [(-1,), (), (2, 1)], ids=["negative", "empty", "too-long"])
+def test_coefficient_refuses_a_bad_index(k):
+    F = Series(X, {(1,): 1, (2,): -1})
+    with pytest.raises(UsageError, match="bad coefficient index"):
+        lagrange_coefficient(parse("x"), [F], k)
+
+
 def test_jacobian_is_taken_from_the_callers_F(monkeypatch):
     # J(F) is formed from the caller's F_i themselves, in their own field, so
     # each F_i's derivatives are computed once over all the targets read

@@ -14,10 +14,18 @@ from mnseries import (
     format_field_spec,
     identity_spec,
     int_det,
+    parse,
     parse_field_spec,
     transformed_spec,
 )
-from mnseries.ordering import MAX_DECIMAL_EXPONENT, rational_text, read_int, read_rational
+from mnseries.ordering import (
+    MAX_DECIMAL_EXPONENT,
+    field_spec,
+    rational_text,
+    read_int,
+    read_rational,
+)
+from mnseries.parser import Variable
 
 TWIST = FieldSpec(("x", "y"), ((2, 1), (1, 2)))
 
@@ -74,6 +82,8 @@ def test_transformed_spec_singular():
     base = identity_spec(("x", "y"))
     with pytest.raises(SingularTwist):
         transformed_spec(base, {"x": (2, 0), "y": (1, 0)})
+    with pytest.raises(UsageError, match="substituted row for 'x' has wrong length"):
+        transformed_spec(base, {"x": (2, 0, 1)})
 
 
 def test_transformed_spec_composes_with_base():
@@ -176,6 +186,8 @@ def test_box_basics():
     for bounds in (((0.5, 3),), ((0, True),), ((0, Fraction(3)),)):
         with pytest.raises(UsageError, match="box bounds must be integers"):
             Box(bounds)
+    with pytest.raises(UsageError, match=r"empty box interval \[2, 1\]"):
+        Box(((2, 1),))
 
 
 def test_parse_field_spec_round_trip():
@@ -223,6 +235,30 @@ def test_parse_field_spec_identity_default():
     spec = parse_field_spec("vars=a,b")
     assert spec.is_identity_twist()
     assert format_field_spec(spec) == "vars=a,b"
+    # empty fragments are skipped
+    assert parse_field_spec("vars=x;;") == parse_field_spec(" ; vars=x") == \
+        identity_spec(("x",))
+
+
+def test_field_spec_builds_what_parse_field_spec_reads():
+    assert field_spec(" x , y ", "[[2, 1], [1, 2]]") == TWIST
+    assert field_spec("x,,y") == identity_spec(("x", "y"))
+    for names, twist, message in (
+            (",", None, "field spec needs vars=..."),
+            ("x", "[[1]]; vars=y", "bad twist matrix"),
+            ("x;twist=[[2]]", None, "bad variable name 'x;twist=\\[\\[2\\]\\]'")):
+        with pytest.raises(UsageError, match=message):
+            field_spec(names, twist)
+
+
+def test_every_field_variable_can_be_spelled_in_an_expression():
+    names = ("x", "_", "_deg_", "a1", "x_2", "exp", "\u03b1", "\u03b1\u0662")
+    spec = identity_spec(names)
+    assert [parse(name) for name in spec.variables] == [Variable(n) for n in names]
+    for bad in ("y=1", "x;twist=[[2]]", "1x", "\u0662x", "x y", " x", "", "x+y",
+                "\u00b2", "x.y", 1, None):
+        with pytest.raises(UsageError, match="bad variable name"):
+            identity_spec(("x", bad))
 
 
 def test_singular_twist_rejected():
@@ -235,7 +271,10 @@ def test_singular_twist_rejected():
                   lambda: FieldSpec(("x", "y"), ((1, 0), (0,))),
                   lambda: parse_field_spec("vars=x,y; lex"),
                   lambda: parse_field_spec("vars=x,y; order=lex"),
-                  lambda: parse_field_spec("twist=[[1]]")):
+                  lambda: parse_field_spec("twist=[[1]]"),
+                  # each key at most once
+                  lambda: parse_field_spec("vars=x; vars=y"),
+                  lambda: parse_field_spec("twist=[[1]]; vars=x; twist=[[1]]")):
         with pytest.raises(UsageError):
             build()
 

@@ -67,6 +67,26 @@ def test_parse_error_position():
     assert err.value.position == 3
 
 
+@pytest.mark.parametrize("text, message, position", [
+    ("(1+x", "expected ')', found ''", 4),
+    ("x)", "trailing input ')'", 1),
+    ("x$", "unexpected character '$'", 1),
+])
+def test_parse_errors_name_their_position(text, message, position):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == position
+    assert str(err.value) == f"{message} (at position {position})"
+
+
+def test_only_expression_nodes_print_and_expand():
+    for node in ("x", 1, Add(Variable("x"), "y")):
+        with pytest.raises(UsageError, match="not an expression node"):
+            to_text(node)
+        with pytest.raises(UsageError, match="not an expression node"):
+            expand(node, X)
+
+
 def test_literals_and_exponents_past_the_str_digit_limit():
     # int(str) and str(int) refuse more than 4300 digits
     digits = "9" * 5000

@@ -183,6 +183,16 @@ def test_singular_usage_error_is_not_a_refusal():
         residue_verify(parse("x*q"), [F], ["x"])
     with pytest.raises(UsageError, match="unknown form 'x'"):
         residue_verify(parse("x"), [F], ["x"], form="x")
+    # nor, with j = -1, a failure of the composition gate
+    with pytest.raises(UnboundVariable):
+        residue_verify(parse("x*q"), [expand_text("1-x^-1", X)], ["x"])
+
+
+def test_singular_refusal_when_phi_cannot_expand():
+    # j(1+x) = 0 and phi = 1/0 has no expansion at all: refused as singular
+    F = expand_text("1+x", X)
+    with pytest.raises(RefusedSingular, match="phi is not a Laurent polynomial"):
+        residue_verify(parse("1/(x-x)"), [F], ["x"])
 
 
 def test_singular_laurent_polynomial_still_holds():
@@ -414,3 +424,9 @@ def test_stored_substitution_results_equal_a_recomputation():
 def test_field_specs_are_built_once():
     assert zspec(3) is zspec(3)
     assert graded_spec(["a", "b"]) is graded_spec(("a", "b"))
+
+
+def test_graded_spec_aux_name_avoids_the_field_names():
+    assert graded_spec(("x",)).variables == ("x", "_deg")
+    assert graded_spec(("_deg",)).variables == ("_deg", "_deg_")
+    assert graded_spec(("_deg", "_deg_")).variables == ("_deg", "_deg_", "_deg__")

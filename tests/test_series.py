@@ -23,6 +23,7 @@ from mnseries import (
     ZeroSeries,
     cube,
     exp_of,
+    expand_text,
     identity_spec,
     jacobian,
     jacobian_number,
@@ -960,6 +961,18 @@ def test_slice_outside_the_box_refused():
     assert Series(XYT, {(3, 0, 0): 2}).extract(["x"], 0).terms == {}
 
 
+@pytest.mark.xfail(strict=True, reason="a partial slice on a twisted field has no "
+                   "precision check (ROADMAP item 4)")
+def test_partial_slice_on_a_twisted_field_claims_only_what_it_knows():
+    # phi(a, b) = (a + b, b): the box [1,5] on a + b leaves out the constant
+    # term, yet the slice claims y^0 with coefficient 0; the truth is 1
+    spec = FieldSpec(("x", "y"), ((1, 0), (1, 1)))
+    small, wide = (expand_text("1/(1-x-y)", spec, box=Box((bounds, (-3, 3))))
+                   .extract(["x"], 0) for bounds in ((1, 5), (-8, 8)))
+    claimed = [(k,) for k in range(-3, 4) if small.guarantees((k,))]
+    assert [small.coefficient(e) for e in claimed] == [wide.coefficient(e) for e in claimed]
+
+
 def test_empty_name_list_refused():
     s = Series(XYT, {(1, 1, 1): 1})
     for read in (lambda: s.extract([], 0), lambda: multiply_extract(s, s, [], 0)):
@@ -1263,6 +1276,12 @@ def test_operators_by_scalars_and_series_and_their_text():
     assert repr(geo) == "Series(1 + x + x^2 + x^3 + x^4 | x | truncated)"
     assert repr(x - x) == "Series(0 | x | exact)"
     assert str(Series.zero(X)) == "0"
+    assert bool(x) and not bool(x - x)
+    assert x - 3 == Series(X, {(0,): -3, (1,): 1}, box=cube(1, 4))
+    assert 3 * x == x * 3 == Series(X, {(1,): 3}, box=cube(1, 4))
+    assert Series.constant(X, 3) != 3 and not (x == 3)  # a series is never a scalar
+    with pytest.raises(UsageError, match="need one wanted exponent per name, got 1 for 2"):
+        Series(XY, {(1, 1): 1}).extract(["x", "y"], (0,))
 
 
 def test_box_enlargement_consistency():
