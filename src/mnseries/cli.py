@@ -99,9 +99,11 @@ def _inputs_from_args(args):
 
 def _field_from_args(args):
     if args.field:
+        if args.vars is not None or args.twist is not None:
+            raise UsageError("--field takes no --vars or --twist")
         return parse_field_spec(args.field)
     if args.vars:
-        return field_spec(args.vars, args.twist or None)
+        return field_spec(args.vars, args.twist)
     raise UsageError("specify the field with --vars (and --twist) or --field")
 
 
@@ -201,12 +203,9 @@ def _extract_command(args):
             "target_field": format_field_spec(cov.target) if cov.target else None,
         }
         if cov.jnum != 0:
-            lj_ct = log_jacobian(cov.F, cov.xnames).extract(cov.xnames, 0)
-            if isinstance(lj_ct, Series):
-                check = lj_ct.equals_on(cov.jnum)
-            else:
-                check = lj_ct == cov.jnum
-            report["ct_log_jacobian_equals_jnum"] = bool(check)
+            # CT_x LJ(F) = j(F): the residue identity in CT form with phi = 1
+            report["ct_log_jacobian_equals_jnum"] = residue_verify(
+                parse("1"), cov.F, cov.xnames, box=box, form="ct").equal
         print(_compact(report), file=sys.stderr)
     if len(factors) == 2:
         _print(multiply_extract(*factors, over, args.want), args)

@@ -41,27 +41,27 @@ def _vandermonde(spec, indices):
     return result
 
 
-def vandermonde(n, spec=None):
+def vandermonde(n):
     """prod_{i<j} (z_i - z_j), expanded exactly; empty product for n=1."""
     if n < 1:
         raise UsageError("need at least one variable")
-    return _vandermonde(spec or zspec(n), range(n))
+    return _vandermonde(zspec(n), range(n))
 
 
-def vandermonde_determinant(n, spec=None):
+def vandermonde_determinant(n):
     """det(z_i^(n-j)) over exact series; equals the product form."""
-    spec = spec or zspec(n)
+    spec = zspec(n)
     rows = [
-        [Series.monomial(spec, tuple((n - 1 - j) if c == i else 0 for c in range(spec.n)))
+        [Series.monomial(spec, tuple((n - 1 - j) if c == i else 0 for c in range(n)))
          for j in range(n)]
         for i in range(n)
     ]
     return det(rows)
 
 
-def h_complete(n, k, spec=None):
+def h_complete(n, k):
     """Complete homogeneous symmetric function of degree k in n variables."""
-    spec = spec or zspec(n)
+    spec = zspec(n)
     if k < 0:
         return Series.zero(spec)
     terms = {}
@@ -103,17 +103,17 @@ def u_r_build(n, r):
             s = -s
         u.append(s)
     family = URFamily(n, r, tuple(u))
-    _check_u_sum(family, spec)
+    _check_u_sum(family)
     return family
 
 
-def _check_u_sum(family, spec):
+def _check_u_sum(family):
     n, r = family.n, family.r
     total = family.sum()
     if 0 <= r <= n - 2:
-        expected = Series.zero(spec)
+        expected = Series.zero(zspec(n))
     elif r >= n - 1:
-        expected = multiply(h_complete(n, r - n + 1, spec), vandermonde(n, spec))
+        expected = multiply(h_complete(n, r - n + 1), vandermonde(n))
     else:
         return
     if not total.equals_on(expected):
@@ -210,7 +210,7 @@ def _dyson_factors(instance):
         factors.append(Series._trusted(spec, terms, box, True))
     if not instance.generalized:
         return spec, factors, (0,) * n
-    z_power = {e: _multinomial(e) for e in h_complete(n, sum(a), spec).terms}
+    z_power = {e: _multinomial(e) for e in h_complete(n, sum(a)).terms}
     factors.append(Series(spec, z_power))
     return spec, factors, tuple(a)
 

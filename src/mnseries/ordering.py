@@ -47,6 +47,23 @@ def int_det(matrix):
     return sign * m[n - 1][n - 1]
 
 
+def pivot_columns(rows):
+    """The columns of ``rows`` (of full row rank) that the columns right of
+    them do not span, found from the last: the order the rows induce on
+    their combinations is decided on these columns alone, and the rows
+    restricted to them are nonsingular."""
+    pivots, basis = [], []          # basis: (pivot, echelon column)
+    for j in reversed(range(len(rows[0]))):
+        v = [row[j] for row in rows]
+        for p, b in basis:
+            v = [b[p] * x - v[p] * y for x, y in zip(v, b)]
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is not None:
+            pivots.append(j)
+            basis.append((p, v))
+    return pivots[::-1]
+
+
 def unit_vector(n, i):
     """The i-th standard basis vector of length n."""
     return tuple(1 if j == i else 0 for j in range(n))
@@ -198,40 +215,30 @@ def identity_spec(names):
     return FieldSpec(names, tuple(unit_vector(n, i) for i in range(n)))
 
 
-def matmul(a, b):
-    """Integer matrix product a @ b for row-tuples."""
-    n, m = len(a), len(b[0])
-    inner = len(b)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(m))
-        for i in range(n)
-    )
-
-
 def transformed_spec(base, substituted_rows):
     """Field spec for expansions after a change of variables.
 
     ``substituted_rows`` maps a variable name of ``base`` to the exponent
     vector (in base coordinates) of the initial monomial replacing it;
     variables not named keep their unit row.  The new twist is the
-    substitution matrix composed with the base twist.  Raises SingularTwist
-    when the substitution rows are dependent, which is exactly the Jacobian
-    number vanishing.
+    substitution matrix times the base twist, formed row by row.  Raises
+    SingularTwist when the substitution rows are dependent (the product is
+    singular exactly then, as the base twist is not), which is exactly the
+    Jacobian number vanishing.
     """
     n = base.n
     rows = []
     for i, name in enumerate(base.variables):
-        if name in substituted_rows:
-            row = tuple(substituted_rows[name])
-            if len(row) != n:
-                raise UsageError(f"substituted row for {name!r} has wrong length")
-            rows.append(row)
-        else:
-            rows.append(unit_vector(n, i))
-    subst = tuple(rows)
-    if int_det(subst) == 0:
+        if name not in substituted_rows:
+            rows.append(tuple(base.twist[i]))
+            continue
+        row = tuple(substituted_rows[name])
+        if len(row) != n:
+            raise UsageError(f"substituted row for {name!r} has wrong length")
+        rows.append(tuple(sum(map(mul, row, column)) for column in base._columns))
+    if int_det(rows) == 0:
         raise SingularTwist("initial monomials are multiplicatively dependent")
-    return FieldSpec(base.variables, matmul(subst, base.twist))
+    return FieldSpec(base.variables, tuple(rows))
 
 
 def field_spec(names, twist=None):

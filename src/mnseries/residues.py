@@ -166,25 +166,6 @@ class ResidueVerdict:
         }
 
 
-def _exact_expansion(phi, spec, box, bindings):
-    """The expansion of phi if it is an exact Laurent polynomial, else None."""
-    try:
-        value = expand(phi, spec, box=box, bindings=bindings)
-    except UsageError:
-        raise
-    except MNError:
-        return None
-    return value if value.exact else None
-
-
-def _sides_equal(lhs, rhs):
-    if isinstance(lhs, Series) and isinstance(rhs, Series):
-        return lhs.equals_on(rhs)
-    if isinstance(lhs, Series) or isinstance(rhs, Series):
-        return False
-    return lhs == rhs
-
-
 def residue_verify(phi, F, xnames, bindings=None, box=None, form="res"):
     """Evaluate both sides of the residue identity and compare.
 
@@ -201,31 +182,34 @@ def residue_verify(phi, F, xnames, bindings=None, box=None, form="res"):
         box = base.default_box()
     want = -1 if form == "res" else 0
 
-    if cov.jnum == 0:
-        if _exact_expansion(phi, base, box, bindings) is None:
-            raise RefusedSingular(
-                "Jacobian number is 0 and phi is not a Laurent polynomial"
-            )
-    else:
-        # Composition gate: phi must expand in the twisted field first.
-        try:
-            target_expansion = expand(phi, cov.target, box=box, bindings=bindings)
-        except UsageError:
-            raise
-        except MNError as exc:
+    try:
+        # the composition gate: phi expands in the twisted field first; with
+        # a zero Jacobian number, in the base field as a Laurent polynomial
+        expansion = expand(phi, cov.target or base, box=box, bindings=bindings)
+    except UsageError:
+        raise
+    except MNError as exc:
+        if cov.jnum:
             raise ExpansionFailure(
                 f"phi does not expand in the twisted field: {exc}"
             ) from exc
+        expansion = None
+    if cov.jnum == 0 and (expansion is None or not expansion.exact):
+        raise RefusedSingular(
+            "Jacobian number is 0 and phi is not a Laurent polynomial"
+        )
 
     phi_at_F = expand(phi, base, box=box, bindings=bindings,
                       substitutions=dict(zip(xnames, F)))
     jac = jacobian(cov.F, xnames) if form == "res" else log_jacobian(cov.F, xnames)
     lhs = multiply_extract(phi_at_F, jac, xnames, want)
     if cov.jnum:
-        rhs = target_expansion.extract(xnames, want) * cov.jnum
+        rhs = expansion.extract(xnames, want) * cov.jnum
     else:
         rhs = Series.zero(lhs.spec, box=lhs.box) if isinstance(lhs, Series) else 0
-    return ResidueVerdict(lhs, rhs, cov.jnum, _sides_equal(lhs, rhs), form, box)
+    # both sides are series exactly when xnames leaves a variable unnamed
+    equal = lhs.equals_on(rhs) if isinstance(lhs, Series) else lhs == rhs
+    return ResidueVerdict(lhs, rhs, cov.jnum, equal, form, box)
 
 
 # ----------------------------------------------------------------------

@@ -69,7 +69,7 @@ from .errors import (
     ZeroDivisor,
     ZeroSeries,
 )
-from .ordering import Box, FieldSpec, rational_text, read_rational
+from .ordering import Box, FieldSpec, pivot_columns, rational_text, read_rational
 
 
 def _coeff(value):
@@ -210,7 +210,7 @@ class Series:
     def coefficient(self, exponent):
         """Coefficient at an exponent; OutOfPrecision outside the guarantee."""
         [exponent] = _exponents([exponent], self.spec.n)
-        if not self.exact and not self.box.contains(self.spec.phi(exponent)):
+        if not self.guarantees(exponent):
             raise OutOfPrecision(f"exponent {exponent} is outside the guaranteed box")
         return self.terms.get(exponent, 0)
 
@@ -405,26 +405,31 @@ class Series:
         [target] = _exponents([target], self.spec.n)
         return selected, want, target
 
-    def _project(self, names, want):
-        """Terms whose named exponents equal ``want`` (one exponent per
-        name), as a series over the remaining variables; on the identity
-        twist, OutOfPrecision if one lies outside its variable's box interval."""
+    def _project(self, selected, want, target):
+        """Terms whose exponents at the ``selected`` indices equal ``want``
+        (``target`` holds them, 0 elsewhere; ``_wanted`` returns all three),
+        as a series over the remaining variables; on the identity twist,
+        OutOfPrecision if one lies outside its variable's box interval.
+
+        The residual twist is the remaining rows at their ``pivot_columns``,
+        so the slice keeps the order the field induces on it, and its box is
+        the box less phi(target) on those columns."""
         spec = self.spec
-        selected = self._selected_indices(names)
-        want = tuple(want)
         if (not self.exact and spec.is_identity_twist()
                 and not self.box.project(selected).contains(want)):
-            raise OutOfPrecision(f"slice {want} in {', '.join(names)} is outside "
+            names = ", ".join(spec.variables[i] for i in selected)
+            raise OutOfPrecision(f"slice {want} in {names} is outside "
                                  "the guaranteed box")
         keep = [i for i in range(spec.n) if i not in selected]
-        residual = FieldSpec(
-            tuple(spec.variables[i] for i in keep),
-            tuple(tuple(spec.twist[i][j] for j in keep) for i in keep),
-        )
+        rows = [spec.twist[i] for i in keep]
+        columns = pivot_columns(rows)
+        residual = FieldSpec(tuple(spec.variables[i] for i in keep),
+                             tuple(tuple(row[j] for j in columns) for row in rows))
+        box = self.box.shift(tuple(-c for c in spec.phi(target))).project(columns)
         out = ((tuple(exponent[i] for i in keep), value)
                for exponent, value in self.terms.items()
                if tuple(exponent[i] for i in selected) == want)
-        return Series._filtered(residual, out, self.box.project(keep), self.exact)
+        return Series._filtered(residual, out, box, self.exact)
 
     def extract(self, names, want):
         """CT (``want=0``) or Res (``want=-1``) in the named variables, or
@@ -436,7 +441,7 @@ class Series:
         selected, want, target = self._wanted(names, want)
         if len(selected) == self.spec.n:
             return self.coefficient(target)
-        return self._project(names, want)
+        return self._project(selected, want, target)
 
     # ------------------------------------------------------------------
     # comparison and presentation

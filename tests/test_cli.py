@@ -302,14 +302,23 @@ def test_empty_over_list_refused(capsys):
             2, "", "error[usage]: name at least one variable to extract over\n")
 
 
-@pytest.mark.xfail(strict=True, reason="the residual twist of a slice is built "
-                   "from the kept rows and columns, which can be singular "
-                   "(ROADMAP item 4)")
 def test_ct_on_a_twist_with_a_singular_residual_block(capsys):
-    # CT_x (1 + y) = 1 + y; while the defect stands this exits 1 with
-    # error[singular-twist]
+    # CT_x (1 + y) = 1 + y: the kept row (1, 0) of y is nonsingular on its
+    # pivot column 0, though the kept block (its column 1) is 0
     assert run_cli(capsys, "ct", "--vars", "x,y", "--twist", "[[1,1],[1,0]]",
                    "--over", "x", "--expr", "1+y") == (0, "1 + y\n", "")
+
+
+def test_slice_keeps_the_order_of_a_twisted_field(capsys):
+    # phi(x) = (1, -1): x has negative order, so the slice's twist is [[-1]]
+    # and its terms run from x^-1 down; its box is the field's column 1
+    argv = ("ct", "--vars", "x,y", "--twist", "[[1,-1],[0,1]]", "--box", "4",
+            "--over", "y", "--expr", "1/(1-x)")
+    assert run_cli(capsys, *argv) == (
+        0, "-x^-1 - x^-2 - x^-3 - x^-4 - x^-5\n", "")
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert (json.loads(out)["twist"], json.loads(out)["box"]) == ([[-1]], [[-3, 5]])
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -331,9 +340,13 @@ def test_ct_on_a_twist_with_a_singular_residual_block(capsys):
     (("--twist", "[[1]]", "--expr", "x"),
      "specify the field with --vars (and --twist) or --field"),
     (("--vars", "x"), "an expression is required (--expr or --expr-file)"),
+    # --field is the whole field, and an empty --twist is no matrix
+    (("--field", "vars=x", "--twist", "[[2]]", "--expr", "1/(1-x)", "--box", "3"),
+     "--field takes no --vars or --twist"),
+    (("--vars", "x", "--twist", "", "--expr", "x"), "bad twist matrix ''"),
 ], ids=["twist-holds-vars", "vars-holds-twist", "name-with-equals", "name-leading-digit",
         "name-with-space", "repeated-vars", "repeated-twist", "no-field", "twist-alone",
-        "no-expr"])
+        "no-expr", "field-with-twist", "empty-twist"])
 def test_bad_field_or_expression_refused(capsys, argv, message):
     assert run_cli(capsys, "expand", *argv) == (2, "", f"error[usage]: {message}\n")
 

@@ -25,6 +25,7 @@ from mnseries import (
     exp_of,
     expand_text,
     identity_spec,
+    int_det,
     jacobian,
     jacobian_number,
     log_jacobian,
@@ -959,6 +960,61 @@ def test_slice_outside_the_box_refused():
             read()
     # an exact series has no box to leave
     assert Series(XYT, {(3, 0, 0): 2}).extract(["x"], 0).terms == {}
+
+
+def test_slice_on_a_twist_with_a_singular_residual_block():
+    # y's row (1, 0) is 0 on y's own column, so the kept block is singular;
+    # its pivot column is column 0, where it orders y as the field does
+    spec = FieldSpec(("x", "y"), ((1, 1), (1, 0)))
+    ct = expand_text("1+y", spec, box=cube(2, 4)).extract(["x"], 0)
+    assert ct.spec == identity_spec(("y",))
+    assert (ct.terms, ct.box) == ({(0,): 1, (1,): 1}, Box(((-4, 4),)))
+
+
+def _slice(spec, box, selected, want):
+    """The residual field and box of ``want`` at the ``selected`` indices."""
+    names = [spec.variables[i] for i in selected]
+    residual = Series.zero(spec, box=box).extract(names, want)
+    return residual.spec, residual.box
+
+
+def _sign(a, b):
+    return (a > b) - (a < b)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_slice_keeps_the_order_the_field_induces(seed):
+    # random nonsingular twists, n = 2..4, random proper sets of named variables
+    rng = random.Random(seed)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        twist = None
+        while twist is None or int_det(twist) == 0:
+            twist = tuple(tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n))
+        spec = FieldSpec(tuple(f"v{i}" for i in range(n)), twist)
+        selected = sorted(rng.sample(range(n), rng.randint(1, n - 1)))
+        keep = [i for i in range(n) if i not in selected]
+        want = [rng.randint(-3, 3) for _ in selected]
+        box = cube(n, 6)
+        # a singular residual twist would raise SingularTwist here
+        residual, residual_box = _slice(spec, box, selected, want)
+        for _ in range(10):
+            pair = [[rng.randint(-3, 3) for _ in keep] for _ in range(2)]
+            full = []
+            for r in pair:
+                exponent = [0] * n
+                for i, e in zip(selected + keep, want + r):
+                    exponent[i] = e
+                full.append(exponent)
+                # the residual box holds every term of the slice the box holds
+                if box.contains(spec.phi(exponent)):
+                    assert residual_box.contains(residual.phi(r))
+            assert _sign(*map(residual.key, pair)) == _sign(*map(spec.key, full))
+        # on the identity twist the slice is the kept names' plain field on
+        # the kept intervals, as it was before pivot columns
+        plain = identity_spec(spec.variables)
+        assert _slice(plain, box, selected, want) == (
+            identity_spec([plain.variables[i] for i in keep]), box.project(keep))
 
 
 @pytest.mark.xfail(strict=True, reason="a partial slice on a twisted field has no "
