@@ -37,7 +37,7 @@ from .ordering import (
     read_int,
     read_names,
 )
-from .parser import Div, Mul, expand, parse
+from .parser import BINARY, Binary, expand, parse
 from .residues import (
     change_of_variables,
     jacobian,
@@ -185,18 +185,18 @@ def _cmd_expand(args):
 def _extract_command(args):
     spec, box, bindings = _inputs_from_args(args)
     node = parse(_expr_from_args(args))
-    if isinstance(node, (Mul, Div)):
+    if isinstance(node, Binary) and node.op in "*/":
         # a product on top is never formed: its factors are expanded, and its
         # box is checked, where the whole expression would have been
-        left = expand(node.left, spec, box=box, bindings=bindings)
-        right = expand(node.right, spec, box=box, bindings=bindings)
-        factors = (left, right.invert() if isinstance(node, Div) else right)
+        factors = BINARY[node.op][1](expand(node.left, spec, box=box, bindings=bindings),
+                                     expand(node.right, spec, box=box, bindings=bindings))
         _product_box(*factors)
     else:
         factors = (expand(node, spec, box=box, bindings=bindings),)
     over = spec.variables if args.over is None else read_names(args.over)
     if args.cov:
-        cov = change_of_variables(*_substitution(args, args.cov, spec, box, bindings))
+        F, xnames = _substitution(args, args.cov, spec, box, bindings)
+        cov = change_of_variables(F, xnames)
         report = {
             "jacobian_number": cov.jnum,
             "initial_exponents": [list(row) for row in cov.leading_exponents],
@@ -205,7 +205,7 @@ def _extract_command(args):
         if cov.jnum != 0:
             # CT_x LJ(F) = j(F): the residue identity in CT form with phi = 1
             report["ct_log_jacobian_equals_jnum"] = residue_verify(
-                parse("1"), cov.F, cov.xnames, box=box, form="ct").equal
+                parse("1"), F, xnames, box=box, form="ct").equal
         print(_compact(report), file=sys.stderr)
     if len(factors) == 2:
         _print(multiply_extract(*factors, over, args.want), args)

@@ -2,8 +2,7 @@
 
 Grammar (whitespace insignificant)::
 
-    expr   := term (('+'|'-') term)*
-    term   := unary (('*'|'/') unary)*
+    expr   := unary (('+'|'-'|'*'|'/') unary)*
     unary  := '-' unary | factor
     factor := base ('^' int)?
     base   := integer | name | '(' expr ')' | 'exp(' expr ')' | 'log(' expr ')'
@@ -11,10 +10,14 @@ Grammar (whitespace insignificant)::
 
 Precedence is ^ over unary minus over * / over + -, so ``-x^2`` is ``-(x^2)``
 and ``x^-1`` / ``x^(-1)`` are both accepted.  Exponents must be integers.
+The binary operators are left associative.  Each operator is one row of the
+operator table, ``BINARY`` or ``UNARY``: its precedence and its series
+operation, which the grammar, the printer and ``expand`` all read.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,32 +42,16 @@ class Variable(ExprNode):
 
 
 @dataclass(frozen=True)
-class Neg(ExprNode):
+class Binary(ExprNode):
+    op: str                 # a key of BINARY
+    left: ExprNode
+    right: ExprNode
+
+
+@dataclass(frozen=True)
+class Unary(ExprNode):
+    op: str                 # a key of UNARY
     child: ExprNode
-
-
-@dataclass(frozen=True)
-class Add(ExprNode):
-    left: ExprNode
-    right: ExprNode
-
-
-@dataclass(frozen=True)
-class Sub(ExprNode):
-    left: ExprNode
-    right: ExprNode
-
-
-@dataclass(frozen=True)
-class Mul(ExprNode):
-    left: ExprNode
-    right: ExprNode
-
-
-@dataclass(frozen=True)
-class Div(ExprNode):
-    left: ExprNode
-    right: ExprNode
 
 
 @dataclass(frozen=True)
@@ -73,18 +60,23 @@ class Pow(ExprNode):
     exponent: int
 
 
-@dataclass(frozen=True)
-class Exp(ExprNode):
-    child: ExprNode
-
-
-@dataclass(frozen=True)
-class Log(ExprNode):
-    child: ExprNode
-
-
 def lit(value):
     return RationalLiteral(Fraction(value))
+
+
+# ----------------------------------------------------------------------
+# operator table: one row per operator, its precedence and its series
+# operation.  A node prints in parentheses where its context needs a tighter
+# level.  A binary operator's right operand binds one level tighter (left
+# associative), and a product's operation gives the two factors it
+# multiplies.  A prefix operand binds one level tighter; a function, at an
+# atom's level, takes its operand in parentheses.
+
+_SUM, _PRODUCT, _NEGATION, _POWER, _ATOM = 1, 2, 3, 4, 5
+BINARY = {"+": (_SUM, operator.add), "-": (_SUM, operator.sub),
+          "*": (_PRODUCT, lambda a, b: (a, b)),
+          "/": (_PRODUCT, lambda a, b: (a, b.invert()))}
+UNARY = {"-": (_NEGATION, operator.neg), "exp": (_ATOM, exp_of), "log": (_ATOM, log_of)}
 
 
 # ----------------------------------------------------------------------
@@ -97,32 +89,23 @@ def _tokenize(text):
     tokens = []
     i = 0
     while i < len(text):
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _SYMBOLS:
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        digits = DIGITS.match(text, i)
+        c, digits, j = text[i], DIGITS.match(text, i), name_end(text, i)
         if digits:
+            j = digits.end()
             tokens.append(("int", digits.group(), i))
-            i = digits.end()
-            continue
-        j = name_end(text, i)
-        if j > i:
+        elif j > i:
             tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {c!r}", i)
+        elif c in _SYMBOLS:
+            tokens.append((c, c, i))
+        elif not c.isspace():
+            raise ParseError(f"unexpected character {c!r}", i)
+        i = max(j, i + 1)
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -147,26 +130,18 @@ class _Parser:
             raise ParseError(f"trailing input {token[1]!r}", token[2])
         return node
 
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
-            right = self.term()
-            node = Add(node, right) if op == "+" else Sub(node, right)
-        return node
-
-    def term(self):
+    def expr(self, level=_SUM):
+        """Binary operators of at least ``level``, by precedence climbing."""
         node = self.unary()
-        while self.peek()[0] in ("*", "/"):
+        while self.peek()[0] in BINARY and BINARY[self.peek()[0]][0] >= level:
             op = self.next()[0]
-            right = self.unary()
-            node = Mul(node, right) if op == "*" else Div(node, right)
+            node = Binary(op, node, self.expr(BINARY[op][0] + 1))
         return node
 
     def unary(self):
         if self.peek()[0] == "-":
             self.next()
-            return Neg(self.unary())
+            return Unary("-", self.unary())
         return self.factor()
 
     def factor(self):
@@ -203,11 +178,11 @@ class _Parser:
         if kind == "int":
             return RationalLiteral(read_rational(text))
         if kind == "name":
-            if text in ("exp", "log") and self.peek()[0] == "(":
+            if text in UNARY and self.peek()[0] == "(":
                 self.next()
                 child = self.expr()
                 self.expect(")")
-                return Exp(child) if text == "exp" else Log(child)
+                return Unary(text, child)
             return Variable(text)
         if kind == "(":
             node = self.expr()
@@ -224,36 +199,25 @@ def parse(text):
 # ----------------------------------------------------------------------
 # canonical printer
 
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
 def _print(node, minimum):
     if isinstance(node, RationalLiteral):
         text = rational_text(node.value)
-        level = _PREC_ATOM if node.value >= 0 and node.value.denominator == 1 else _PREC_MUL
+        level = _ATOM if node.value >= 0 and node.value.denominator == 1 else _PRODUCT
     elif isinstance(node, Variable):
-        text, level = node.name, _PREC_ATOM
-    elif isinstance(node, Neg):
-        text, level = "-" + _print(node.child, _PREC_POW), _PREC_NEG
-    elif isinstance(node, Add):
-        text = f"{_print(node.left, _PREC_ADD)} + {_print(node.right, _PREC_MUL)}"
-        level = _PREC_ADD
-    elif isinstance(node, Sub):
-        text = f"{_print(node.left, _PREC_ADD)} - {_print(node.right, _PREC_MUL)}"
-        level = _PREC_ADD
-    elif isinstance(node, Mul):
-        text = f"{_print(node.left, _PREC_MUL)}*{_print(node.right, _PREC_NEG)}"
-        level = _PREC_MUL
-    elif isinstance(node, Div):
-        text = f"{_print(node.left, _PREC_MUL)}/{_print(node.right, _PREC_NEG)}"
-        level = _PREC_MUL
+        text, level = node.name, _ATOM
+    elif isinstance(node, Binary):
+        level = BINARY[node.op][0]
+        gap = " " if level == _SUM else ""
+        text = f"{_print(node.left, level)}{gap}{node.op}{gap}{_print(node.right, level + 1)}"
+    elif isinstance(node, Unary):
+        level = UNARY[node.op][0]
+        if level == _ATOM:
+            text = f"{node.op}({_print(node.child, 0)})"
+        else:
+            text = node.op + _print(node.child, level + 1)
     elif isinstance(node, Pow):
-        text = f"{_print(node.child, _PREC_ATOM)}^{rational_text(node.exponent)}"
-        level = _PREC_POW
-    elif isinstance(node, Exp):
-        text, level = f"exp({_print(node.child, 0)})", _PREC_ATOM
-    elif isinstance(node, Log):
-        text, level = f"log({_print(node.child, 0)})", _PREC_ATOM
+        text = f"{_print(node.child, _ATOM)}^{rational_text(node.exponent)}"
+        level = _POWER
     else:
         raise UsageError(f"not an expression node: {node!r}")
     if level < minimum:
@@ -296,22 +260,14 @@ def expand(node, spec, box=None, bindings=None, substitutions=None):
             if n.name in bindings:
                 return Series.constant(spec, bindings[n.name], box=box)
             raise UnboundVariable(f"variable {n.name!r} is not in the field or bindings")
-        if isinstance(n, Neg):
-            return -walk(n.child)
-        if isinstance(n, Add):
-            return walk(n.left) + walk(n.right)
-        if isinstance(n, Sub):
-            return walk(n.left) - walk(n.right)
-        if isinstance(n, Mul):
-            return multiply(walk(n.left), walk(n.right))
-        if isinstance(n, Div):
-            return multiply(walk(n.left), walk(n.right).invert())
+        if isinstance(n, Binary):
+            level, operation = BINARY[n.op]
+            value = operation(walk(n.left), walk(n.right))
+            return multiply(*value) if level == _PRODUCT else value
+        if isinstance(n, Unary):
+            return UNARY[n.op][1](walk(n.child))
         if isinstance(n, Pow):
             return walk(n.child) ** n.exponent
-        if isinstance(n, Exp):
-            return exp_of(walk(n.child))
-        if isinstance(n, Log):
-            return log_of(walk(n.child))
         raise UsageError(f"not an expression node: {n!r}")
 
     return walk(node)

@@ -113,9 +113,6 @@ def log_jacobian(F, xnames):
 class ChangeOfVariables:
     """Initial-term data of a substitution x_i -> F_i."""
 
-    base: FieldSpec
-    F: tuple
-    xnames: tuple
     leading_exponents: tuple      # full exponent vector of each f_i
     jnum: int
     target: FieldSpec | None      # twisted field; None exactly when jnum == 0
@@ -136,7 +133,7 @@ def change_of_variables(F, xnames):
         target = transformed_spec(
             base, {name: row for name, row in zip(xnames, leading)}
         )
-    return ChangeOfVariables(base, F, xnames, tuple(leading), jnum, target)
+    return ChangeOfVariables(tuple(leading), jnum, target)
 
 
 @dataclass(frozen=True)
@@ -176,8 +173,9 @@ def residue_verify(phi, F, xnames, bindings=None, box=None, form="res"):
     """
     if form not in ("res", "ct"):
         raise UsageError(f"unknown form {form!r}")
+    F, xnames = tuple(F), tuple(xnames)
     cov = change_of_variables(F, xnames)
-    base = cov.base
+    base = F[0].spec
     if box is None:
         box = base.default_box()
     want = -1 if form == "res" else 0
@@ -201,7 +199,7 @@ def residue_verify(phi, F, xnames, bindings=None, box=None, form="res"):
 
     phi_at_F = expand(phi, base, box=box, bindings=bindings,
                       substitutions=dict(zip(xnames, F)))
-    jac = jacobian(cov.F, xnames) if form == "res" else log_jacobian(cov.F, xnames)
+    jac = jacobian(F, xnames) if form == "res" else log_jacobian(F, xnames)
     lhs = multiply_extract(phi_at_F, jac, xnames, want)
     if cov.jnum:
         rhs = expansion.extract(xnames, want) * cov.jnum

@@ -69,7 +69,7 @@ from .errors import (
     ZeroDivisor,
     ZeroSeries,
 )
-from .ordering import Box, FieldSpec, pivot_columns, rational_text, read_rational
+from .ordering import Box, FieldSpec, int_det, pivot_columns, rational_text, read_rational
 
 
 def _coeff(value):
@@ -408,24 +408,35 @@ class Series:
     def _project(self, selected, want, target):
         """Terms whose exponents at the ``selected`` indices equal ``want``
         (``target`` holds them, 0 elsewhere; ``_wanted`` returns all three),
-        as a series over the remaining variables; on the identity twist,
-        OutOfPrecision if one lies outside its variable's box interval.
+        as a series over the remaining variables.
 
         The residual twist is the remaining rows at their ``pivot_columns``,
         so the slice keeps the order the field induces on it, and its box is
-        the box less phi(target) on those columns."""
+        the box less phi(target) on those columns.  Every other
+        phi-coordinate of a slice term is an affine function of the slice's
+        phi (Cramer's rule); a truncated series raises OutOfPrecision unless
+        its range over the slice's box lies in the box."""
         spec = self.spec
-        if (not self.exact and spec.is_identity_twist()
-                and not self.box.project(selected).contains(want)):
-            names = ", ".join(spec.variables[i] for i in selected)
-            raise OutOfPrecision(f"slice {want} in {names} is outside "
-                                 "the guaranteed box")
         keep = [i for i in range(spec.n) if i not in selected]
         rows = [spec.twist[i] for i in keep]
         columns = pivot_columns(rows)
+        origin = spec.phi(target)
+        box = self.box.shift(tuple(-c for c in origin)).project(columns)
+        d = int_det([[row[c] for c in columns] for row in rows])
+        for j, (lo, hi) in enumerate(self.box.bounds):
+            if self.exact or j in columns:
+                continue
+            # d²·(phi_j - origin_j) is the sum of w_c·u_c over the slice's phi u
+            w = [d * int_det([[row[j if k == c else k] for k in columns] for row in rows])
+                 for c in columns]
+            low = sum(min(x * a, x * b) for x, (a, b) in zip(w, box.bounds))
+            high = sum(max(x * a, x * b) for x, (a, b) in zip(w, box.bounds))
+            if low < d * d * (lo - origin[j]) or high > d * d * (hi - origin[j]):
+                names = ", ".join(spec.variables[i] for i in selected)
+                raise OutOfPrecision(f"slice {want} in {names} is outside "
+                                     "the guaranteed box")
         residual = FieldSpec(tuple(spec.variables[i] for i in keep),
                              tuple(tuple(row[j] for j in columns) for row in rows))
-        box = self.box.shift(tuple(-c for c in spec.phi(target))).project(columns)
         out = ((tuple(exponent[i] for i in keep), value)
                for exponent, value in self.terms.items()
                if tuple(exponent[i] for i in selected) == want)
@@ -775,6 +786,7 @@ def multiply_extract(a, b, names, want):
     product: only the pairs whose named exponents add up to ``want``, kept
     where ``multiply`` keeps them and handed to ``extract``."""
     box, exact = _product_box(a, b)
+    names = tuple(names)        # read here and again by extract
     selected, want, target = a._wanted(names, want)
     aterms, bterms = a.terms, b.terms
     if len(aterms) > len(bterms):

@@ -283,11 +283,13 @@ def test_over_names_distinct_field_variables(capsys):
 
 def test_slice_outside_the_box_refused(capsys):
     # x lives in [1,5], so its x^0 part is not known; the true CT_x on this
-    # box is 1 + y + y^2 + y^3, which the box [-5,5] shows
-    for expr in ("1/(1-x-y)", "1/(1-x-y)+x"):
+    # box is 1 + y + y^2 + y^3, which the box [-5,5] shows.  Twisted by
+    # phi(a, b) = (a + b, b), the slice's y^k needs k in [1,5] too
+    twisted = ("--twist", "[[1,0],[1,1]]")
+    for expr, twist in (("1/(1-x-y)", ()), ("1/(1-x-y)+x", ()), ("1/(1-x-y)", twisted)):
         for fmt in ("text", "json"):
-            assert run_cli(capsys, "ct", "--vars", "x,y", "--box=1:5,-3:3", "--over",
-                           "x", "--expr", expr, "--format", fmt) == (
+            assert run_cli(capsys, "ct", "--vars", "x,y", *twist, "--box=1:5,-3:3",
+                           "--over", "x", "--expr", expr, "--format", fmt) == (
                 1, "", "error[out-of-precision]: slice (0,) in x is outside the "
                        "guaranteed box\n")
     assert run_cli(capsys, "ct", "--vars", "x,y", "--box=-5:5,-3:3", "--over", "x",
@@ -615,6 +617,29 @@ def test_readme_cli_examples(capsys):
             assert out.strip() == re.sub(r"\s*\(.*\)$", "", comment), argv
             checked += 1
     assert checked == 4
+
+
+def test_readme_library_quickstart():
+    # each line of README's Python block that is an expression is followed
+    # by a comment that gives its value
+    with open(README, encoding="utf-8") as handle:
+        text = handle.read()
+    block = text.split("## Library quickstart", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    namespace = {}
+    exec(block, namespace)
+    shown = []
+    for line in block.splitlines():
+        code, _, comment = line.partition("  #")
+        try:
+            expression = compile(code.strip(), "README", "eval")
+        except SyntaxError:
+            continue
+        value = eval(expression, namespace)
+        shown.append((str(value) if isinstance(value, series.Series) else value, comment))
+    assert [value for value, _ in shown] == [1, "1 + t^2 + t^4 + t^6", 1, "1", (-4, -4, True)]
+    for value, comment in shown:
+        assert str(value) in comment
 
 
 def test_config_file(tmp_path, capsys):

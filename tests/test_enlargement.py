@@ -29,6 +29,7 @@ from mnseries import (
     Box,
     FieldSpec,
     MNError,
+    OutOfPrecision,
     Series,
     exp_of,
     expand_text,
@@ -173,6 +174,38 @@ def test_claims_hold_on_a_wider_box():
     assert min(seen[kind] for kind in SERIES_OPS) >= 40, seen
     assert seen["expression"] >= 40 and seen["exact"] >= 100, seen
     assert seen["pinned"] == len(WRONG_DRAWS), seen
+
+
+def test_slices_claim_only_what_they_know():
+    # a partial slice of a truncated result claims a slice term only where
+    # the result's box holds it, on a twisted field too, or it refuses
+    rng = random.Random(7)
+    seen = Counter()
+    for _ in range(600):
+        spec = FieldSpec(("x", "y"), rng.choice(SOUND_TWISTS))
+        text, box = _draw_expr(rng, ATOMS), _draw_box(rng, 2, False)
+        over, want = rng.choice("xy"), rng.choice((0, -1, 1, 2))
+        try:
+            small = expand_text(text, spec, box=box)
+            wide = expand_text(text, spec, box=_widen(box))
+        except MNError:
+            continue
+        if small.exact or text in WRONG_DRAWS:
+            continue
+        twisted = spec.twist != SOUND_TWISTS[0]
+        try:
+            part = small.extract([over], want)
+        except OutOfPrecision:
+            seen["refused", twisted] += 1
+            continue
+        try:
+            whole = wide.extract([over], want)
+        except OutOfPrecision:      # the wide slice may reach past the wide box
+            continue
+        assert _wrong_claim(part, whole) is None, (text, spec.twist, box, over, want)
+        seen["answered", twisted] += 1
+    assert min(seen.values()) >= 2 and seen["answered", True] >= 20, seen
+    assert seen["refused", True] >= 20, seen
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

@@ -18,32 +18,21 @@ from mnseries import (
     parse,
     to_text,
 )
-from mnseries.parser import (
-    Add,
-    Div,
-    Exp,
-    Log,
-    Mul,
-    Neg,
-    Pow,
-    Sub,
-    Variable,
-    lit,
-)
+from mnseries.parser import Binary, Pow, Unary, Variable, lit
 
 X = identity_spec(("x",))
 XREV = FieldSpec(("x",), ((-1,),))
 
 
 def test_parse_simple_division():
-    assert parse("1/(1-x)") == Div(lit(1), Sub(lit(1), Variable("x")))
+    assert parse("1/(1-x)") == Binary("/", lit(1), Binary("-", lit(1), Variable("x")))
 
 
 def test_parse_big_example_expression():
     text = ("x^3*exp(t/(x*y))*(2*t-3*x*y)/((x^3*y*exp(t/(x*y))-t*x-t*y)"
             "*(x-y)*(x^3*exp(t/(x*y))-1))")
     node = parse(text)
-    assert isinstance(node, Div)
+    assert isinstance(node, Binary) and node.op == "/"
     assert to_text(node)  # printable
     assert parse(to_text(node)) == node
 
@@ -58,7 +47,7 @@ def test_parse_exponent_forms():
 
 
 def test_unary_minus_binds_looser_than_power():
-    assert parse("-x^2") == Neg(Pow(Variable("x"), 2))
+    assert parse("-x^2") == Unary("-", Pow(Variable("x"), 2))
 
 
 def test_parse_error_position():
@@ -80,7 +69,7 @@ def test_parse_errors_name_their_position(text, message, position):
 
 
 def test_only_expression_nodes_print_and_expand():
-    for node in ("x", 1, Add(Variable("x"), "y")):
+    for node in ("x", 1, Binary("+", Variable("x"), "y")):
         with pytest.raises(UsageError, match="not an expression node"):
             to_text(node)
         with pytest.raises(UsageError, match="not an expression node"):
@@ -91,7 +80,7 @@ def test_literals_and_exponents_past_the_str_digit_limit():
     # int(str) and str(int) refuse more than 4300 digits
     digits = "9" * 5000
     node = parse(f"{digits}*x^-{digits}")
-    assert node == Mul(lit(10 ** 5000 - 1), Pow(Variable("x"), 1 - 10 ** 5000))
+    assert node == Binary("*", lit(10 ** 5000 - 1), Pow(Variable("x"), 1 - 10 ** 5000))
     assert to_text(node) == f"{digits}*x^-{digits}"
 
 
@@ -104,8 +93,8 @@ def test_only_decimal_digits_make_a_literal():
 
 
 def test_exp_log_parse():
-    assert parse("exp(x)") == Exp(Variable("x"))
-    assert parse("log(1-x)") == Log(Sub(lit(1), Variable("x")))
+    assert parse("exp(x)") == Unary("exp", Variable("x"))
+    assert parse("log(1-x)") == Unary("log", Binary("-", lit(1), Variable("x")))
     # names starting like the functions are still names
     assert parse("expo") == Variable("expo")
 
@@ -118,18 +107,18 @@ def _random_ast(rng, depth):
     kind = rng.randrange(7)
     child = lambda: _random_ast(rng, depth - 1)
     if kind == 0:
-        return Add(child(), child())
+        return Binary("+", child(), child())
     if kind == 1:
-        return Sub(child(), child())
+        return Binary("-", child(), child())
     if kind == 2:
-        return Mul(child(), child())
+        return Binary("*", child(), child())
     if kind == 3:
-        return Div(child(), child())
+        return Binary("/", child(), child())
     if kind == 4:
-        return Neg(child())
+        return Unary("-", child())
     if kind == 5:
         return Pow(child(), rng.randint(-3, 3))
-    return Exp(child())
+    return Unary("exp", child())
 
 
 def test_print_parse_round_trip():
@@ -137,7 +126,7 @@ def test_print_parse_round_trip():
     for _ in range(300):
         node = _random_ast(rng, rng.randint(1, 4))
         assert parse(to_text(node)) == node
-        assert parse(to_text(Log(node))) == Log(node)
+        assert parse(to_text(Unary("log", node))) == Unary("log", node)
 
 
 def test_expand_geometric_identity_field():
@@ -183,8 +172,8 @@ def test_expand_homomorphism():
         try:
             sa = expand(a, spec)
             sb = expand(b, spec)
-            sab = expand(Mul(a, b), spec)
-            s_sum = expand(Add(a, b), spec)
+            sab = expand(Binary("*", a, b), spec)
+            s_sum = expand(Binary("+", a, b), spec)
         except MNError:
             continue
         assert sab.equals_on(multiply(sa, sb))

@@ -24,6 +24,7 @@ from mnseries import (
     residue_verify,
     zspec,
 )
+from mnseries.series import multiply_extract
 
 X = identity_spec(("x",))
 XT = identity_spec(("x", "t"))
@@ -430,3 +431,18 @@ def test_graded_spec_aux_name_avoids_the_field_names():
     assert graded_spec(("x",)).variables == ("x", "_deg")
     assert graded_spec(("_deg",)).variables == ("_deg", "_deg_")
     assert graded_spec(("_deg", "_deg_")).variables == ("_deg", "_deg_", "_deg__")
+
+
+def test_iterable_arguments_are_read_once():
+    # a generator for F or xnames answers as a list does
+    def generator(items):
+        return (item for item in items)
+
+    F = expand_text("1-x^-1", X)
+    phi = parse("x^4/(p*x+x^2)")
+    verdicts = [residue_verify(phi, make([F]), make(["x"]), bindings={"p": Fraction(2)},
+                               form="ct") for make in (list, generator)]
+    assert [(v.lhs, v.rhs, v.equal) for v in verdicts] == [(-4, -4, True)] * 2
+    a, b = expand_text("1/(1-x-t)", XT), expand_text("1+x", XT)
+    assert (multiply_extract(a, b, generator(["x"]), 0)
+            == multiply_extract(a, b, ["x"], 0) == multiply(a, b).extract(["x"], 0))
