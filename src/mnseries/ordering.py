@@ -142,6 +142,8 @@ class FieldSpec:
             raise UsageError("variable names must be distinct")
         if len(self.twist) != n or any(len(row) != n for row in self.twist):
             raise UsageError("twist matrix must be square, one row per variable")
+        if any(type(entry) is not int for row in self.twist for entry in row):
+            raise UsageError("twist entries must be integers")
         if int_det(self.twist) == 0:
             raise SingularTwist("twist matrix is singular")
         columns = tuple(zip(*self.twist))

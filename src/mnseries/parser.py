@@ -10,9 +10,12 @@ Grammar (whitespace insignificant)::
 
 Precedence is ^ over unary minus over * / over + -, so ``-x^2`` is ``-(x^2)``
 and ``x^-1`` / ``x^(-1)`` are both accepted.  Exponents must be integers.
-The binary operators are left associative.  Each operator is one row of the
-operator table, ``BINARY`` or ``UNARY``: its precedence and its series
-operation, which the grammar, the printer and ``expand`` all read.
+The binary operators are left associative.  One loop, ``_Parser.expr``,
+parses the grammar: an operand, its power, then the binary operators by
+precedence climbing.  Each operator is one row of the operator table,
+``BINARY`` or ``UNARY``: its precedence and its series operation, which the
+grammar, the printer and ``expand`` all read.  An expression may be of any
+length; one nested deeper than Python's stack is refused with a UsageError.
 """
 
 from __future__ import annotations
@@ -58,10 +61,6 @@ class Unary(ExprNode):
 class Pow(ExprNode):
     child: ExprNode
     exponent: int
-
-
-def lit(value):
-    return RationalLiteral(Fraction(value))
 
 
 # ----------------------------------------------------------------------
@@ -121,74 +120,57 @@ class _Parser:
         token = self.next()
         if token[0] != kind:
             raise ParseError(f"expected {kind!r}, found {token[1]!r}", token[2])
-        return token
 
     def parse(self):
-        node = self.expr()
+        try:
+            node = self.expr()
+        except RecursionError:
+            raise ParseError("expression nested too deeply", self.peek()[2]) from None
         token = self.peek()
         if token[0] != "end":
             raise ParseError(f"trailing input {token[1]!r}", token[2])
         return node
 
     def expr(self, level=_SUM):
-        """Binary operators of at least ``level``, by precedence climbing."""
-        node = self.unary()
+        """One operand, its power, then binary operators of at least
+        ``level`` by precedence climbing.  A prefix minus binds its operand
+        at negation's level, so ``^`` binds inside it and ``*`` outside."""
+        kind, text, pos = self.next()
+        if kind == "-":
+            node = Unary("-", self.expr(_NEGATION))
+        elif kind == "int":
+            node = RationalLiteral(read_rational(text))
+        elif kind == "name" and text in UNARY and self.peek()[0] == "(":
+            self.next()
+            node = Unary(text, self.expr())
+            self.expect(")")
+        elif kind == "name":
+            node = Variable(text)
+        elif kind == "(":
+            node = self.expr()
+            self.expect(")")
+        else:
+            raise ParseError(f"unexpected token {text!r}", pos)
+        if kind != "-" and self.peek()[0] == "^":
+            self.next()
+            node = Pow(node, self.integer())
         while self.peek()[0] in BINARY and BINARY[self.peek()[0]][0] >= level:
             op = self.next()[0]
             node = Binary(op, node, self.expr(BINARY[op][0] + 1))
         return node
 
-    def unary(self):
-        if self.peek()[0] == "-":
-            self.next()
-            return Unary("-", self.unary())
-        return self.factor()
-
-    def factor(self):
-        node = self.base()
-        if self.peek()[0] == "^":
-            self.next()
-            node = Pow(node, self.integer())
-        return node
-
     def integer(self):
-        token = self.peek()
-        sign = 1
-        parenthesized = False
-        if token[0] == "(":
-            self.next()
-            parenthesized = True
-            token = self.peek()
-        if token[0] == "-":
-            self.next()
-            sign = -1
-            token = self.peek()
-        if token[0] != "int":
-            raise NonIntegerExponent(
-                f"exponent must be an integer, found {token[1]!r}", token[2]
-            )
-        value = sign * int(read_rational(self.next()[1]))
+        parenthesized = self.peek()[0] == "("
+        self.pos += parenthesized
+        negative = self.peek()[0] == "-"
+        self.pos += negative
+        kind, text, pos = self.next()
+        if kind != "int":
+            raise NonIntegerExponent(f"exponent must be an integer, found {text!r}", pos)
         if parenthesized:
             self.expect(")")
-        return value
-
-    def base(self):
-        token = self.next()
-        kind, text, pos = token
-        if kind == "int":
-            return RationalLiteral(read_rational(text))
-        if kind == "name":
-            if text in UNARY and self.peek()[0] == "(":
-                self.next()
-                child = self.expr()
-                self.expect(")")
-                return Unary(text, child)
-            return Variable(text)
-        if kind == "(":
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ParseError(f"unexpected token {text!r}", pos)
+        value = int(read_rational(text))
+        return -value if negative else value
 
 
 def parse(text):
@@ -199,6 +181,18 @@ def parse(text):
 # ----------------------------------------------------------------------
 # canonical printer
 
+def _chain(node):
+    """The left spine the precedence loop builds: its first operand and its
+    ``Binary`` nodes, innermost first.  A looser left operand (it prints in
+    parentheses) ends it, so a flat expression of any length costs no depth."""
+    steps, level = [], 0
+    while isinstance(node, Binary) and BINARY[node.op][0] >= level:
+        level = BINARY[node.op][0]
+        steps.append(node)
+        node = node.left
+    return node, steps[::-1]
+
+
 def _print(node, minimum):
     if isinstance(node, RationalLiteral):
         text = rational_text(node.value)
@@ -206,9 +200,12 @@ def _print(node, minimum):
     elif isinstance(node, Variable):
         text, level = node.name, _ATOM
     elif isinstance(node, Binary):
-        level = BINARY[node.op][0]
-        gap = " " if level == _SUM else ""
-        text = f"{_print(node.left, level)}{gap}{node.op}{gap}{_print(node.right, level + 1)}"
+        first, steps = _chain(node)
+        text = _print(first, BINARY[steps[0].op][0])
+        for step in steps:
+            level = BINARY[step.op][0]
+            gap = " " if level == _SUM else ""
+            text += f"{gap}{step.op}{gap}{_print(step.right, level + 1)}"
     elif isinstance(node, Unary):
         level = UNARY[node.op][0]
         if level == _ATOM:
@@ -220,14 +217,15 @@ def _print(node, minimum):
         level = _POWER
     else:
         raise UsageError(f"not an expression node: {node!r}")
-    if level < minimum:
-        return "(" + text + ")"
-    return text
+    return f"({text})" if level < minimum else text
 
 
 def to_text(node):
     """Render an AST back to parseable text."""
-    return _print(node, 0)
+    try:
+        return _print(node, 0)
+    except RecursionError:
+        raise UsageError("expression nested too deeply") from None
 
 
 # ----------------------------------------------------------------------
@@ -261,16 +259,23 @@ def expand(node, spec, box=None, bindings=None, substitutions=None):
                 return Series.constant(spec, bindings[n.name], box=box)
             raise UnboundVariable(f"variable {n.name!r} is not in the field or bindings")
         if isinstance(n, Binary):
-            level, operation = BINARY[n.op]
-            value = operation(walk(n.left), walk(n.right))
-            return multiply(*value) if level == _PRODUCT else value
+            first, steps = _chain(n)
+            value = walk(first)
+            for step in steps:
+                level, operation = BINARY[step.op]
+                value = operation(value, walk(step.right))
+                value = multiply(*value) if level == _PRODUCT else value
+            return value
         if isinstance(n, Unary):
             return UNARY[n.op][1](walk(n.child))
         if isinstance(n, Pow):
             return walk(n.child) ** n.exponent
         raise UsageError(f"not an expression node: {n!r}")
 
-    return walk(node)
+    try:
+        return walk(node)
+    except RecursionError:
+        raise UsageError("expression nested too deeply") from None
 
 
 def expand_text(text, spec, box=None, bindings=None, substitutions=None):

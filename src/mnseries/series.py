@@ -538,20 +538,11 @@ class Series:
     def from_json(cls, data):
         """The series a ``to_json`` document describes; UsageError if the
         document is malformed."""
-        def ints(values):
-            values = tuple(values)
-            if not all(type(v) is int for v in values):
-                raise UsageError(f"expected integers, got {list(values)!r}")
-            return values
-
         try:
-            spec = FieldSpec(
-                tuple(data["vars"]), tuple(ints(row) for row in data["twist"])
-            )
-            box = Box(tuple(ints(bounds) for bounds in data["box"]))
-            terms = {
-                ints(item["exp"]): read_rational(item["coeff"]) for item in data["terms"]
-            }
+            spec = FieldSpec(tuple(data["vars"]), tuple(map(tuple, data["twist"])))
+            box = Box(tuple(map(tuple, data["box"])))
+            terms = {tuple(item["exp"]): read_rational(item["coeff"])
+                     for item in data["terms"]}
             exact = data["exact"]
         except KeyError as exc:
             raise UsageError(f"series document lacks the key {exc}") from None

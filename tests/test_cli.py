@@ -693,6 +693,24 @@ def test_subprocess_entry_point():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("expr, code, out, err", [
+    pytest.param("+".join(["x"] * 5000), 0, "5000*x\n", "", id="long-sum"),
+    pytest.param("(" * 5000 + "x" + ")" * 5000, 2, "",
+                 "error[syntax]: expression nested too deeply", id="deep-parentheses"),
+])
+def test_long_and_deep_expressions_end_without_a_traceback(expr, code, out, err):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "mnseries.cli", "expand", "--vars", "x", "--box", "2",
+         "--expr", expr],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == code
+    assert proc.stdout == out
+    assert proc.stderr.startswith(err) and "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv, flag", [
     pytest.param(("expand", "--vars", "x", "--box", "abc", "--expr", "x"), "--box",
                  id="box-word"),

@@ -279,6 +279,13 @@ def test_singular_twist_rejected():
             build()
 
 
+@pytest.mark.parametrize("entry", [1.5, True, "1"])
+def test_twist_entries_must_be_integers(entry):
+    # 1.5 used to fail later, as a box bound; True used to act as 1
+    with pytest.raises(UsageError, match="twist entries must be integers"):
+        FieldSpec(("x",), ((entry,),))
+
+
 def test_unknown_variable():
     with pytest.raises(UnknownVariable):
         identity_spec(("x",)).index("zz")

@@ -18,10 +18,14 @@ from mnseries import (
     parse,
     to_text,
 )
-from mnseries.parser import Binary, Pow, Unary, Variable, lit
+from mnseries.parser import Binary, Pow, RationalLiteral, Unary, Variable
 
 X = identity_spec(("x",))
 XREV = FieldSpec(("x",), ((-1,),))
+
+
+def lit(value):
+    return RationalLiteral(Fraction(value))
 
 
 def test_parse_simple_division():
@@ -60,12 +64,35 @@ def test_parse_error_position():
     ("(1+x", "expected ')', found ''", 4),
     ("x)", "trailing input ')'", 1),
     ("x$", "unexpected character '$'", 1),
+    # a power is read after an operand, never after a prefix minus
+    ("-x^2^3", "trailing input '^'", 4),
+    ("x^2^3", "trailing input '^'", 3),
 ])
 def test_parse_errors_name_their_position(text, message, position):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert err.value.position == position
     assert str(err.value) == f"{message} (at position {position})"
+
+
+def test_a_long_flat_expression_costs_no_depth():
+    text = " + ".join(["x"] * 5000)
+    node = parse(text)
+    assert to_text(node) == text
+    assert expand(node, X).terms == {(1,): 5000}
+
+
+def test_nesting_deeper_than_the_stack_is_refused():
+    # the position depends on the interpreter's stack, so it is not pinned
+    with pytest.raises(ParseError, match="expression nested too deeply"):
+        parse("(" * 5000 + "x" + ")" * 5000)
+    # a tree built without the parser is refused by the printer and expand
+    node = Variable("x")
+    for _ in range(5000):
+        node = Unary("-", node)
+    for render in (to_text, lambda n: expand(n, X)):
+        with pytest.raises(UsageError, match="expression nested too deeply"):
+            render(node)
 
 
 def test_only_expression_nodes_print_and_expand():

@@ -1,0 +1,97 @@
+"""The work each benchmark workload does, pinned in tier-1.
+
+Each workload's seed-1 instances run once under the benchmark's tracer, and
+every call count and work count (terms, pair products, ``phi`` calls) must
+equal the number pinned here.  A change that moves the work updates these
+numbers and says so in CHANGES.md.
+
+    python3 -m pytest -q tests/test_work_counts.py
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+sys.path.insert(0, str(BENCH))
+
+import tracing  # noqa: E402
+import workloads  # noqa: E402
+
+COUNTS = {
+    "ct3": {
+        "cli.main.calls": 1,
+        "ordering.phi.calls": 167,
+        "parser.expand.calls": 2,
+        "parser.parse.calls": 1,
+        "series.compose.calls": 3,
+        "series.compose.terms_out": 18,
+        "series.extract.calls": 1,
+        "series.init.calls": 25,
+        "series.init.terms": 25,
+        "series.invert.calls": 4,
+        "series.invert.terms_in": 39,
+        "series.invert.terms_out": 3799,
+        "series.multiply.calls": 24,
+        "series.multiply.pairs": 162,
+        "series.multiply.terms_out": 92,
+    },
+    "dyson": {
+        "ordering.phi.calls": 20496,
+        "series.init.calls": 144,
+        "series.init.terms": 2562,
+    },
+    "cov_lemma": {
+        "identities.wilson_v.calls": 10,
+        "ordering.phi.calls": 13759,
+        "parser.expand.calls": 400,
+        "parser.parse.calls": 200,
+        "residues.change_of_variables.calls": 300,
+        "residues.jacobian.calls": 501,
+        "residues.log_jacobian.calls": 201,
+        "residues.residue_verify.calls": 200,
+        "series.extract.calls": 800,
+        "series.init.calls": 895,
+        "series.init.terms": 1024,
+        "series.invert.calls": 786,
+        "series.invert.terms_in": 1387,
+        "series.invert.terms_out": 7059,
+        "series.multiply.calls": 1101,
+        "series.multiply.pairs": 104047,
+        "series.multiply.terms_out": 13466,
+    },
+    "lagrange": {
+        "ordering.phi.calls": 9241,
+        "parser.expand.calls": 300,
+        "parser.parse.calls": 300,
+        "residues.jacobian.calls": 300,
+        "residues.lagrange_coefficient.calls": 300,
+        "residues.lagrange_inverse.calls": 100,
+        "series.extract.calls": 300,
+        "series.init.calls": 700,
+        "series.init.terms": 1512,
+        "series.invert.calls": 299,
+        "series.invert.terms_in": 380,
+        "series.invert.terms_out": 491,
+        "series.multiply.calls": 1098,
+        "series.multiply.pairs": 5978,
+        "series.multiply.terms_out": 4244,
+    },
+}
+
+
+@pytest.mark.parametrize("workload", sorted(COUNTS))
+def test_seed_1_work_is_pinned(workload):
+    instances = workloads.build(workload, 1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for instance in instances:
+            instance.check()
+    finally:
+        tracer.uninstall()
+    spans, counts = tracer.take()
+    calls, _ = tracing.self_times(spans)
+    counts.update({f"{name}.calls": n for name, n in calls.items()})
+    assert dict(counts) == COUNTS[workload]
