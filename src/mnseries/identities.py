@@ -22,7 +22,7 @@ from math import comb, factorial
 from operator import sub
 
 from .errors import UsageError
-from .ordering import Box, identity_spec, int_det, unit_vector
+from .ordering import Box, Region, identity_spec, int_det, unit_vector
 from .series import Series, _coeff, _convolve, det, multiply
 
 
@@ -194,7 +194,7 @@ def _dyson_factors(instance):
     """
     n = instance.n
     spec = zspec(n)
-    box = spec.default_box()
+    region = Region(spec.default_box(), True)
     a = instance.a
     factors = []
     for i, j in itertools.combinations(range(n), 2):
@@ -207,7 +207,7 @@ def _dyson_factors(instance):
             exponent[i], exponent[j] = m - a[i], a[i] - m
             terms[tuple(exponent)] = (-1) ** (a[i] + m) * comb(total, m)
         # distinct exponents, nonzero int coefficients: nothing to validate
-        factors.append(Series._trusted(spec, terms, box, True))
+        factors.append(Series._trusted(spec, terms, region))
     if not instance.generalized:
         return spec, factors, (0,) * n
     z_power = {e: _multinomial(e) for e in h_complete(n, sum(a)).terms}

@@ -8,8 +8,8 @@ then comparing reverse-lexicographically, most significant coordinate first.
 The identity twist gives the plain iterated Laurent field.
 
 Truncation is expressed by a ``Box``: closed per-coordinate intervals in
-phi-coordinates.  A series is guaranteed exact on its box; everything outside
-is unknown.
+phi-coordinates.  A series' ``Region`` claims its box, or its whole support
+when it is exact; everything outside the claim is unknown.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from decimal import Decimal
 from fractions import Fraction
 from operator import mul
 
-from .errors import SingularTwist, SpecMismatch, UnknownVariable, UsageError
+from .errors import OutOfPrecision, SingularTwist, SpecMismatch, UnknownVariable, UsageError
 
 DEFAULT_RADIUS = 16
 
@@ -108,6 +108,42 @@ class Box:
 
     def to_json(self):
         return [[lo, hi] for lo, hi in self.bounds]
+
+
+@dataclass(frozen=True)
+class Region:
+    """A series' claim: its coefficients are the untruncated ones on ``box``,
+    or everywhere if ``exact`` (then ``box`` bounds only what its own inverse,
+    exp and log walk).  Each claim rule but a product's is one method here."""
+
+    box: Box
+    exact: bool
+
+    def contains(self, spec, exponent):
+        return self.exact or self.box.contains(spec.phi(exponent))
+
+    def shift(self, vec):
+        return Region(self.box.shift(vec), self.exact)
+
+    def meet(self, other, refusal="operand boxes do not overlap"):
+        """A sum's claim: an exact claim adds its support, never its box, so
+        truncated boxes meet (OutOfPrecision, ``refusal``, if they miss) and
+        two exact boxes meet or, if they miss, this one stays."""
+        if self.exact != other.exact:
+            return other if self.exact else self
+        box = self.box.intersect(other.box)
+        if box is None and not self.exact:
+            raise OutOfPrecision(refusal)
+        return Region(self.box if box is None else box, self.exact)
+
+    def reciprocal(self, p, down, one_term):
+        """``(walk, claim)`` of s^(-p), s = c·x^m·(1 - tau) of this claim and
+        ``down`` = -phi(m): tau is walked where it is known, a truncated box
+        less phi(m) or an exact series' own box.  An exact one-term s^(-p) is
+        exact on the walk less phi(m), any other claimed on it less p·phi(m)."""
+        walk = self.box if self.exact else self.box.shift(down)
+        exact = self.exact and one_term
+        return walk, Region(walk.shift(tuple(x if exact else p * x for x in down)), exact)
 
 
 def cube(n, radius=DEFAULT_RADIUS):

@@ -47,6 +47,7 @@ from .errors import (
 from .ordering import (
     Box,
     FieldSpec,
+    Region,
     int_det,
     rational_text,
     transformed_spec,
@@ -237,7 +238,8 @@ def _graded_spec(names):
 def embed_graded(series, gspec, box):
     """Re-home an exact plain-field series into the graded field (aux
     exponent 0); it keeps every term it holds."""
-    return Series._trusted(gspec, {k + (0,): v for k, v in series.terms.items()}, box, True)
+    return Series._trusted(gspec, {k + (0,): v for k, v in series.terms.items()},
+                           Region(box, True))
 
 
 def _check_power_series_normalized(F):

@@ -2,38 +2,24 @@
 
 A ``Series`` is a sparse map from exponent vectors to nonzero exact rational
 coefficients (``Fraction``, or ``int`` when integral), attached to a
-``FieldSpec`` (which fixes the term order) and a precision ``Box`` on which
-the stored coefficients agree with the untruncated series.  ``exact=True``
-marks a Laurent polynomial whose stored terms are its complete support: it is
-exact everywhere, and its box is only the region its own inverse, exp and log
-walk.  A ``Series`` is a value, never changed after construction, so
-``invert()`` and ``derivative(name)`` are computed once per object (never for
-an equal one); a refusal is raised again on every call.  The residue module
-stores a substitution's Jacobian data in its first series the same way.
-
-One claim rule, ``_claim``: a result's box is the meet of the boxes of its
-truncated operands, and an exact operand adds its support, never its box.
-``equals_on`` takes it as it is, sums and exact products through
-``_result_claim`` (two exact operands meet their boxes, or keep the left one
-if they are disjoint); a truncated
-product shifts each truncated box by the other operand's initial phi, or by
-every phi of an exact other's support, and meets the shifts, one pass per
-coordinate (``_product_box``).  ``multiply_extract`` reads a CT/Res slice of
-a product on that box without forming the product.  A reciprocal s^(-p) of a
-truncated s = c·x^m·(1 - tau) is claimed on box - (p+1)·phi(m), as tau is
-known only on box - phi(m), where it is walked.
+``FieldSpec`` (which fixes the term order) and a claim, an ``ordering.Region``
+(a box, or exact everywhere), where the stored coefficients agree with the
+untruncated series; every claim rule but a product's (``_product_box``) is a
+``Region`` method.  A ``Series`` is a value, never changed after construction,
+so ``invert()`` and ``derivative(name)`` are computed once per object (never
+for an equal one); a refusal is raised again on every call.  The residue
+module stores a substitution's Jacobian data in its first series the same way.
 
 One term filter, ``_kept``: normalize each coefficient (``_coeff``), drop the
-zeros and keep a truncated result's terms inside its box.  ``Series(...)``
-runs it after checking its input (exponent lengths and entries, coefficient
-types), and sums, ``multiply_extract`` and ``_project`` through
-``Series._filtered``.  What holds it by construction is built as it is,
-``Series._trusted``: ``_convolve`` keeps only the pairs whose phi lies in the
-box, the power-sum kernel pushes only exponents inside the box (and stores
-the origin only when the box holds it), a negation, a nonzero scale, a shift
-and a derivative move each term with the box, and a truncated one-term
-reciprocal's term, at -p·phi(m), lies in box - (p+1)·phi(m) as phi(m) lies
-in the series' box.
+zeros and keep the terms the claim holds.  ``Series(...)`` runs it after
+checking its input (exponent lengths and entries, coefficient types), and
+sums, ``multiply_extract`` and ``_project`` through ``Series._filtered``.
+What holds it by construction is built as it is, ``Series._trusted``:
+``_convolve`` keeps only the pairs whose phi lies in the box, the power-sum
+kernel pushes only exponents inside the box (and stores the origin only when
+the box holds it), a negation, a nonzero scale, a shift and a derivative move
+each term with the claim, and a one-term reciprocal's term, at -p·phi(m),
+lies in its claim as phi(m) lies in the series' box.
 
 Both pruned kernels, ``_packed_keep`` (``_convolve`` from ``PACKED_PAIRS``
 pairs on) and the inversion recurrence, pack phi into one int of guard-bit
@@ -41,14 +27,14 @@ fields, ``_packed_layout`` (Monagan and Pearce's packed exponent vectors),
 and keep a sum in the box by two mask tests.
 
 One body, ``Series._reciprocal_power``, makes every inverse and every
-negative power of a series with two or more terms: it writes the series as
-c·x^m·(1 - tau) and returns c^(-p)·x^(-p·m)·(1 - tau)^(-p) from one
-``_power_sum`` call.  Its kernel, ``_invert_recurrence``, solves
-g = 1 + prune(tau·g) one coefficient at a time, in increasing term order, on
-reduced integer numerators.  p ≥ 2 and stream composition (exp, log) run it
-on tau lifted by a path-length coordinate, so each box-pruned power gets its
-own coefficient.  The recurrence terminates because only finitely many sums
-of elements from a finite revlex-positive set can stay inside a fixed box.
+negative power: it writes the series as c·x^m·(1 - tau) and returns
+c^(-p)·x^(-p·m)·(1 - tau)^(-p) from one ``_power_sum`` call.  Its kernel,
+``_invert_recurrence``, solves g = 1 + prune(tau·g) one coefficient at a time,
+in increasing term order, on reduced integer numerators.  p ≥ 2 and stream
+composition (exp, log) run it on tau lifted by a path-length coordinate, so
+each box-pruned power gets its own coefficient.  The recurrence terminates
+because only finitely many sums of elements from a finite revlex-positive set
+can stay inside a fixed box.
 """
 
 from __future__ import annotations
@@ -69,7 +55,7 @@ from .errors import (
     ZeroDivisor,
     ZeroSeries,
 )
-from .ordering import Box, FieldSpec, int_det, pivot_columns, rational_text, read_rational
+from .ordering import Box, FieldSpec, Region, int_det, pivot_columns, rational_text, read_rational
 
 
 def _coeff(value):
@@ -100,14 +86,13 @@ def _exponents(exponents, n):
     return exponents
 
 
-def _kept(spec, items, box, exact):
-    """The one term filter: (exponent, value) pairs as a term dict, each
-    value normalized by ``_coeff``, zeros dropped and, unless ``exact``,
-    only the exponents whose phi lies in ``box``."""
+def _kept(spec, items, region):
+    """The one term filter: the (exponent, value) pairs whose exponent
+    ``region`` contains and whose ``_coeff``-normalized value is not 0."""
     terms = {}
     for exponent, value in items:
         value = _coeff(value)
-        if value != 0 and (exact or box.contains(spec.phi(exponent))):
+        if value != 0 and region.contains(spec, exponent):
             terms[exponent] = value
     return terms
 
@@ -123,14 +108,14 @@ def _vec_sub(a, b):
 class Series:
     """A truncated element of a twisted iterated Laurent field.
 
-    An immutable value: ``spec``, ``terms``, ``box`` and ``exact`` are never
-    changed after construction, so ``_memo`` (``None`` until first use)
-    holds this object's inverse (key ``None``), initial term (``"initial"``),
-    derivatives (a variable's index) and, under tuple keys, the results of
-    substitutions it heads.
+    An immutable value: ``spec``, ``terms`` and ``region`` (``box`` and
+    ``exact`` read it) are never changed after construction, so ``_memo``
+    (``None`` until first use) holds this object's inverse (key ``None``),
+    initial term (``"initial"``), derivatives (a variable's index) and, under
+    tuple keys, the results of substitutions it heads.
     """
 
-    __slots__ = ("spec", "terms", "box", "exact", "_memo")
+    __slots__ = ("spec", "terms", "region", "_memo")
 
     def __init__(self, spec, terms, box=None, exact=True):
         if type(exact) is not bool:
@@ -140,28 +125,34 @@ class Series:
         if len(box) != spec.n:
             raise SpecMismatch("box dimension does not match the field")
         self.spec = spec
-        self.terms = _kept(spec, zip(_exponents(terms, spec.n), terms.values()), box, exact)
-        self.box = box
-        self.exact = exact
+        self.region = Region(box, exact)
+        self.terms = _kept(spec, zip(_exponents(terms, spec.n), terms.values()), self.region)
         self._memo = None
 
     @classmethod
-    def _trusted(cls, spec, terms, box, exact):
+    def _trusted(cls, spec, terms, region):
         """A series from an engine result, taken as it is: nothing is
         checked, so ``terms`` must already be what ``_kept`` keeps, with tuple
         exponents of the field's length (see the module docstring)."""
         self = object.__new__(cls)
         self.spec = spec
         self.terms = terms
-        self.box = box
-        self.exact = exact
+        self.region = region
         self._memo = None
         return self
 
     @classmethod
-    def _filtered(cls, spec, items, box, exact):
+    def _filtered(cls, spec, items, region):
         """A series of an engine result's (exponent, value) pairs, ``_kept``."""
-        return cls._trusted(spec, _kept(spec, items, box, exact), box, exact)
+        return cls._trusted(spec, _kept(spec, items, region), region)
+
+    @property
+    def box(self):
+        return self.region.box
+
+    @property
+    def exact(self):
+        return self.region.exact
 
     def _remember(self, key, value):
         """Store ``value`` under ``key`` (see the class docstring) and return it."""
@@ -210,13 +201,13 @@ class Series:
     def coefficient(self, exponent):
         """Coefficient at an exponent; OutOfPrecision outside the guarantee."""
         [exponent] = _exponents([exponent], self.spec.n)
-        if not self.guarantees(exponent):
+        if not self.region.contains(self.spec, exponent):
             raise OutOfPrecision(f"exponent {exponent} is outside the guaranteed box")
         return self.terms.get(exponent, 0)
 
     def guarantees(self, exponent):
         [exponent] = _exponents([exponent], self.spec.n)
-        return self.exact or self.box.contains(self.spec.phi(exponent))
+        return self.region.contains(self.spec, exponent)
 
     # ------------------------------------------------------------------
     # ring structure
@@ -229,11 +220,10 @@ class Series:
         if not isinstance(other, Series):
             other = Series.constant(self.spec, other, box=self.box)
         self._require_same_spec(other)
-        box = _result_claim(self, other)
         terms = dict(self.terms)
         for exponent, value in other.terms.items():
             terms[exponent] = terms.get(exponent, 0) + value
-        return Series._filtered(self.spec, terms.items(), box, self.exact and other.exact)
+        return Series._filtered(self.spec, terms.items(), self.region.meet(other.region))
 
     __radd__ = __add__
 
@@ -251,14 +241,13 @@ class Series:
     def scale(self, value):
         value = _coeff(value)
         terms = {k: _coeff(v * value) for k, v in self.terms.items()} if value else {}
-        return Series._trusted(self.spec, terms, self.box, self.exact)
+        return Series._trusted(self.spec, terms, self.region)
 
     def shift(self, exponent):
         """Multiply by the monomial x^exponent (exactness preserved)."""
         [exponent] = _exponents([exponent], self.spec.n)
         moved = {_vec_add(k, exponent): v for k, v in self.terms.items()}
-        return Series._trusted(self.spec, moved, self.box.shift(self.spec.phi(exponent)),
-                               self.exact)
+        return Series._trusted(self.spec, moved, self.region.shift(self.spec.phi(exponent)))
 
     def __mul__(self, other):
         if not isinstance(other, Series):
@@ -269,18 +258,12 @@ class Series:
         return self.scale(other)
 
     def __pow__(self, n):
-        """The n-th power: n ≥ 0 by square-and-multiply, a negative one by
-        ``_reciprocal_power``.
-
-        A monomial and n = -1 take ``invert() ** -n``, which keeps a
-        monomial's bookkeeping box.
-        """
+        """The n-th power: n ≥ 0 by square-and-multiply, n = -1 the stored
+        ``invert()`` and n ≤ -2 ``_reciprocal_power(-n)``."""
         if type(n) is not int:
             raise UsageError("series powers must be integers")
-        if n < -1 and len(self.terms) > 1:
-            return self._reciprocal_power(-n)
         if n < 0:
-            return self.invert() ** (-n)
+            return self.invert() if n == -1 else self._reciprocal_power(-n)
         if n == 0:
             return Series.constant(self.spec, 1, box=self.box)
         # square-and-multiply from the lowest set bit: no product by 1
@@ -322,10 +305,8 @@ class Series:
         Each term is keyed once, to find m; tau's steps are e - m.  One
         ``_power_sum`` call on tau, with x^(-p·m) and c^(-p) folded in, makes
         the result: p = 1 the plain recurrence g = 1 + prune(tau·g), p ≥ 2
-        the lifted one with the binomial weights C(j+p-1, p-1).  tau is
-        walked where it is known, a truncated series' box less phi(m) (an
-        exact one walks its own box), and the result is claimed on the walk
-        shifted by -p·phi(m), the one place a reciprocal's claim is made.
+        the lifted one with the binomial weights C(j+p-1, p-1).  tau's walk
+        and the result's claim are ``Region.reciprocal``'s.
         """
         if not self.terms:
             if self.exact:
@@ -337,15 +318,14 @@ class Series:
         c = Fraction(self.terms[m])
         shift = tuple(-p * x for x in m)
         down = tuple(-x for x in reversed(keys[m]))         # -phi(m)
-        walk = self.box if self.exact else self.box.shift(down)
-        box = walk.shift(tuple(p * x for x in down))
+        walk, region = self.region.reciprocal(p, down, len(keys) == 1)
         lead = _coeff(c ** -p)
-        if len(keys) == 1:      # -p·phi(m) is in box, as phi(m) is in self.box
-            return Series._trusted(spec, {shift: lead}, box, self.exact)
+        if len(keys) == 1:
+            return Series._trusted(spec, {shift: lead}, region)
         tau = {_vec_sub(e, m): _coeff(-v / c) for e, v in self.terms.items() if e != m}
         weights = None if p == 1 else lambda j: comb(j + p - 1, p - 1)
         total = _power_sum(tau, spec.twist, walk, weights, shift, lead)
-        power = Series._trusted(spec, total, box, False)
+        power = Series._trusted(spec, total, region)
         if p == 1 and total:    # stored in term order: the first item is the least
             power._remember("initial", next(iter(total.items())))
         return power
@@ -359,7 +339,7 @@ class Series:
             raise NonpositiveOrder(
                 f"composition needs positive order, initial exponent is {m}")
         terms = _power_sum(self.terms, spec.twist, self.box, coefficients, (0,) * spec.n, 1)
-        return Series._trusted(spec, terms, self.box, False)
+        return Series._trusted(spec, terms, Region(self.box, False))
 
     def derivative(self, name):
         """Termwise d/dx on the named variable's exponent, computed once per
@@ -373,8 +353,8 @@ class Series:
             e = exponent[i]
             if e:
                 out[_vec_sub(exponent, unit)] = _coeff(value * e)
-        box = self.box.shift(tuple(-x for x in self.spec.phi(unit)))
-        return self._remember(i, Series._trusted(self.spec, out, box, self.exact))
+        region = self.region.shift(tuple(-x for x in self.spec.phi(unit)))
+        return self._remember(i, Series._trusted(self.spec, out, region))
 
     # ------------------------------------------------------------------
     # coefficient extraction
@@ -440,7 +420,7 @@ class Series:
         out = ((tuple(exponent[i] for i in keep), value)
                for exponent, value in self.terms.items()
                if tuple(exponent[i] for i in selected) == want)
-        return Series._filtered(residual, out, box, self.exact)
+        return Series._filtered(residual, out, Region(box, self.exact))
 
     def extract(self, names, want):
         """CT (``want=0``) or Res (``want=-1``) in the named variables, or
@@ -463,8 +443,7 @@ class Series:
         return (
             self.spec == other.spec
             and self.terms == other.terms
-            and self.box == other.box
-            and self.exact == other.exact
+            and self.region == other.region
         )
 
     __hash__ = None
@@ -476,14 +455,13 @@ class Series:
         self._require_same_spec(other)
         if box is not None and len(box) != self.spec.n:
             raise SpecMismatch("box dimension does not match the field")
-        region = _claim(self, other, box, "no common guaranteed box to compare on")
-        spec = self.spec
-        for exponent in set(self.terms) | set(other.terms):
-            if region is not None and not region.contains(spec.phi(exponent)):
-                continue
-            if self.terms.get(exponent, 0) != other.terms.get(exponent, 0):
-                return False
-        return True
+        refusal = "no common guaranteed box to compare on"
+        region = self.region.meet(other.region, refusal)
+        if box is not None:
+            region = region.meet(Region(box, False), refusal)
+        return all(self.terms.get(e, 0) == other.terms.get(e, 0)
+                   for e in set(self.terms) | set(other.terms)
+                   if region.contains(self.spec, e))
 
     def is_zero_on(self, box=None):
         return self.equals_on(Series.zero(self.spec, box=self.box), box=box)
@@ -553,23 +531,6 @@ class Series:
 
 # ----------------------------------------------------------------------
 # multiplication
-
-def _claim(a, b, region=None, refusal="operand boxes do not overlap"):
-    """The claim rule: ``region`` met with the truncated operands' boxes (an
-    exact operand adds its support, never its box); None if nothing is met,
-    OutOfPrecision (``refusal``) if the meet is empty."""
-    for side in (a, b):
-        if not side.exact:
-            region = side.box if region is None else region.intersect(side.box)
-            if region is None:
-                raise OutOfPrecision(refusal)
-    return region
-
-
-def _result_claim(a, b):
-    """A sum's or exact product's box: ``_claim``, or two exact boxes met (or the left)."""
-    return _claim(a, b) or a.box.intersect(b.box) or a.box
-
 
 def _int_normal(terms):
     """Factor out the common denominator: (den, integer term dict)."""
@@ -738,13 +699,14 @@ def det(matrix):
 
 
 def _product_box(a, b):
-    """``(box, exact)`` of the product: by ``_result_claim`` for an exact
-    product or one with an exact zero operand, else each truncated box shifted
-    by every phi of an exact other's support (by a truncated other's initial
-    phi, by 0 if it is empty) and met, one pass: [lo + max phi_j, hi + min phi_j]."""
+    """The product's ``Region``: exact, on the meet of the operands' claims,
+    for an exact product or one with an exact zero operand, else each
+    truncated box shifted by every phi of an exact other's support (by a
+    truncated other's initial phi, by 0 if it is empty) and met, one pass:
+    [lo + max phi_j, hi + min phi_j]."""
     a._require_same_spec(b)
     if (a.exact and (b.exact or not a.terms)) or (b.exact and not b.terms):
-        return _result_claim(a, b), True
+        return Region(a.region.meet(b.region).box, True)
     spec = a.spec
     bounds = None
     for mine, other in ((a, b), (b, a)):
@@ -760,23 +722,23 @@ def _product_box(a, b):
             (max(lo, low), min(hi, high)) for (lo, hi), (low, high) in zip(bounds, side)]
     if any(lo > hi for lo, hi in bounds):
         raise OutOfPrecision("product has no guaranteed region")
-    return Box(tuple(bounds)), False
+    return Region(Box(tuple(bounds)), False)
 
 
 def multiply(a, b):
     """Product with shift-and-intersect box propagation."""
-    box, exact = _product_box(a, b)
+    region = _product_box(a, b)
     # _convolve prunes every pair to a truncated product's box and
     # normalizes each term
-    terms = _convolve(a.spec, a.terms, b.terms, None if exact else box)
-    return Series._trusted(a.spec, terms, box, exact)
+    terms = _convolve(a.spec, a.terms, b.terms, None if region.exact else region.box)
+    return Series._trusted(a.spec, terms, region)
 
 
 def multiply_extract(a, b, names, want):
     """``multiply(a, b).extract(names, want)``, read without forming the
     product: only the pairs whose named exponents add up to ``want``, kept
     where ``multiply`` keeps them and handed to ``extract``."""
-    box, exact = _product_box(a, b)
+    region = _product_box(a, b)
     names = tuple(names)        # read here and again by extract
     selected, want, target = a._wanted(names, want)
     aterms, bterms = a.terms, b.terms
@@ -792,7 +754,7 @@ def multiply_extract(a, b, names, want):
             e = tuple(map(_int_add, ka, kb))
             out[e] = out.get(e, 0) + va * vb
     # _kept keeps, as multiply's pair filter does, only what is in the box
-    return Series._filtered(a.spec, out.items(), box, exact).extract(names, want)
+    return Series._filtered(a.spec, out.items(), region).extract(names, want)
 
 
 # ----------------------------------------------------------------------
@@ -896,5 +858,5 @@ def log_of(series):
     exponent, value = series.initial_term()
     if any(exponent) or value != 1:
         raise BadInitialTerm(f"log needs initial term 1, found {value} at {exponent}")
-    tail = series - Series.constant(series.spec, 1, box=series.box)
+    tail = series - 1
     return tail.compose_stream(lambda n: Fraction((-1) ** (n + 1), n) if n else 0)

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -13,6 +14,9 @@ from mnseries import series
 from mnseries.cli import main
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "bench"))
+
+from workloads import CT3_EXPR  # noqa: E402
 
 
 def run_cli(capsys, *argv):
@@ -205,7 +209,12 @@ def test_wilson_command(capsys):
     for argv, n in [
         (("--n", "3"), 3),
         (("--n", "2"), 2),               # odd n - 1: the LJ sign is negative
+        (("--n", "3", "--box", "2"), 3),
+        (("--n", "3", "--box", "4"), 3),
+        (("--n", "3", "--box", "5"), 3),
+        (("--n", "3", "--box", "6"), 3),
         (("--n", "4", "--box", "3"), 4),
+        (("--n", "4", "--box", "5"), 4),
         (("--n", "4", "--box", "6"), 4),
     ]:
         code, out, _ = run_cli(capsys, "wilson", *argv)
@@ -436,10 +445,6 @@ def test_asymmetric_box(capsys):
     assert out.strip() == "1 + x*t + x^2*t^2"
 
 
-CT3_EXPR = ("x^3*exp(t/(x*y))*(2*t-3*x*y)/((x^3*y*exp(t/(x*y))-t*x-t*y)"
-            "*(x-y)*(x^3*exp(t/(x*y))-1))")
-
-
 def test_big_example_golden(capsys):
     code, out, _ = run_cli(
         capsys, "ct", "--vars", "x,y,t", "--box=-36:36,-36:36,-1:8",
@@ -485,6 +490,42 @@ def test_big_example_at_box_16_to_t5(capsys):
     code, out, _ = run_cli(capsys, "ct", "--vars", "x,y,t", "--box=-16:16,-16:16,-1:5",
                            "--over", "x,y", "--expr", CT3_EXPR)
     assert (code, out) == (0, "3 + 6*t + 12*t^2 + 24*t^3 + 48*t^4 + 96*t^5\n")
+
+
+def _ct3_boxes():
+    """ct3's box sweep (ROADMAP item 13), as ``mn ct`` field and box flags.
+    In the identity field, t-depth K and x, y radius R, 13 small boxes are
+    wrong while face (a) stands.  In power-series coordinates T = (x+3y+6t,
+    y+2t, t), four corners about the hand rule (6K+6, 2K+2) each answer or
+    refuse."""
+    face_a = pytest.mark.xfail(strict=True, reason="unsound precision box (ROADMAP "
+                               "item 1, face (a)): a generator with a negative "
+                               "phi-coordinate leaves the box and comes back")
+    for k, wrong_to in ((2, 8), (3, 10), (4, 14)):
+        for r in range(4, 15, 2):
+            yield pytest.param((f"--box=-{r}:{r},-{r}:{r},-1:{k}",), id=f"identity-K{k}-R{r}",
+                               marks=face_a if r <= wrong_to else ())
+    for k in (2, 3, 4, 5):
+        low = 40 if k == 5 else 30
+        for x, y in ((6 * k + 6, 2 * k + 2), (6 * k + 4, 2 * k + 1),
+                     (6 * k + 3, 2 * k + 1), (6 * k + 4, 2 * k)):
+            yield pytest.param(("--twist=[[1,0,0],[3,1,0],[6,2,1]]",
+                                f"--box=-{low}:{x},-{low}:{y},-1:{k}"), id=f"T-K{k}-{x},{y}")
+
+
+@pytest.mark.parametrize("flags", _ct3_boxes())
+def test_ct3_box_sweep_is_right_or_refused(capsys, flags):
+    # CT_{x,y} = 3/(1-2t): each run prints 3·2^k over its printed t box or refuses
+    code, out, err = run_cli(capsys, "ct", "--vars", "x,y,t", *flags, "--over", "x,y",
+                             "--format", "json", "--expr", CT3_EXPR)
+    if code == 1:
+        assert (out, err[:24]) == ("", "error[out-of-precision]:")
+        return
+    assert code == 0
+    result = json.loads(out)
+    [(lo, hi)] = result["box"]
+    got = {item["exp"][0]: Fraction(item["coeff"]) for item in result["terms"]}
+    assert got == {k: 3 * 2 ** k for k in range(max(lo, 0), hi + 1)}
 
 
 @pytest.mark.xfail(strict=True, reason="a sum drops an exact term below a "

@@ -235,7 +235,10 @@ def test_product_box_equals_the_per_exponent_shift_and_intersect():
         pair = (rng.choice(kinds), rng.choice(kinds))
         a, b = (operand(spec, kind) for kind in pair)
         want = _outcome(lambda: _shift_and_intersect(a, b))
-        assert _outcome(lambda: series._product_box(a, b)) == want, (a.to_json(), b.to_json())
+        got = _outcome(lambda: series._product_box(a, b))
+        if not isinstance(got, type):
+            got = got.box, got.exact
+        assert got == want, (a.to_json(), b.to_json())
         seen[pair] += 1
         seen["twisted" if twisted else "identity"] += 1
         seen["refused" if want is OutOfPrecision else "claimed"] += 1

@@ -44,7 +44,7 @@ COUNTS = {
     },
     "cov_lemma": {
         "identities.wilson_v.calls": 10,
-        "ordering.phi.calls": 13759,
+        "ordering.phi.calls": 13779,
         "parser.expand.calls": 400,
         "parser.parse.calls": 200,
         "residues.change_of_variables.calls": 300,
@@ -54,12 +54,12 @@ COUNTS = {
         "series.extract.calls": 800,
         "series.init.calls": 895,
         "series.init.terms": 1024,
-        "series.invert.calls": 786,
-        "series.invert.terms_in": 1387,
-        "series.invert.terms_out": 7059,
-        "series.multiply.calls": 1101,
-        "series.multiply.pairs": 104047,
-        "series.multiply.terms_out": 13466,
+        "series.invert.calls": 766,
+        "series.invert.terms_in": 1367,
+        "series.invert.terms_out": 7039,
+        "series.multiply.calls": 1081,
+        "series.multiply.pairs": 104027,
+        "series.multiply.terms_out": 13446,
     },
     "lagrange": {
         "ordering.phi.calls": 9241,
@@ -71,12 +71,12 @@ COUNTS = {
         "series.extract.calls": 300,
         "series.init.calls": 700,
         "series.init.terms": 1512,
-        "series.invert.calls": 299,
-        "series.invert.terms_in": 380,
-        "series.invert.terms_out": 491,
-        "series.multiply.calls": 1098,
-        "series.multiply.pairs": 5978,
-        "series.multiply.terms_out": 4244,
+        "series.invert.calls": 120,
+        "series.invert.terms_in": 201,
+        "series.invert.terms_out": 312,
+        "series.multiply.calls": 750,
+        "series.multiply.pairs": 5630,
+        "series.multiply.terms_out": 3896,
     },
 }
 
