@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from functools import lru_cache
 from operator import mul
 
 from .errors import OutOfPrecision, SingularTwist, SpecMismatch, UnknownVariable, UsageError
@@ -151,21 +152,63 @@ def cube(n, radius=DEFAULT_RADIUS):
     return Box(((-radius, radius),) * n)
 
 
+@lru_cache(maxsize=256)
+def _phi_source(shape):
+    """A function that binds the entries of a twist of this ``shape`` and
+    returns its phi, compiled once per shape.  ``shape`` holds per column,
+    per variable, the entry if it is 0, 1 or -1 and None for any other
+    entry, which the returned binder takes as an argument, column by column:
+    so an entry is a bound constant, never source text."""
+    n = len(shape)
+    bound, coordinates = [], []
+    for column in shape:
+        parts = []
+        for i, entry in enumerate(column):
+            if entry is None:
+                bound.append(f"c{len(bound)}")
+                parts.append(f"{bound[-1]} * e{i}")
+            elif entry:
+                parts.append(f"e{i}" if entry == 1 else f"-e{i}")
+        coordinates.append(" + ".join(parts) or "0")
+    unpacked = "".join(f"e{i}, " for i in range(n))
+    source = (f"def bind({', '.join(bound)}):\n"
+              f"    def phi(exponent):\n"
+              f"        {unpacked}= exponent\n"
+              f"        return ({''.join(c + ', ' for c in coordinates)})\n"
+              f"    return phi\n")
+    namespace = {}
+    exec(source, namespace)
+    return namespace["bind"]
+
+
+def _compiled_phi(columns):
+    """phi of the twist with these columns, with the exponent unpacked into
+    locals and each coordinate its dot product written out: one call makes
+    no generator and no ``sum``."""
+    shape = tuple(tuple(t if t in (0, 1, -1) else None for t in column)
+                  for column in columns)
+    return _phi_source(shape)(*(t for column in columns for t in column
+                                if t not in (0, 1, -1)))
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """Variable names in significance order plus an integer order twist.
 
     Row i of ``twist`` is the exponent vector the i-th variable is mapped to
     before comparison; the matrix must be nonsingular so the induced order is
-    total and monomial comparison is faithful.  The twist's columns and
-    whether it is the identity are computed once, here, because every
-    truncation test maps an exponent through ``phi``.
+    total and monomial comparison is faithful.  The twist's columns, whether
+    it is the identity and its compiled phi (``_compiled_phi``, whose source
+    is compiled once per shape of twist, as a change of variables builds a
+    new field each time) are made once, here, because every truncation test
+    maps an exponent through ``phi``.
     """
 
     variables: tuple[str, ...]
     twist: tuple[tuple[int, ...], ...]
     _columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _identity: bool = field(init=False, repr=False, compare=False)
+    _phi: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = len(self.variables)
@@ -187,6 +230,7 @@ class FieldSpec:
         object.__setattr__(
             self, "_identity", columns == tuple(unit_vector(n, i) for i in range(n))
         )
+        object.__setattr__(self, "_phi", _compiled_phi(columns))
 
     @property
     def n(self):
@@ -206,14 +250,14 @@ class FieldSpec:
 
     def phi(self, exponent):
         """Image of an exponent vector under the twist: sum_i k_i * row_i."""
-        columns = self._columns
-        if len(exponent) != len(columns):
+        try:
+            return self._phi(exponent)
+        except ValueError:
+            if len(exponent) == self.n:
+                raise
             raise SpecMismatch(
                 f"exponent {exponent} has length {len(exponent)}, expected {self.n}"
-            )
-        if self._identity:
-            return tuple(exponent)
-        return tuple(sum(map(mul, exponent, column)) for column in columns)
+            ) from None
 
     def key(self, exponent):
         """Sort key of the term order: phi reversed, most significant

@@ -276,6 +276,8 @@ def expand(node, spec, box=None, bindings=None, substitutions=None):
         return walk(node)
     except RecursionError:
         raise UsageError("expression nested too deeply") from None
+    finally:
+        del walk                # it refers to itself: free it without the gc
 
 
 def expand_text(text, spec, box=None, bindings=None, substitutions=None):

@@ -25,8 +25,9 @@ truncation is a plain box constraint.  The residue formula forms each
 F_i^{-1-k_i} only up to |k| - deg(Phi) degrees above its initial degree, the
 most a term can rise and still reach the wanted coefficient; only the
 expansion of Phi keeps a box padded by four degrees.  The compositional
-inverse is found by fixed-point iteration on raw coefficient dicts,
-independent of the residue path it serves as an oracle for.
+inverse is found by fixed-point iteration on raw coefficient dicts, pass t
+capped at degree t, independent of the residue path it serves as an oracle
+for.
 """
 
 from __future__ import annotations
@@ -303,7 +304,10 @@ def lagrange_inverse(F, degree):
 
     Returns one series per variable over the degree-graded field, exact
     through total degree ``degree``.  Independent of the residue formula: the
-    iteration G <- x - (F(G) - G) converges one degree per step.
+    iteration G <- x - (F(G) - G) converges one degree per step.  F(G) - G
+    has order 2 in G, so a G right through degree t - 1 gives a G right
+    through degree t: pass t runs at cap t, from x (right through degree 1)
+    over the caps 2..``degree``.
     """
     F = list(F)
     _check_power_series_normalized(F)
@@ -316,10 +320,10 @@ def lagrange_inverse(F, degree):
     for i, s in enumerate(F):
         tails.append({k: v for k, v in s.terms.items() if k != units[i]})
     G = [{units[i]: 1} for i in range(n)]
-    for _ in range(degree):
+    for cap in range(2, degree + 1):
         # F_i(G) - G_i = tail_i(G) has total degree >= 2, so it never meets x_i
         G = [
-            {unit: 1, **{k: -v for k, v in compose_polynomial(tail, G, degree).items()}}
+            {unit: 1, **{k: -v for k, v in compose_polynomial(tail, G, cap).items()}}
             for unit, tail in zip(units, tails)
         ]
     gspec = graded_spec(spec.variables)

@@ -15,11 +15,13 @@ zeros and keep the terms the claim holds.  ``Series(...)`` runs it after
 checking its input (exponent lengths and entries, coefficient types), and
 sums, ``multiply_extract`` and ``_project`` through ``Series._filtered``.
 What holds it by construction is built as it is, ``Series._trusted``:
-``_convolve`` keeps only the pairs whose phi lies in the box, the power-sum
-kernel pushes only exponents inside the box (and stores the origin only when
-the box holds it), a negation, a nonzero scale, a shift and a derivative move
-each term with the claim, and a one-term reciprocal's term, at -p·phi(m),
-lies in its claim as phi(m) lies in the series' box.
+``_convolve`` keeps only the pairs whose phi lies in the box, a product by an
+exact one-term factor c·x^m shifts the other's terms by m into its claim
+shifted by phi(m), the power-sum kernel pushes only exponents inside the box
+(and stores the origin only when the box holds it), a negation, a nonzero
+scale, a shift and a derivative move each term with the claim, and a
+one-term reciprocal's term, at -p·phi(m), lies in its claim as phi(m) lies
+in the series' box.
 
 Both pruned kernels, ``_packed_keep`` (``_convolve`` from ``PACKED_PAIRS``
 pairs on) and the inversion recurrence, pack phi into one int of guard-bit
@@ -32,9 +34,11 @@ c^(-p)·x^(-p·m)·(1 - tau)^(-p) from one ``_power_sum`` call.  Its kernel,
 ``_invert_recurrence``, solves g = 1 + prune(tau·g) one coefficient at a time,
 in increasing term order, on reduced integer numerators.  p ≥ 2 and stream
 composition (exp, log) run it on tau lifted by a path-length coordinate, so
-each box-pruned power gets its own coefficient.  The recurrence terminates
-because only finitely many sums of elements from a finite revlex-positive set
-can stay inside a fixed box.
+each box-pruned power gets its own coefficient.  A one-step tau has one
+path of each length, so ``_power_sum`` sums it along its ray in closed form
+(``_ray``), with the recurrence's items, order and types.  The recurrence
+terminates because only finitely many sums of elements from a finite
+revlex-positive set can stay inside a fixed box.
 """
 
 from __future__ import annotations
@@ -726,8 +730,16 @@ def _product_box(a, b):
 
 
 def multiply(a, b):
-    """Product with shift-and-intersect box propagation."""
+    """Product with shift-and-intersect box propagation.  An exact one-term
+    operand c·x^m shifts the other operand's terms by m and scales them by c:
+    each lands in ``_product_box``'s region, which is the other's claim
+    shifted by phi(m)."""
     region = _product_box(a, b)
+    for one, other in ((a, b), (b, a)):
+        if one.exact and len(one.terms) == 1:
+            [(m, c)] = one.terms.items()
+            return Series._trusted(a.spec, {tuple(map(_int_add, e, m)): _coeff(v * c)
+                                            for e, v in other.terms.items()}, region)
     # _convolve prunes every pair to a truncated product's box and
     # normalizes each term
     terms = _convolve(a.spec, a.terms, b.terms, None if region.exact else region.box)
@@ -824,12 +836,45 @@ def _invert_recurrence(tau, twist, box, start, scale):
             return total
 
 
+def _ray(step, value, twist, box, weights, start, scale):
+    """``_power_sum`` of the one-step tau {step: value}: its one path of j
+    steps ends at start + j·step, so the sum is its nonzero terms along that
+    ray in term order, each weights(j)·value^j·scale (weight 1 for the plain
+    recurrence).  The origin is stored only if ``box`` holds it, and the ray
+    stops at the first j·phi(step) outside ``box``, as the recurrence's
+    pruning does: phi is linear, so its last j is the least bound over
+    phi's coordinates if phi(step) lies in ``box``, else 0."""
+    rise = [sum(map(mul, step, column)) for column in zip(*twist)]
+    last = 0
+    if box.contains(rise):
+        # a positive step has a nonzero phi, so some coordinate bounds j
+        last = min(hi // x if x > 0 else lo // x
+                   for x, (lo, hi) in zip(rise, box.bounds) if x)
+    total = {}
+    exponent, power = start, 1                      # start + j·step, value^j
+    for j in range(last + 1):
+        if j:
+            exponent = tuple(map(_int_add, exponent, step))
+            power *= value
+        elif not box.contains((0,) * len(rise)):
+            continue
+        weight = 1 if weights is None else _coeff(weights(j))
+        term = _coeff(_coeff(weight * scale) * power)
+        if term:
+            total[exponent] = term
+    return total
+
+
 def _power_sum(tau, twist, box, weights, start, scale):
     """Terms of scale·x^start·sum_n weights(n)·tau^n, each power's walk pruned
-    to ``box``; ``weights=None`` is the plain recurrence 1/(1 - tau).  Else tau
-    is lifted by a most significant coordinate that each step raises by 1, so
-    a path of n steps ends at (e, n), apart from other powers, and gets
+    to ``box``; ``weights=None`` is the plain recurrence 1/(1 - tau).  A
+    one-step tau is summed along its ray (``_ray``).  Else tau is lifted by
+    a most significant coordinate that each step raises by 1, so a path of
+    n steps ends at (e, n), apart from other powers, and gets
     weights(n)·scale."""
+    if len(tau) == 1:
+        [(step, value)] = tau.items()
+        return _ray(step, value, twist, box, weights, start, scale)
     if weights is None:
         return _invert_recurrence(tau, twist, box, start, scale)
     # a positive step rises in term order, so a path visits no box point

@@ -119,6 +119,33 @@ def test_coefficient_formula_matches_fixed_point_oracle():
             assert lagrange_coefficient(phi, F, k) == oracle, (F[0].terms, F[1].terms, k, i)
 
 
+def _full_cap_inverse(F, degree):
+    """The fixed point G <- x - (F(G) - G) run ``degree`` times, every pass
+    capped at ``degree``, as a graded series per variable."""
+    n = F[0].spec.n
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n)]
+    tails = [{e: v for e, v in s.terms.items() if e != unit} for s, unit in zip(F, units)]
+    G = [{unit: 1} for unit in units]
+    for _ in range(degree):
+        G = [{unit: 1, **{e: -v for e, v in compose_polynomial(tail, G, degree).items()}}
+             for unit, tail in zip(units, tails)]
+    gspec = graded_spec(F[0].spec.variables)
+    box = Box(((0, degree),) * (n + 1))
+    return [Series(gspec, {e + (0,): v for e, v in g.items()}, box=box, exact=False)
+            for g in G]
+
+
+def test_inverse_caps_rise_to_the_degree():
+    # pass t at cap t, caps 2..degree, equals degree passes at the full cap
+    rng = random.Random(59)
+    for names in (("x",), ("x1", "x2"), ("x1", "x2", "x3")):
+        spec = identity_spec(names)
+        for degree in range(8):
+            F = random_normalized_F(rng, spec, max_degree=rng.randint(2, 4))
+            assert lagrange_inverse(F, degree) == _full_cap_inverse(F, degree), (
+                [s.terms for s in F], degree)
+
+
 def test_general_phi_coefficient():
     # [y^k] Phi(G(y)) for Phi = x^2 via the residue formula
     F = Series(X, {(1,): 1, (2,): -1})

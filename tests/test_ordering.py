@@ -139,12 +139,31 @@ def test_translation_invariance():
         assert shifted == _compare(spec, a, b)
 
 
+HUGE = 7 ** 6000
+
+
+def _wide_specs(rng, count):
+    """Twists whose columns mix 0, 1, -1, negative entries and entries past
+    str's 4300 digits, each with a twin of the same shape (its other
+    entries moved by 1), as phi is compiled once per shape."""
+    entries = (0, 0, 1, -1, 2, -3, 97, -(10 ** 30), HUGE, -HUGE)
+    specs = []
+    while len(specs) < count:
+        n = rng.randint(1, 4)
+        twist = tuple(tuple(rng.choice(entries) for _ in range(n)) for _ in range(n))
+        twin = tuple(tuple(t if t in (0, 1, -1) else t + 1 for t in row) for row in twist)
+        specs += [FieldSpec(tuple(f"v{i}" for i in range(n)), rows)
+                  for rows in (twist, twin) if int_det(rows)]
+    return specs
+
+
 def test_phi_matches_its_definition():
     rng = random.Random(314)
     specs = [identity_spec(("a",)), identity_spec(("a", "b", "c")),
              FieldSpec(("a", "b"), ((0, 1), (1, 0))),
              FieldSpec(("a", "b"), ((1, 0), (0, -1)))]
     specs += [_random_spec(rng) for _ in range(200)]
+    specs += _wide_specs(random.Random(2718), 200)
     for spec in specs:
         n = spec.n
         assert spec.is_identity_twist() == all(
@@ -152,6 +171,8 @@ def test_phi_matches_its_definition():
         )
         for _ in range(5):
             k = _random_vec(rng, n)
+            if rng.random() < 0.2:
+                k = tuple(rng.choice((x, HUGE, -HUGE)) for x in k)
             # phi(k) = sum_i k_i * row_i
             want = tuple(sum(k[i] * spec.twist[i][j] for i in range(n))
                          for j in range(n))
@@ -161,6 +182,7 @@ def test_phi_matches_its_definition():
             with pytest.raises(SpecMismatch):
                 spec.phi((1,) * length)
     assert sum(spec.is_identity_twist() for spec in specs) > 2
+    assert sum(any(abs(t) == HUGE for row in spec.twist for t in row) for spec in specs) > 50
 
 
 def test_box_exit_lemma():

@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -236,3 +237,17 @@ def test_division_by_invisible_initial_term():
     empty = Series(X, {}, exact=False)
     with pytest.raises(OutOfPrecision):
         empty.invert()
+
+
+def test_expand_leaves_no_cyclic_garbage():
+    # expand's recursive walk is freed when it returns, not by the gc
+    spec = identity_spec(("x", "y"))
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        expand_text("exp(x*y)/(1-x-y) - log(1+x)^2 + x^-2*y", spec)
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

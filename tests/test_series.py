@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 
 import pytest
 
@@ -36,7 +36,15 @@ from mnseries import (
     series,
 )
 from mnseries.residues import embed_graded, graded_spec
-from mnseries.series import _coeff, _convolve, _vec_add, _vec_sub, multiply_extract
+from mnseries.series import (
+    _coeff,
+    _convolve,
+    _invert_recurrence,
+    _power_sum,
+    _vec_add,
+    _vec_sub,
+    multiply_extract,
+)
 
 X = identity_spec(("x",))
 XY = FieldSpec(("x", "y"), ((2, 1), (1, 2)))
@@ -729,17 +737,18 @@ def test_invert_and_derivative_are_computed_once_per_object():
 
 
 @pytest.fixture
-def recurrence_runs(monkeypatch):
-    """A list that gains one entry per run of ``_invert_recurrence``."""
+def power_sums(monkeypatch):
+    """A list that gains one entry per ``_power_sum`` call, a one-step ray
+    or a run of the recurrence."""
     runs = []
-    recurrence = series._invert_recurrence
-    monkeypatch.setattr(series, "_invert_recurrence",
-                        lambda *args: runs.append(1) or recurrence(*args))
+    power_sum = series._power_sum
+    monkeypatch.setattr(series, "_power_sum",
+                        lambda *args: runs.append(1) or power_sum(*args))
     return runs
 
 
-def test_invert_runs_the_recurrence_once_per_object(recurrence_runs):
-    runs = recurrence_runs
+def test_invert_runs_the_recurrence_once_per_object(power_sums):
+    runs = power_sums
     s = _memo_cases()["truncated"]
     s.invert()
     s.invert()
@@ -765,14 +774,14 @@ def test_a_refusal_is_not_stored():
     assert s.derivative("x") is s.derivative("x")
 
 
-def test_lemma_checks_reuse_each_inverse(recurrence_runs):
+def test_lemma_checks_reuse_each_inverse(power_sums):
     # One criterion-9 instance through the lemma checks: Res J, Res J·F^e,
-    # Res J/ΠF, CT LJ and both forms of the residue identity.  The recurrence
+    # Res J/ΠF, CT LJ and both forms of the residue identity.  A power sum
     # runs once for F_1^-2 (the binomial power sum), once per F_i (Res J/ΠF,
     # reused by the substitution x_i^-1 of the Res form) and once for the
     # inverse of F_1·F_2 in the log Jacobian, which CT LJ and the CT form
-    # share: 4 runs, where recomputing every inverse takes 7.
-    runs = recurrence_runs
+    # share: 4 calls, where recomputing every inverse takes 7.
+    runs = power_sums
     spec = identity_spec(("x1", "x2"))
     names = list(spec.variables)
     low, zero = (-1, -1), (0, 0)
@@ -1166,6 +1175,80 @@ _STREAMS = (
 
 def _exp_stream(n):
     return Fraction(1, factorial(n))
+
+
+def _recurrence_power_sum(tau, twist, box, weights, start, scale):
+    """``_power_sum`` as ``_invert_recurrence`` gives it for any tau: the
+    plain recurrence, or the one lifted by a path-length coordinate with
+    weights(n)·scale on the paths of n steps."""
+    if weights is None:
+        return _invert_recurrence(tau, twist, box, start, scale)
+    length = prod(hi - lo + 1 for lo, hi in box.bounds)
+    lifted = [(*row, 0) for row in twist] + [(0,) * len(twist) + (1,)]
+    paths = _invert_recurrence({e + (1,): v for e, v in tau.items()}, lifted,
+                               Box(box.bounds + ((0, length),)), start + (0,), 1)
+    total = {}
+    for e, value in paths.items():
+        term = _coeff(_coeff(weights(e[-1])) * scale) * value
+        total[e[:-1]] = total.get(e[:-1], 0) + term
+    return {e: _coeff(v) for e, v in total.items() if v}
+
+
+_RAY_WEIGHTS = {
+    "plain": None,
+    "binomial": lambda j: comb(j + 2, 2),
+    "exp": lambda j: Fraction(1, factorial(j)),
+    "log": lambda j: Fraction((-1) ** (j + 1), j) if j else 0,
+}
+
+
+def test_one_step_ray_equals_the_recurrence():
+    # item for item, in order and type, on random twists and boxes, many of
+    # which miss the origin or stop the ray at its first step
+    rng = random.Random(41)
+    seen = Counter()
+    for case in range(1500):
+        spec = _random_twist(rng, ("x", "y", "z")[: rng.randint(1, 3)])
+        n = spec.n
+        step = tuple(rng.randint(-2, 2) for _ in range(n))
+        while not spec.is_positive(step):
+            step = tuple(rng.randint(-2, 2) for _ in range(n))
+        value = rng.choice((1, -1, 3, Fraction(1, 2), Fraction(-2, 3)))
+        box = Box(tuple(sorted((rng.randint(-9, 9), rng.randint(-9, 9))) for _ in range(n)))
+        start = tuple(rng.randint(-3, 3) for _ in range(n))
+        scale = rng.choice((1, -2, Fraction(3, 4)))
+        kind = list(_RAY_WEIGHTS)[case % len(_RAY_WEIGHTS)]
+        args = (spec.twist, box, _RAY_WEIGHTS[kind], start, scale)
+        got = _power_sum({step: value}, *args)
+        want = _recurrence_power_sum({step: value}, *args)
+        assert [(e, v, type(v)) for e, v in got.items()] == [
+            (e, v, type(v)) for e, v in want.items()], (kind, spec, step, box)
+        seen[kind, "origin outside" if not box.contains((0,) * n) else "origin"] += 1
+        seen["long"] += len(want) >= 4
+        seen["empty"] += not want
+    assert len(seen) == 2 * len(_RAY_WEIGHTS) + 2 and min(seen.values()) >= 20, seen
+
+
+def test_a_one_term_factor_shifts_and_scales_the_other():
+    # multiply by an exact c·x^m equals the pair loop it replaces, on
+    # the product box, for either operand order and any claim of the other
+    rng = random.Random(43)
+    for case in range(300):
+        spec = _random_twist(rng, ("x", "y", "z")[: rng.randint(1, 3)])
+        n = spec.n
+        m = tuple(rng.randint(-3, 3) for _ in range(n))
+        one = Series(spec, {m: rng.choice((1, -2, Fraction(3, 5)))}, box=cube(n, 6))
+        other = Series(spec, {tuple(rng.randint(-3, 3) for _ in range(n)):
+                              Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                              for _ in range(rng.randint(0, 70))},
+                       box=cube(n, 5), exact=rng.random() < 0.3)
+        a, b = (one, other) if case % 2 else (other, one)
+        product = multiply(a, b)
+        region = series._product_box(a, b)
+        assert product.region == region
+        assert product.terms == _convolve(spec, a.terms, b.terms,
+                                          None if region.exact else region.box)
+        _assert_holds_the_constructor_invariant(product)
 
 
 def test_compose_exp_log_equal_the_reference_power_sum():
