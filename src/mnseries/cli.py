@@ -12,6 +12,7 @@ import argparse
 import json
 import shlex
 import sys
+from functools import cache
 from math import factorial
 
 from .errors import MNError, UsageError
@@ -215,9 +216,10 @@ def _extract_command(args):
 
 
 def _jacobian_command(args):
-    """``jacobian``, ``jnum`` or ``lj``: ``args.compute(F, xnames)`` printed."""
+    """``jacobian``, ``jnum`` or ``lj`` of F, printed (looked up per call)."""
+    compute = {"jacobian": jacobian, "jnum": jacobian_number, "lj": log_jacobian}
     F, xnames = _substitution(args, args.F, *_inputs_from_args(args))
-    _print(args.compute(F, xnames), args)
+    _print(compute[args.command](F, xnames), args)
     return 0
 
 
@@ -305,6 +307,7 @@ def _cmd_jr(args):
 # ----------------------------------------------------------------------
 # argument plumbing
 
+@cache
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="mn",
@@ -339,12 +342,11 @@ def _build_parser():
         p.add_argument("--xvars", help="the variables the cov series replace")
         p.set_defaults(func=_extract_command, want=want)
 
-    for name, compute in (("jacobian", jacobian), ("jnum", jacobian_number),
-                          ("lj", log_jacobian)):
+    for name in ("jacobian", "jnum", "lj"):
         p = sub.add_parser(name, parents=[field])
         p.add_argument("--F", required=True, help="series expressions F1;F2;...")
         p.add_argument("--xvars")
-        p.set_defaults(func=_jacobian_command, compute=compute)
+        p.set_defaults(func=_jacobian_command)
 
     p = sub.add_parser("cov", parents=[field],
                        help="verify both sides of the residue identity")

@@ -225,32 +225,31 @@ def dyson_product(instance):
     return result.shift(tuple(-t for t in target))
 
 
-def _product_coefficient(spec, factors, exponent):
+def _product_coefficient(factors, exponent):
     """The coefficient at ``exponent`` of the product of exact ``factors``.
 
-    Multiplies the factors in order, but keeps of each partial product only
-    the terms that can still reach ``exponent``.  The support of a product
-    lies in the Minkowski sum of its factors' supports and phi is linear, so
-    the rest of the product has its phi-images inside the sum of the
-    remaining factors' phi-bounding boxes; a partial term p survives only
-    when phi(exponent) - phi(p) lies in that sum.  The last factor is met by
-    a dot product against ``exponent``, so the full product is never formed.
+    Multiplies the factors in order, keeping of each partial product only
+    the terms that can still reach ``exponent``: a product's support lies in
+    the Minkowski sum of its factors', so the rest of the product lies in
+    the sum of the remaining factors' bounding boxes.  An exact coefficient
+    does not depend on the term order, so no twist enters: the products run
+    in ``zspec``, where an exponent box is a phi box.  The last factor is
+    met by a dot product, so the full product is never formed.
     """
     exponent = tuple(exponent)
     if not all(factor.terms for factor in factors):
         return 0
     if not factors:
         return int(not any(exponent))
-    target = spec.phi(exponent)
-    # reach[-k] bounds phi on the support of the product of factors[k:]
+    spec = zspec(len(exponent))
+    # reach[-k] bounds the support of the product of factors[k:]
     reach = [((0, 0),) * spec.n]
     for factor in reversed(factors[1:]):
-        columns = zip(*map(spec.phi, factor.terms))
         reach.append(tuple((lo + min(c), hi + max(c))
-                           for (lo, hi), c in zip(reach[-1], columns)))
+                           for (lo, hi), c in zip(reach[-1], zip(*factor.terms))))
     partial = {(0,) * spec.n: 1}
     for factor, bounds in zip(factors[:-1], reversed(reach)):
-        keep = Box(tuple((t - hi, t - lo) for t, (lo, hi) in zip(target, bounds)))
+        keep = Box(tuple((t - hi, t - lo) for t, (lo, hi) in zip(exponent, bounds)))
         partial = _convolve(spec, partial, factor.terms, keep)
     get = factors[-1].terms.get
     return _coeff(sum(value * get(tuple(map(sub, exponent, e)), 0)
@@ -261,7 +260,8 @@ def dyson_ct(instance):
     """The constant term of the Dyson product, as an exact coefficient, read
     from the product of the pair binomials of ``_dyson_factors`` pruned to
     the terms that can reach it."""
-    return _product_coefficient(*_dyson_factors(instance))
+    _, factors, target = _dyson_factors(instance)
+    return _product_coefficient(factors, target)
 
 
 def dyson_rhs(instance):

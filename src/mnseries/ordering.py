@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .errors import OutOfPrecision, SingularTwist, SpecMismatch, UnknownVariable, UsageError
 
@@ -197,17 +196,14 @@ class FieldSpec:
 
     Row i of ``twist`` is the exponent vector the i-th variable is mapped to
     before comparison; the matrix must be nonsingular so the induced order is
-    total and monomial comparison is faithful.  The twist's columns, whether
-    it is the identity and its compiled phi (``_compiled_phi``, whose source
-    is compiled once per shape of twist, as a change of variables builds a
-    new field each time) are made once, here, because every truncation test
-    maps an exponent through ``phi``.
+    total and monomial comparison is faithful.  ``phi``, the one map of an
+    exponent through the twist, is compiled once, here (``_compiled_phi``,
+    whose source is compiled once per shape of twist, as a change of
+    variables builds a new field each time): every truncation test runs it.
     """
 
     variables: tuple[str, ...]
     twist: tuple[tuple[int, ...], ...]
-    _columns: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
-    _identity: bool = field(init=False, repr=False, compare=False)
     _phi: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -225,19 +221,14 @@ class FieldSpec:
             raise UsageError("twist entries must be integers")
         if int_det(self.twist) == 0:
             raise SingularTwist("twist matrix is singular")
-        columns = tuple(zip(*self.twist))
-        object.__setattr__(self, "_columns", columns)
-        object.__setattr__(
-            self, "_identity", columns == tuple(unit_vector(n, i) for i in range(n))
-        )
-        object.__setattr__(self, "_phi", _compiled_phi(columns))
+        object.__setattr__(self, "_phi", _compiled_phi(tuple(zip(*self.twist))))
 
     @property
     def n(self):
         return len(self.variables)
 
     def is_identity_twist(self):
-        return self._identity
+        return all(row == unit_vector(self.n, i) for i, row in enumerate(self.twist))
 
     def index(self, name):
         try:
@@ -302,11 +293,11 @@ def transformed_spec(base, substituted_rows):
 
     ``substituted_rows`` maps a variable name of ``base`` to the exponent
     vector (in base coordinates) of the initial monomial replacing it;
-    variables not named keep their unit row.  The new twist is the
-    substitution matrix times the base twist, formed row by row.  Raises
-    SingularTwist when the substitution rows are dependent (the product is
-    singular exactly then, as the base twist is not), which is exactly the
-    Jacobian number vanishing.
+    variables not named keep their unit row.  Each new row is ``base.phi``
+    of its substitution row, so the new field orders a monomial as ``base``
+    orders its image.  Raises SingularTwist when the substitution rows are
+    dependent (the new twist, their matrix times the base twist, is
+    singular exactly then), which is exactly the Jacobian number vanishing.
     """
     n = base.n
     rows = []
@@ -317,7 +308,7 @@ def transformed_spec(base, substituted_rows):
         row = tuple(substituted_rows[name])
         if len(row) != n:
             raise UsageError(f"substituted row for {name!r} has wrong length")
-        rows.append(tuple(sum(map(mul, row, column)) for column in base._columns))
+        rows.append(base.phi(row))
     if int_det(rows) == 0:
         raise SingularTwist("initial monomials are multiplicatively dependent")
     return FieldSpec(base.variables, tuple(rows))

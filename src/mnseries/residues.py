@@ -372,7 +372,7 @@ def lagrange_coefficient(phi, F, k):
     phi_series = expand(phi, gspec, box=box)
     power_box = box
     if phi_series.terms:
-        budget = sum(k) - gspec.phi(phi_series.initial_term()[0])[-1]
+        budget = sum(k) - sum(phi_series.initial_term()[0])
         if budget < 0:
             return 0
         power_box = Box(box.bounds[:-1] + ((lo, min(hi, budget + 1)),))

@@ -328,7 +328,7 @@ class Series:
             return Series._trusted(spec, {shift: lead}, region)
         tau = {_vec_sub(e, m): _coeff(-v / c) for e, v in self.terms.items() if e != m}
         weights = None if p == 1 else lambda j: comb(j + p - 1, p - 1)
-        total = _power_sum(tau, spec.twist, walk, weights, shift, lead)
+        total = _power_sum(tau, spec, walk, weights, shift, lead)
         power = Series._trusted(spec, total, region)
         if p == 1 and total:    # stored in term order: the first item is the least
             power._remember("initial", next(iter(total.items())))
@@ -342,7 +342,7 @@ class Series:
         if m is not None and key <= (0,) * spec.n:
             raise NonpositiveOrder(
                 f"composition needs positive order, initial exponent is {m}")
-        terms = _power_sum(self.terms, spec.twist, self.box, coefficients, (0,) * spec.n, 1)
+        terms = _power_sum(self.terms, spec, self.box, coefficients, (0,) * spec.n, 1)
         return Series._trusted(spec, terms, Region(self.box, False))
 
     def derivative(self, name):
@@ -836,15 +836,15 @@ def _invert_recurrence(tau, twist, box, start, scale):
             return total
 
 
-def _ray(step, value, twist, box, weights, start, scale):
+def _ray(step, value, spec, box, weights, start, scale):
     """``_power_sum`` of the one-step tau {step: value}: its one path of j
     steps ends at start + j·step, so the sum is its nonzero terms along that
     ray in term order, each weights(j)·value^j·scale (weight 1 for the plain
     recurrence).  The origin is stored only if ``box`` holds it, and the ray
     stops at the first j·phi(step) outside ``box``, as the recurrence's
-    pruning does: phi is linear, so its last j is the least bound over
-    phi's coordinates if phi(step) lies in ``box``, else 0."""
-    rise = [sum(map(mul, step, column)) for column in zip(*twist)]
+    pruning does: ``spec.phi`` is linear, so its last j is the least bound
+    over phi's coordinates if phi(step) lies in ``box``, else 0."""
+    rise = spec.phi(step)
     last = 0
     if box.contains(rise):
         # a positive step has a nonzero phi, so some coordinate bounds j
@@ -865,22 +865,22 @@ def _ray(step, value, twist, box, weights, start, scale):
     return total
 
 
-def _power_sum(tau, twist, box, weights, start, scale):
-    """Terms of scale·x^start·sum_n weights(n)·tau^n, each power's walk pruned
-    to ``box``; ``weights=None`` is the plain recurrence 1/(1 - tau).  A
-    one-step tau is summed along its ray (``_ray``).  Else tau is lifted by
-    a most significant coordinate that each step raises by 1, so a path of
-    n steps ends at (e, n), apart from other powers, and gets
-    weights(n)·scale."""
+def _power_sum(tau, spec, box, weights, start, scale):
+    """Terms of scale·x^start·sum_n weights(n)·tau^n in the field ``spec``,
+    each power's walk pruned to ``box``; ``weights=None`` is the plain
+    recurrence 1/(1 - tau).  A one-step tau is summed along its ray
+    (``_ray``).  Else tau is lifted by a most significant coordinate that
+    each step raises by 1, so a path of n steps ends at (e, n), apart from
+    other powers, and gets weights(n)·scale."""
     if len(tau) == 1:
         [(step, value)] = tau.items()
-        return _ray(step, value, twist, box, weights, start, scale)
+        return _ray(step, value, spec, box, weights, start, scale)
     if weights is None:
-        return _invert_recurrence(tau, twist, box, start, scale)
+        return _invert_recurrence(tau, spec.twist, box, start, scale)
     # a positive step rises in term order, so a path visits no box point
     # twice: its length is at most the number of points in the box
     length = prod(hi - lo + 1 for lo, hi in box.bounds)
-    lifted = [(*row, 0) for row in twist] + [(0,) * len(twist) + (1,)]
+    lifted = [(*row, 0) for row in spec.twist] + [(0,) * spec.n + (1,)]
     paths = _invert_recurrence({e + (1,): v for e, v in tau.items()}, lifted,
                                Box(box.bounds + ((0, length),)), start + (0,), 1)
     scaled = [_coeff(_coeff(weights(j)) * scale)

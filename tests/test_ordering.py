@@ -93,8 +93,38 @@ def test_transformed_spec_composes_with_base():
     assert spec.twist == ((3, 3), (1, 2))
 
 
-def _random_spec(rng):
-    n = rng.randint(1, 4)
+def test_transformed_spec_maps_each_unit_through_the_base_phi():
+    # the target field maps a substituted unit to base.phi(row), any other
+    # unit to base.phi(unit), and so every exponent k to base.phi(k·rows)
+    rng = random.Random(28)
+    seen = {"singular": 0, "field": 0, "partial": 0}
+    for _ in range(400):
+        n = rng.randint(1, 3)
+        base = _random_spec(rng, n)
+        names = rng.sample(base.variables, rng.randint(1, n))
+        substituted = {name: tuple(rng.randint(-2, 2) for _ in range(n)) for name in names}
+        if rng.random() < 0.2:          # a row repeated, or a zero row
+            substituted[names[0]] = rng.choice([(0,) * n] + list(substituted.values())[1:])
+        rows = [substituted.get(name, base.unit(name)) for name in base.variables]
+        if int_det(rows) == 0:
+            with pytest.raises(SingularTwist):
+                transformed_spec(base, substituted)
+            seen["singular"] += 1
+            continue
+        target = transformed_spec(base, substituted)
+        assert target.variables == base.variables
+        for name, row in zip(base.variables, rows):
+            assert target.phi(target.unit(name)) == base.phi(row)
+        k = _random_vec(rng, n)
+        image = tuple(sum(k[i] * row[j] for i, row in enumerate(rows)) for j in range(n))
+        assert target.phi(k) == base.phi(image)
+        seen["field"] += 1
+        seen["partial"] += len(names) < n
+    assert min(seen.values()) >= 50, seen
+
+
+def _random_spec(rng, n=None):
+    n = n or rng.randint(1, 4)
     while True:
         twist = tuple(
             tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(n)

@@ -1218,9 +1218,9 @@ def test_one_step_ray_equals_the_recurrence():
         start = tuple(rng.randint(-3, 3) for _ in range(n))
         scale = rng.choice((1, -2, Fraction(3, 4)))
         kind = list(_RAY_WEIGHTS)[case % len(_RAY_WEIGHTS)]
-        args = (spec.twist, box, _RAY_WEIGHTS[kind], start, scale)
-        got = _power_sum({step: value}, *args)
-        want = _recurrence_power_sum({step: value}, *args)
+        args = (box, _RAY_WEIGHTS[kind], start, scale)
+        got = _power_sum({step: value}, spec, *args)
+        want = _recurrence_power_sum({step: value}, spec.twist, *args)
         assert [(e, v, type(v)) for e, v in got.items()] == [
             (e, v, type(v)) for e, v in want.items()], (kind, spec, step, box)
         seen[kind, "origin outside" if not box.contains((0,) * n) else "origin"] += 1

@@ -22,7 +22,7 @@ import workloads  # noqa: E402
 COUNTS = {
     "ct3": {
         "cli.main.calls": 1,
-        "ordering.phi.calls": 146,
+        "ordering.phi.calls": 149,
         "parser.expand.calls": 2,
         "parser.parse.calls": 1,
         "series.compose.calls": 3,
@@ -38,13 +38,13 @@ COUNTS = {
         "series.multiply.terms_out": 92,
     },
     "dyson": {
-        "ordering.phi.calls": 20496,
+        "ordering.phi.calls": 11457,
         "series.init.calls": 144,
         "series.init.terms": 2562,
     },
     "cov_lemma": {
         "identities.wilson_v.calls": 10,
-        "ordering.phi.calls": 11869,
+        "ordering.phi.calls": 12141,
         "parser.expand.calls": 400,
         "parser.parse.calls": 200,
         "residues.change_of_variables.calls": 300,
@@ -62,7 +62,7 @@ COUNTS = {
         "series.multiply.terms_out": 13446,
     },
     "lagrange": {
-        "ordering.phi.calls": 6286,
+        "ordering.phi.calls": 6292,
         "parser.expand.calls": 300,
         "parser.parse.calls": 300,
         "residues.jacobian.calls": 300,
