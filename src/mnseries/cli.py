@@ -12,7 +12,7 @@ import argparse
 import json
 import shlex
 import sys
-from functools import cache
+from functools import cache, reduce
 from math import factorial
 
 from .errors import MNError, UsageError
@@ -38,7 +38,7 @@ from .ordering import (
     read_int,
     read_names,
 )
-from .parser import BINARY, Binary, expand, parse
+from .parser import expand, factors, parse
 from .residues import (
     change_of_variables,
     jacobian,
@@ -48,7 +48,7 @@ from .residues import (
     log_jacobian,
     residue_verify,
 )
-from .series import Series, _product_box, multiply_extract
+from .series import Series, _product_box, multiply, multiply_extract
 
 
 def _compact(data):
@@ -185,15 +185,12 @@ def _cmd_expand(args):
 
 def _extract_command(args):
     spec, box, bindings = _inputs_from_args(args)
-    node = parse(_expr_from_args(args))
-    if isinstance(node, Binary) and node.op in "*/":
-        # a product on top is never formed: its factors are expanded, and its
-        # box is checked, where the whole expression would have been
-        factors = BINARY[node.op][1](expand(node.left, spec, box=box, bindings=bindings),
-                                     expand(node.right, spec, box=box, bindings=bindings))
-        _product_box(*factors)
-    else:
-        factors = (expand(node, spec, box=box, bindings=bindings),)
+    *head, last = factors(parse(_expr_from_args(args)), spec, box=box, bindings=bindings)
+    # the last product is never formed: its box is checked where the whole
+    # expression would have been expanded
+    head = reduce(multiply, head) if head else None
+    if head is not None:
+        _product_box(head, last)
     over = spec.variables if args.over is None else read_names(args.over)
     if args.cov:
         F, xnames = _substitution(args, args.cov, spec, box, bindings)
@@ -208,10 +205,10 @@ def _extract_command(args):
             report["ct_log_jacobian_equals_jnum"] = residue_verify(
                 parse("1"), F, xnames, box=box, form="ct").equal
         print(_compact(report), file=sys.stderr)
-    if len(factors) == 2:
-        _print(multiply_extract(*factors, over, args.want), args)
+    if head is None:
+        _print(last.extract(over, args.want), args)
     else:
-        _print(factors[0].extract(over, args.want), args)
+        _print(multiply_extract(head, last, over, args.want), args)
     return 0
 
 

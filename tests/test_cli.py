@@ -458,20 +458,51 @@ def test_big_example_golden(capsys):
 
 
 def test_ct_reads_the_last_product_without_forming_it(capsys, monkeypatch):
-    # forming the final product, numerator times the inverted denominator,
-    # took 23 148 of the 23 331 pairs _convolve made for this command
-    pairs = []
-    original = series._convolve
+    # the divisor's three factors are inverted one at a time: their power
+    # sums make 140 terms, where the inverse of their product made 3 799;
+    # the last factor, the numerator's 2*t - 3*x*y, is read by
+    # multiply_extract
+    convolved, extracted, inverses, lists = [], [], [], []
+    originals = series._convolve, series.multiply_extract, series.Series.invert, cli.factors
 
-    def counted(spec, a, b, keep):
-        pairs.append(len(a) * len(b))
-        return original(spec, a, b, keep)
+    def convolve(spec, a, b, keep):
+        convolved.extend((a, b))
+        return originals[0](spec, a, b, keep)
 
-    monkeypatch.setattr(series, "_convolve", counted)
+    def multiply_extract(a, b, names, want):
+        extracted.append(b.terms)
+        return originals[1](a, b, names, want)
+
+    def invert(s):
+        inverses.append(originals[2](s))
+        return inverses[-1]
+
+    def factors(*args, **kwargs):
+        lists.append(originals[3](*args, **kwargs))
+        return lists[-1]
+
+    monkeypatch.setattr(series, "_convolve", convolve)
+    monkeypatch.setattr(cli, "multiply_extract", multiply_extract)
+    monkeypatch.setattr(series.Series, "invert", invert)
+    monkeypatch.setattr(cli, "factors", factors)
     code, out, _ = run_cli(capsys, "ct", "--vars", "x,y,t", "--box=-24:24,-24:24,-1:5",
                            "--over", "x,y", "--expr", CT3_EXPR)
     assert (code, out) == (0, "3 + 6*t + 12*t^2 + 24*t^3 + 48*t^4 + 96*t^5\n")
-    assert 0 < sum(pairs) < 1000
+    [last], [got] = extracted, lists
+    assert last is got[-1].terms and len(last) == 2
+    assert convolved and all(terms is not last for terms in convolved)
+    assert sum(len(s.terms) for s in inverses) <= 200
+
+
+
+@pytest.mark.parametrize("command", ["ct", "res"])
+@pytest.mark.parametrize("expr", ["0*(1+x^-1)", "(x-x)/(x-x^2)", "(exp(x)-exp(x))*(1+x^-1)"])
+def test_ct_of_a_product_with_a_zero_factor_is_zero(capsys, command, expr):
+    # the factors before the last multiply to a series with no terms; the
+    # slice is of the whole product, not of the last factor (whose constant
+    # term and residue are 1)
+    code, out, _ = run_cli(capsys, command, "--vars", "x", "--expr", expr)
+    assert (code, out) == (0, "0\n")
 
 
 def test_big_example_at_a_small_box(capsys):
@@ -485,10 +516,9 @@ def test_big_example_at_a_small_box(capsys):
         assert (code, out) == (0, want)
 
 
-@pytest.mark.xfail(strict=True, reason="unsound precision box (ROADMAP item 1): "
-                   "an open face drops paths of the box-16 walk to t^5")
 def test_big_example_at_box_16_to_t5(capsys):
-    # while the defect stands this prints ... + 48*t^4 - 96*t^5 with exit 0
+    # while the divisor was inverted as one product, an open face dropped
+    # paths of the box-16 walk to t^5: it printed ... + 48*t^4 - 96*t^5
     code, out, _ = run_cli(capsys, "ct", "--vars", "x,y,t", "--box=-16:16,-16:16,-1:5",
                            "--over", "x,y", "--expr", CT3_EXPR)
     assert (code, out) == (0, "3 + 6*t + 12*t^2 + 24*t^3 + 48*t^4 + 96*t^5\n")
@@ -496,14 +526,14 @@ def test_big_example_at_box_16_to_t5(capsys):
 
 def _ct3_boxes():
     """ct3's box sweep (ROADMAP item 13), as ``mn ct`` field and box flags.
-    In the identity field, t-depth K and x, y radius R, 13 small boxes are
+    In the identity field, t-depth K and x, y radius R, 8 small boxes are
     wrong while face (a) stands.  In power-series coordinates T = (x+3y+6t,
     y+2t, t), four corners about the hand rule (6K+6, 2K+2) each answer or
     refuse."""
     face_a = pytest.mark.xfail(strict=True, reason="unsound precision box (ROADMAP "
                                "item 1, face (a)): a generator with a negative "
                                "phi-coordinate leaves the box and comes back")
-    for k, wrong_to in ((2, 8), (3, 10), (4, 14)):
+    for k, wrong_to in ((2, 4), (3, 8), (4, 10)):
         for r in range(4, 15, 2):
             yield pytest.param((f"--box=-{r}:{r},-{r}:{r},-1:{k}",), id=f"identity-K{k}-R{r}",
                                marks=face_a if r <= wrong_to else ())
@@ -542,13 +572,17 @@ def test_lagrange_phi_with_a_far_negative_term(capsys):
 
 # For s = c*x^m*(1 - tau) truncated, tau is known only on box - phi(m), so
 # s^-n is claimed on box - (n+1)*phi(m).  Claimed on box - n*phi(m), these
-# printed a false tail, shown after each case.
+# printed a false tail, shown after each case.  A divisor's own divisor
+# joins the numerator, so 1/(x/(1-x)) is now (1-x)/x; its power -1 still
+# inverts the truncated x/(1-x).
 @pytest.mark.parametrize("expr, truth", [
     ("1/(x/(1-x))", "x^-1 - 1\n"),          # + x^5
     ("1/(x^3/(1-x))", "x^-3 - x^-2\n"),     # + x^3 - x^4
+    ("(x/(1-x))^-1", "x^-1 - 1\n"),
+    ("(x^3/(1-x))^-1", "x^-3 - x^-2\n"),
     ("(x/(1-x))^-2", "x^-2 - 2*x^-1 + 1\n"),  # + 2*x^4
     ("(x^2/(1-x))^-2", "x^-4 - 2*x^-3 + x^-2\n"),  # + 2*x^2 - 4*x^3
-], ids=["m=1", "m=3", "m=1,n=-2", "m=2,n=-2"])
+], ids=["m=1", "m=3", "m=1,n=-1", "m=3,n=-1", "m=1,n=-2", "m=2,n=-2"])
 def test_inverse_of_a_truncated_series_claims_too_much(capsys, expr, truth):
     code, out, _ = run_cli(capsys, "expand", "--vars", "x", "--box=-5:5", "--expr", expr)
     assert (code, out) == (0, truth)
@@ -783,6 +817,8 @@ def test_subprocess_entry_point():
     pytest.param("+".join(["x"] * 5000), 0, "5000*x\n", "", id="long-sum"),
     pytest.param("(" * 5000 + "x" + ")" * 5000, 2, "",
                  "error[syntax]: expression nested too deeply", id="deep-parentheses"),
+    pytest.param("1/(" * 5000 + "x" + ")" * 5000, 2, "",
+                 "error[syntax]: expression nested too deeply", id="deep-divisors"),
 ])
 def test_long_and_deep_expressions_end_without_a_traceback(expr, code, out, err):
     env = dict(os.environ)

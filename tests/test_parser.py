@@ -1,4 +1,5 @@
 import gc
+import json
 import random
 from fractions import Fraction
 
@@ -12,6 +13,8 @@ from mnseries import (
     Series,
     UnboundVariable,
     UsageError,
+    cube,
+    exp_of,
     expand,
     expand_text,
     identity_spec,
@@ -19,7 +22,7 @@ from mnseries import (
     parse,
     to_text,
 )
-from mnseries.parser import Binary, Pow, RationalLiteral, Unary, Variable
+from mnseries.parser import Binary, Pow, RationalLiteral, Unary, Variable, factors
 
 X = identity_spec(("x",))
 XREV = FieldSpec(("x",), ((-1,),))
@@ -94,6 +97,12 @@ def test_nesting_deeper_than_the_stack_is_refused():
     for render in (to_text, lambda n: expand(n, X)):
         with pytest.raises(UsageError, match="expression nested too deeply"):
             render(node)
+    # a divisor's divisors are gathered by the same recursion
+    node = Variable("x")
+    for _ in range(5000):
+        node = Binary("/", lit(1), node)
+    with pytest.raises(UsageError, match="expression nested too deeply"):
+        expand(node, X)
 
 
 def test_only_expression_nodes_print_and_expand():
@@ -240,7 +249,8 @@ def test_division_by_invisible_initial_term():
 
 
 def test_expand_leaves_no_cyclic_garbage():
-    # expand's recursive walk is freed when it returns, not by the gc
+    # expand's recursion builds no reference cycle: it is freed when it
+    # returns, not by the gc
     spec = identity_spec(("x", "y"))
     enabled = gc.isenabled()
     gc.collect()
@@ -251,3 +261,49 @@ def test_expand_leaves_no_cyclic_garbage():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_a_divisor_is_inverted_factor_by_factor():
+    # each truncated factor is inverted on its own, then the exact factors'
+    # product once, so (1-x)*(1+y) cancels as it would in one inverse
+    spec = identity_spec(("x", "y"))
+    x, y = (Series.variable(spec, name) for name in "xy")
+    got = factors(parse("x/((1-x)*exp(y)*(1+y)*exp(x))"), spec)
+    assert got == [x, exp_of(y).invert(), exp_of(x).invert(),
+                   multiply(1 - x, 1 + y).invert()]
+    assert expand(parse("x/((1-x)*exp(y)*(1+y)*exp(x))"), spec) == multiply(
+        multiply(multiply(x, got[1]), got[2]), got[3])
+    # in a quotient an exact operand of more than one term is multiplied
+    # after every truncated factor; a one-term one keeps its place
+    assert factors(parse("(1+x)*exp(x)/(1-y)*x"), spec) == [
+        exp_of(x), (1 - y).invert(), x, 1 + x]
+
+
+@pytest.mark.parametrize("text, names, radius, pinned", [
+    ("1/((1-x)*(1+x))", ("x",), 4,
+     '{"vars":["x"],"twist":[[1]],"terms":[{"exp":[0],"coeff":"1"},{"exp":[2],"coeff":"1"},'
+     '{"exp":[4],"coeff":"1"}],"box":[[-4,4]],"exact":false}'),
+    ("1/((1-x*t)*(1-t/x))", ("x", "t"), 2,
+     '{"vars":["x","t"],"twist":[[1,0],[0,1]],"terms":[{"exp":[0,0],"coeff":"1"},'
+     '{"exp":[-1,1],"coeff":"1"},{"exp":[1,1],"coeff":"1"},{"exp":[-2,2],"coeff":"1"},'
+     '{"exp":[0,2],"coeff":"1"}],"box":[[-2,1],[-2,2]],"exact":false}'),
+], ids=["1-x^2", "two-sided"])
+def test_an_exact_divisor_is_inverted_as_one_product(text, names, radius, pinned):
+    # 1 - x^2 is inverted as one ray: the series the engine printed before
+    # truncated divisors were split
+    s = expand_text(text, identity_spec(names), box=cube(len(names), radius))
+    assert json.dumps(s.to_json(), separators=(",", ":")) == pinned
+
+
+@pytest.mark.parametrize("a, b, c", [
+    ("1+x", "1-x-y", "exp(y)"),
+    ("x", "exp(x)", "1-y"),
+    ("log(1+x)", "(1-x)*exp(y)", "(1+y)*exp(x)"),
+    ("x^-1", "1-x", "1-x"),
+])
+def test_a_divisors_divisor_joins_the_numerator(a, b, c):
+    # a/(b/c) = a*c/b: c is never inverted twice, and nor is it at any depth
+    spec = identity_spec(("x", "y"))
+    assert expand_text(f"({a})/(({b})/({c}))", spec) == expand_text(f"({a})*({c})/({b})", spec)
+    assert (expand_text(f"({a})/(({b})/(({c})/({b})))", spec)
+            == expand_text(f"({a})*({c})/(({b})*({b}))", spec))

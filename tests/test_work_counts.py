@@ -22,20 +22,19 @@ import workloads  # noqa: E402
 COUNTS = {
     "ct3": {
         "cli.main.calls": 1,
-        "ordering.phi.calls": 149,
-        "parser.expand.calls": 2,
+        "ordering.phi.calls": 569,
         "parser.parse.calls": 1,
         "series.compose.calls": 3,
         "series.compose.terms_out": 18,
         "series.extract.calls": 1,
         "series.init.calls": 25,
         "series.init.terms": 25,
-        "series.invert.calls": 4,
-        "series.invert.terms_in": 39,
-        "series.invert.terms_out": 3799,
+        "series.invert.calls": 6,
+        "series.invert.terms_in": 20,
+        "series.invert.terms_out": 140,
         "series.multiply.calls": 24,
-        "series.multiply.pairs": 162,
-        "series.multiply.terms_out": 92,
+        "series.multiply.pairs": 13978,
+        "series.multiply.terms_out": 4026,
     },
     "dyson": {
         "ordering.phi.calls": 11457,
