@@ -5,12 +5,12 @@ The Dyson constant term is evaluated on exact Laurent polynomials, so no
 truncation enters.  The two factors (1 - z_i/z_j)^(a_j) and
 (1 - z_j/z_i)^(a_i) of each pair i < j are taken as one binomial in z_i/z_j
 (the pairing of Good's proof), which halves the factors.  The constant term
-is read from a pruned product: the factors are multiplied in order, each
-partial product keeps only the terms that the remaining factors can still
-carry to the wanted exponent, and the last factor is met by a dot product,
-so the full product is never formed.  The only truncated computations here
-are the expansions of the v_j = prod_{i != j} (1 - z_j/z_i)^(-1) used in the
-second change of variables.
+is read from a pruned product of plain term dicts, no ``Series``: the
+factors are multiplied in order, each partial product keeps only the terms
+that the remaining factors can still carry to the wanted exponent, and the
+last factor is met by a dot product, so the full product is never formed.
+The only truncated computations here are the expansions of the
+v_j = prod_{i != j} (1 - z_j/z_i)^(-1) used in the second change of variables.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from math import comb, factorial
 from operator import sub
 
 from .errors import UsageError
-from .ordering import Box, Region, identity_spec, int_det, unit_vector
+from .ordering import Box, identity_spec, int_det, unit_vector
 from .series import Series, _coeff, _convolve, det, multiply
 
 
@@ -161,9 +161,9 @@ class DysonInstance:
     generalized: bool = False
 
     def __post_init__(self):
-        if self.n != len(self.a) or self.n < 1:
+        if type(self.n) is not int or self.n != len(self.a) or self.n < 1:
             raise UsageError("need one exponent per variable")
-        if not all(isinstance(ai, int) for ai in self.a):
+        if not all(type(ai) is int for ai in self.a):
             raise UsageError("exponents must be integers")
         if any(ai < 0 for ai in self.a):
             raise UsageError("exponents must be nonnegative")
@@ -178,8 +178,9 @@ def _multinomial(parts):
 
 
 def _dyson_factors(instance):
-    """The factors of the Dyson product, in multiplication order, and the
-    exponent whose coefficient in their product is the constant term.
+    """The factors of the Dyson product as term dicts, in multiplication
+    order, and the exponent whose coefficient in their product is the
+    constant term.
 
     The two factors of a pair i < j multiply to one binomial in x = z_i/z_j,
 
@@ -193,8 +194,6 @@ def _dyson_factors(instance):
     constant term.
     """
     n = instance.n
-    spec = zspec(n)
-    region = Region(spec.default_box(), True)
     a = instance.a
     factors = []
     for i, j in itertools.combinations(range(n), 2):
@@ -206,27 +205,27 @@ def _dyson_factors(instance):
             exponent = [0] * n
             exponent[i], exponent[j] = m - a[i], a[i] - m
             terms[tuple(exponent)] = (-1) ** (a[i] + m) * comb(total, m)
-        # distinct exponents, nonzero int coefficients: nothing to validate
-        factors.append(Series._trusted(spec, terms, region))
+        factors.append(terms)
     if not instance.generalized:
-        return spec, factors, (0,) * n
-    z_power = {e: _multinomial(e) for e in h_complete(n, sum(a)).terms}
-    factors.append(Series(spec, z_power))
-    return spec, factors, tuple(a)
+        return factors, (0,) * n
+    factors.append({e: _multinomial(e) for e in h_complete(n, sum(a)).terms})
+    return factors, tuple(a)
 
 
 def dyson_product(instance):
     """prod_{i != j} (1 - z_i/z_j)^(a_j), exactly; generalized form adds
     (z_1+...+z_n)^(sum a) / (z_1^(a_1)...z_n^(a_n))."""
-    spec, factors, target = _dyson_factors(instance)
+    factors, target = _dyson_factors(instance)
+    spec = zspec(instance.n)
     result = Series.constant(spec, 1)
     for factor in factors:
-        result = multiply(result, factor)
+        result = multiply(result, Series(spec, factor))
     return result.shift(tuple(-t for t in target))
 
 
 def _product_coefficient(factors, exponent):
-    """The coefficient at ``exponent`` of the product of exact ``factors``.
+    """The coefficient at ``exponent`` of the product of the exact term
+    dicts ``factors``.
 
     Multiplies the factors in order, keeping of each partial product only
     the terms that can still reach ``exponent``: a product's support lies in
@@ -237,7 +236,7 @@ def _product_coefficient(factors, exponent):
     met by a dot product, so the full product is never formed.
     """
     exponent = tuple(exponent)
-    if not all(factor.terms for factor in factors):
+    if not all(factors):
         return 0
     if not factors:
         return int(not any(exponent))
@@ -246,12 +245,12 @@ def _product_coefficient(factors, exponent):
     reach = [((0, 0),) * spec.n]
     for factor in reversed(factors[1:]):
         reach.append(tuple((lo + min(c), hi + max(c))
-                           for (lo, hi), c in zip(reach[-1], zip(*factor.terms))))
+                           for (lo, hi), c in zip(reach[-1], zip(*factor))))
     partial = {(0,) * spec.n: 1}
     for factor, bounds in zip(factors[:-1], reversed(reach)):
         keep = Box(tuple((t - hi, t - lo) for t, (lo, hi) in zip(exponent, bounds)))
-        partial = _convolve(spec, partial, factor.terms, keep)
-    get = factors[-1].terms.get
+        partial = _convolve(spec, partial, factor, keep)
+    get = factors[-1].get
     return _coeff(sum(value * get(tuple(map(sub, exponent, e)), 0)
                       for e, value in partial.items()))
 
@@ -260,8 +259,7 @@ def dyson_ct(instance):
     """The constant term of the Dyson product, as an exact coefficient, read
     from the product of the pair binomials of ``_dyson_factors`` pruned to
     the terms that can reach it."""
-    _, factors, target = _dyson_factors(instance)
-    return _product_coefficient(factors, target)
+    return _product_coefficient(*_dyson_factors(instance))
 
 
 def dyson_rhs(instance):
@@ -271,7 +269,7 @@ def dyson_rhs(instance):
 
 def dixon_sum(a, b, c):
     """sum_j (-1)^j C(a+b, a+j) C(b+c, b+j) C(c+a, c+j)."""
-    if not all(isinstance(v, int) for v in (a, b, c)):
+    if not all(type(v) is int for v in (a, b, c)):
         raise UsageError("arguments must be integers")
     if min(a, b, c) < 0:
         raise UsageError("arguments must be nonnegative")

@@ -4,11 +4,12 @@ A ``Series`` is a sparse map from exponent vectors to nonzero exact rational
 coefficients (``Fraction``, or ``int`` when integral), attached to a
 ``FieldSpec`` (which fixes the term order) and a claim, an ``ordering.Region``
 (a box, or exact everywhere), where the stored coefficients agree with the
-untruncated series; every claim rule but a product's (``_product_box``) is a
-``Region`` method.  A ``Series`` is a value, never changed after construction,
-so ``invert()`` and ``derivative(name)`` are computed once per object (never
-for an equal one); a refusal is raised again on every call.  The residue
-module stores a substitution's Jacobian data in its first series the same way.
+untruncated series.  Every claim rule is a ``Region`` method but a product's
+(``_product_box``), a slice's (``_project``) and ``compose_stream``'s (its
+argument's box, truncated).  A ``Series`` is a value, never changed after
+construction, so ``invert()`` and ``initial_term()`` are computed once per
+object (never for an equal one) and a refusal is raised again on every call;
+the residue module stores a substitution's Jacobian data in its first series.
 
 One term filter, ``_kept``: normalize each coefficient (``_coeff``), drop the
 zeros and keep the terms the claim holds.  ``Series(...)`` runs it after
@@ -115,8 +116,8 @@ class Series:
     An immutable value: ``spec``, ``terms`` and ``region`` (``box`` and
     ``exact`` read it) are never changed after construction, so ``_memo``
     (``None`` until first use) holds this object's inverse (key ``None``),
-    initial term (``"initial"``), derivatives (a variable's index) and, under
-    tuple keys, the results of substitutions it heads.
+    initial term (``"initial"``) and, under tuple keys, the results of
+    substitutions it heads.
     """
 
     __slots__ = ("spec", "terms", "region", "_memo")
@@ -346,11 +347,8 @@ class Series:
         return Series._trusted(spec, terms, Region(self.box, False))
 
     def derivative(self, name):
-        """Termwise d/dx on the named variable's exponent, computed once per
-        object and variable."""
+        """Termwise d/dx on the named variable's exponent."""
         i = self.spec.index(name)
-        if self._memo is not None and i in self._memo:
-            return self._memo[i]
         unit = self.spec.unit(name)
         out = {}
         for exponent, value in self.terms.items():
@@ -358,7 +356,7 @@ class Series:
             if e:
                 out[_vec_sub(exponent, unit)] = _coeff(value * e)
         region = self.region.shift(tuple(-x for x in self.spec.phi(unit)))
-        return self._remember(i, Series._trusted(self.spec, out, region))
+        return Series._trusted(self.spec, out, region)
 
     # ------------------------------------------------------------------
     # coefficient extraction

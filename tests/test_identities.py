@@ -92,8 +92,10 @@ def test_dyson_validation():
             build()
 
 
-@pytest.mark.parametrize("bad", [1.5, "1"])
+@pytest.mark.parametrize("bad", [1.5, "1", True])
 def test_dyson_and_dixon_refuse_non_integers(bad):
+    with pytest.raises(UsageError):
+        DysonInstance(bad, (1,))
     with pytest.raises(UsageError, match="integers"):
         DysonInstance(3, (bad, 1, 1))
     with pytest.raises(UsageError, match="integers"):
@@ -158,21 +160,23 @@ def test_product_coefficient_equals_multiply_chain():
         # beyond the Minkowski sum of the supports: the answer is 0
         reach = sum(max(e[0] for e in factor.terms) for factor in factors)
         targets.append((reach + 1,) + (0,) * (n - 1))
+        terms = [factor.terms for factor in factors]
         for target in targets:
-            got = _product_coefficient(factors, target)
+            got = _product_coefficient(terms, target)
             assert got == product.coefficient(target), (trial, target)
             assert type(got) is type(product.coefficient(target))
-        assert _product_coefficient(factors, targets[-1]) == 0
+        assert _product_coefficient(terms, targets[-1]) == 0
 
 
 def test_product_coefficient_edge_cases():
     rng = random.Random(7)
     spec = _random_twist(rng, ("x", "y", "z"))
     f, g = _random_polynomial(rng, spec), _random_polynomial(rng, spec)
+    zero = Series.zero(spec).terms
     for exponent in list(f.terms) + [(5, 5, 5)]:
-        assert _product_coefficient([f], exponent) == f.coefficient(exponent)
-        assert _product_coefficient([f, Series.zero(spec), g], exponent) == 0
-        assert _product_coefficient([Series.zero(spec)], exponent) == 0
+        assert _product_coefficient([f.terms], exponent) == f.coefficient(exponent)
+        assert _product_coefficient([f.terms, zero, g.terms], exponent) == 0
+        assert _product_coefficient([zero], exponent) == 0
     assert _product_coefficient([], (0, 0, 0)) == 1
     assert _product_coefficient([], (0, 1, 0)) == 0
 
@@ -190,12 +194,13 @@ def test_dyson_ct_reads_the_full_product(a, generalized):
 
 def test_dyson_factors_multiply_to_the_product():
     inst = DysonInstance(3, (2, 1, 1), generalized=True)
-    spec, factors, target = _dyson_factors(inst)
+    factors, target = _dyson_factors(inst)
     assert len(factors) == 4 and target == (2, 1, 1)
-    assert _chain(spec, factors).coefficient(target) == 12
+    spec = zspec(3)
+    assert _chain(spec, [Series(spec, f) for f in factors]).coefficient(target) == 12
     # (1 - z_1/z_2)(1 - z_2/z_1)^2 = 3 - x - 3/x + 1/x^2, x = z_1/z_2
-    assert factors[0].terms == {(1, -1, 0): -1, (0, 0, 0): 3,
-                                (-1, 1, 0): -3, (-2, 2, 0): 1}
+    assert factors[0] == {(1, -1, 0): -1, (0, 0, 0): 3,
+                          (-1, 1, 0): -3, (-2, 2, 0): 1}
 
 
 def _binomial(spec, i, j, power):
@@ -213,13 +218,31 @@ def test_dyson_pair_factor_is_the_product_of_its_two_binomials():
     for trial in range(40):
         n = rng.randint(2, 5)
         a = tuple(rng.choice((0, 0, 1, 2, 3)) for _ in range(n))
-        spec, factors, _ = _dyson_factors(DysonInstance(n, a))
+        factors, _ = _dyson_factors(DysonInstance(n, a))
+        spec = zspec(n)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if a[i] + a[j]]
         assert len(factors) == len(pairs), (trial, a)
         for factor, (i, j) in zip(factors, pairs):
             expected = multiply(_binomial(spec, i, j, a[j]), _binomial(spec, j, i, a[i]))
-            assert factor == expected, (trial, a, i, j)
-            assert all(type(v) is int for v in factor.terms.values())
+            assert factor == expected.terms, (trial, a, i, j)
+            assert all(type(v) is int for v in factor.values())
+
+
+def test_dyson_ct_builds_no_series_of_its_own(monkeypatch):
+    built = []
+    init, trusted = Series.__init__, Series._trusted.__func__
+    monkeypatch.setattr(Series, "__init__",
+                        lambda self, *args, **kw: built.append(1) or init(self, *args, **kw))
+    monkeypatch.setattr(Series, "_trusted",
+                        classmethod(lambda cls, *args: built.append(1) or trusted(cls, *args)))
+    # a generalized instance builds one series, h_complete's
+    for a, generalized, series_built in [
+            ((1, 1, 1), False, 0), ((3, 2, 2, 1), False, 0), ((3,), False, 0),
+            ((0, 0), False, 0), ((2, 1, 1), True, 1), ((0, 0, 0), True, 1)]:
+        built.clear()
+        inst = DysonInstance(len(a), a, generalized=generalized)
+        assert dyson_ct(inst) == dyson_rhs(inst)
+        assert len(built) == series_built, (a, generalized)
 
 
 def test_dyson_ct_from_pair_factors_forms_few_pairs(monkeypatch):

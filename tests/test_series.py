@@ -720,17 +720,14 @@ def _memo_cases():
     }
 
 
-def test_invert_and_derivative_are_computed_once_per_object():
+def test_invert_is_computed_once_per_object():
     for label, s in _memo_cases().items():
         fresh = Series(s.spec, s.terms, box=s.box, exact=s.exact)
         inv = s.invert()
         assert s.invert() is inv, label
         assert inv == fresh.invert(), label
         for name in XY.variables:
-            d = s.derivative(name)
-            assert s.derivative(name) is d, (label, name)
-            assert d == fresh.derivative(name), (label, name)
-        assert s.derivative("x") is not s.derivative("y")
+            assert s.derivative(name) == fresh.derivative(name), (label, name)
         # the inverse's own inverse is computed, not taken from s
         fresh_inv = Series(inv.spec, inv.terms, box=inv.box, exact=inv.exact)
         assert inv.invert() is not s and inv.invert() == fresh_inv.invert(), label
@@ -771,7 +768,6 @@ def test_a_refusal_is_not_stored():
     s = _memo_cases()["exact"]
     with pytest.raises(UnknownVariable):
         s.derivative("z")
-    assert s.derivative("x") is s.derivative("x")
 
 
 def test_lemma_checks_reuse_each_inverse(power_sums):

@@ -38,8 +38,8 @@ COUNTS = {
     },
     "dyson": {
         "ordering.phi.calls": 11457,
-        "series.init.calls": 144,
-        "series.init.terms": 2562,
+        "series.init.calls": 72,
+        "series.init.terms": 1281,
     },
     "cov_lemma": {
         "identities.wilson_v.calls": 10,
