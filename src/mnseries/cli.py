@@ -12,7 +12,7 @@ import argparse
 import json
 import shlex
 import sys
-from functools import cache, reduce
+from functools import cache
 from math import factorial
 
 from .errors import MNError, UsageError
@@ -48,7 +48,7 @@ from .residues import (
     log_jacobian,
     residue_verify,
 )
-from .series import Series, _product_box, multiply, multiply_extract
+from .series import Series, _chain_claims, _chain_read
 
 
 def _compact(data):
@@ -185,12 +185,10 @@ def _cmd_expand(args):
 
 def _extract_command(args):
     spec, box, bindings = _inputs_from_args(args)
-    *head, last = factors(parse(_expr_from_args(args)), spec, box=box, bindings=bindings)
-    # the last product is never formed: its box is checked where the whole
-    # expression would have been expanded
-    head = reduce(multiply, head) if head else None
-    if head is not None:
-        _product_box(head, last)
+    # the product is never formed: its claim is checked where the whole
+    # expression would have been expanded, before the --cov report
+    chain = _chain_claims(factors(parse(_expr_from_args(args)), spec, box=box,
+                                  bindings=bindings))
     over = spec.variables if args.over is None else read_names(args.over)
     if args.cov:
         F, xnames = _substitution(args, args.cov, spec, box, bindings)
@@ -205,10 +203,7 @@ def _extract_command(args):
             report["ct_log_jacobian_equals_jnum"] = residue_verify(
                 parse("1"), F, xnames, box=box, form="ct").equal
         print(_compact(report), file=sys.stderr)
-    if head is None:
-        _print(last.extract(over, args.want), args)
-    else:
-        _print(multiply_extract(head, last, over, args.want), args)
+    _print(_chain_read(chain, over, args.want), args)
     return 0
 
 

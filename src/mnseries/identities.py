@@ -5,10 +5,8 @@ The Dyson constant term is evaluated on exact Laurent polynomials, so no
 truncation enters.  The two factors (1 - z_i/z_j)^(a_j) and
 (1 - z_j/z_i)^(a_i) of each pair i < j are taken as one binomial in z_i/z_j
 (the pairing of Good's proof), which halves the factors.  The constant term
-is read from a pruned product of plain term dicts, no ``Series``: the
-factors are multiplied in order, each partial product keeps only the terms
-that the remaining factors can still carry to the wanted exponent, and the
-last factor is met by a dot product, so the full product is never formed.
+is read from them as plain term dicts, no ``Series``, by the engine's pruned
+chain (``series._chain_terms``), which never forms the product.
 The only truncated computations here are the expansions of the
 v_j = prod_{i != j} (1 - z_j/z_i)^(-1) used in the second change of variables.
 """
@@ -19,11 +17,10 @@ import itertools
 from dataclasses import dataclass
 from functools import cache
 from math import comb, factorial
-from operator import sub
 
 from .errors import UsageError
-from .ordering import Box, identity_spec, int_det, unit_vector
-from .series import Series, _coeff, _convolve, det, multiply
+from .ordering import identity_spec, int_det, unit_vector
+from .series import Series, _chain_terms, _coeff, det, multiply
 
 
 @cache
@@ -223,43 +220,20 @@ def dyson_product(instance):
     return result.shift(tuple(-t for t in target))
 
 
-def _product_coefficient(factors, exponent):
-    """The coefficient at ``exponent`` of the product of the exact term
-    dicts ``factors``.
-
-    Multiplies the factors in order, keeping of each partial product only
-    the terms that can still reach ``exponent``: a product's support lies in
-    the Minkowski sum of its factors', so the rest of the product lies in
-    the sum of the remaining factors' bounding boxes.  An exact coefficient
-    does not depend on the term order, so no twist enters: the products run
-    in ``zspec``, where an exponent box is a phi box.  The last factor is
-    met by a dot product, so the full product is never formed.
-    """
-    exponent = tuple(exponent)
-    if not all(factors):
-        return 0
-    if not factors:
-        return int(not any(exponent))
-    spec = zspec(len(exponent))
-    # reach[-k] bounds the support of the product of factors[k:]
-    reach = [((0, 0),) * spec.n]
-    for factor in reversed(factors[1:]):
-        reach.append(tuple((lo + min(c), hi + max(c))
-                           for (lo, hi), c in zip(reach[-1], zip(*factor))))
-    partial = {(0,) * spec.n: 1}
-    for factor, bounds in zip(factors[:-1], reversed(reach)):
-        keep = Box(tuple((t - hi, t - lo) for t, (lo, hi) in zip(exponent, bounds)))
-        partial = _convolve(spec, partial, factor, keep)
-    get = factors[-1].get
-    return _coeff(sum(value * get(tuple(map(sub, exponent, e)), 0)
-                      for e, value in partial.items()))
-
-
 def dyson_ct(instance):
-    """The constant term of the Dyson product, as an exact coefficient, read
-    from the product of the pair binomials of ``_dyson_factors`` pruned to
-    the terms that can reach it."""
-    return _product_coefficient(*_dyson_factors(instance))
+    """The constant term of the Dyson product, an exact coefficient, read by
+    the pruned chain ``series._chain_terms`` from the pair binomials of
+    ``_dyson_factors``.  It does not depend on the term order, so the chain
+    runs in ``zspec``, where the wanted exponent pins every coordinate."""
+    factors, target = _dyson_factors(instance)
+    spec = zspec(instance.n)
+    factors = factors or [{(0,) * spec.n: 1}]
+    # phi is the identity in zspec, so a factor's phi hull is its exponents'
+    # range; only the factors after the second bound a reach
+    hulls = [None, None] + [[(min(c), max(c)) for c in zip(*f)] for f in factors[2:]]
+    terms = _chain_terms(spec, factors, hulls, [None] * (len(factors) - 1), range(spec.n),
+                         target)
+    return _coeff(terms.get(target, 0))
 
 
 def dyson_rhs(instance):

@@ -55,7 +55,7 @@ from .ordering import (
     unit_vector,
 )
 from .parser import expand
-from .series import Series, det, multiply, multiply_extract
+from .series import Series, chain_extract, det, multiply
 
 
 # ----------------------------------------------------------------------
@@ -171,7 +171,7 @@ def residue_verify(phi, F, xnames, bindings=None, box=None, form="res"):
     ``form="res"`` uses Res and the Jacobian; ``form="ct"`` uses CT and the
     log Jacobian.  With a zero Jacobian number the identity is only attempted
     for exact Laurent-polynomial phi (right side 0); anything else is refused.
-    The left side's last product is never formed (``multiply_extract``).
+    The left side's product is never formed (``chain_extract``).
     """
     if form not in ("res", "ct"):
         raise UsageError(f"unknown form {form!r}")
@@ -202,7 +202,7 @@ def residue_verify(phi, F, xnames, bindings=None, box=None, form="res"):
     phi_at_F = expand(phi, base, box=box, bindings=bindings,
                       substitutions=dict(zip(xnames, F)))
     jac = jacobian(F, xnames) if form == "res" else log_jacobian(F, xnames)
-    lhs = multiply_extract(phi_at_F, jac, xnames, want)
+    lhs = chain_extract([phi_at_F, jac], xnames, want)
     if cov.jnum:
         rhs = expansion.extract(xnames, want) * cov.jnum
     else:
@@ -349,9 +349,8 @@ def lagrange_coefficient(phi, F, k):
     initial degree cannot reach it: each F_i is embedded with its degree
     bound lowered to ``budget + 1`` before it is inverted and powered.  A
     negative budget puts every integrand term above the target, so the
-    coefficient is 0.  The last product, with J(F), is never formed: its
-    coefficient is read by ``multiply_extract``, which still refuses a target
-    outside the product's guaranteed box.
+    coefficient is 0.  The coefficient is read by ``chain_extract``, which
+    never forms the product and refuses a target outside its claim.
     """
     F = list(F)
     _check_power_series_normalized(F)
@@ -376,7 +375,6 @@ def lagrange_coefficient(phi, F, k):
         if budget < 0:
             return 0
         power_box = Box(box.bounds[:-1] + ((lo, min(hi, budget + 1)),))
-    powers = (embed_graded(s, gspec, power_box) ** (-1 - ki) for s, ki in zip(F, k))
-    integrand = multiply(reduce(multiply, powers), phi_series)
+    powers = [embed_graded(s, gspec, power_box) ** (-1 - ki) for s, ki in zip(F, k)]
     J = embed_graded(jacobian(F, spec.variables), gspec, box)
-    return multiply_extract(integrand, J, gspec.variables, (-1,) * n + (0,))
+    return chain_extract(powers + [phi_series, J], gspec.variables, (-1,) * n + (0,))

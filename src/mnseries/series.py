@@ -5,8 +5,9 @@ coefficients (``Fraction``, or ``int`` when integral), attached to a
 ``FieldSpec`` (which fixes the term order) and a claim, an ``ordering.Region``
 (a box, or exact everywhere), where the stored coefficients agree with the
 untruncated series.  Every claim rule is a ``Region`` method but a product's
-(``_product_box``), a slice's (``_project``) and ``compose_stream``'s (its
-argument's box, truncated).  A ``Series`` is a value, never changed after
+(``_product_box``, on what ``_claim`` reads of each operand), a slice's
+(``_project``) and ``compose_stream``'s (its argument's box, truncated).
+A ``Series`` is a value, never changed after
 construction, so ``invert()`` and ``initial_term()`` are computed once per
 object (never for an equal one) and a refusal is raised again on every call;
 the residue module stores a substitution's Jacobian data in its first series.
@@ -14,7 +15,7 @@ the residue module stores a substitution's Jacobian data in its first series.
 One term filter, ``_kept``: normalize each coefficient (``_coeff``), drop the
 zeros and keep the terms the claim holds.  ``Series(...)`` runs it after
 checking its input (exponent lengths and entries, coefficient types), and
-sums, ``multiply_extract`` and ``_project`` through ``Series._filtered``.
+sums, ``chain_extract``'s slice and ``_project`` through ``Series._filtered``.
 What holds it by construction is built as it is, ``Series._trusted``:
 ``_convolve`` keeps only the pairs whose phi lies in the box, a product by an
 exact one-term factor c·x^m shifts the other's terms by m into its claim
@@ -23,6 +24,12 @@ shifted by phi(m), the power-sum kernel pushes only exponents inside the box
 scale, a shift and a derivative move each term with the claim, and a
 one-term reciprocal's term, at -p·phi(m), lies in its claim as phi(m) lies
 in the series' box.
+
+Every CT, Res or coefficient of a product is read by one pruned chain,
+``chain_extract``: ``_product_box`` is folded over the factors before any
+pair is tested, each partial product keeps only the terms that can still
+reach the wanted slice, and the last factor is met without forming the
+product.  Dyson's constant term runs its term-dict core, ``_chain_terms``.
 
 Both pruned kernels, ``_packed_keep`` (``_convolve`` from ``PACKED_PAIRS``
 pairs on) and the inversion recurrence, pack phi into one int of guard-bit
@@ -46,9 +53,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from functools import reduce
 from heapq import heappop, heappush
 from itertools import chain
-from math import comb, factorial, lcm, prod
+from math import comb, factorial, inf, lcm, prod
 from operator import add as _int_add, itemgetter, mul, sub
 
 from .errors import (
@@ -700,71 +708,168 @@ def det(matrix):
     return total
 
 
+def _phi_hull(spec, terms):
+    """Per phi-coordinate, the least and greatest phi of ``terms``, or None."""
+    return [(min(c), max(c)) for c in zip(*map(spec.phi, terms))] or None
+
+
+def _hull_sum(a, b):
+    return [(alo + blo, ahi + bhi) for (alo, ahi), (blo, bhi) in zip(a, b)]
+
+
+def _claim(s, hull=True):
+    """``(region, hull)``, what ``_product_box`` reads of ``s``: the phi hull
+    of its support if it is exact, of its initial term if not; None if it
+    has no terms, () if ``hull`` is false (no partner reads it)."""
+    if not (s.terms and hull):
+        return s.region, () if s.terms else None
+    if s.exact:
+        return s.region, _phi_hull(s.spec, s.terms)
+    initial = s.spec.phi(s.initial_term()[0])
+    return s.region, list(zip(initial, initial))
+
+
 def _product_box(a, b):
-    """The product's ``Region``: exact, on the meet of the operands' claims,
-    for an exact product or one with an exact zero operand, else each
-    truncated box shifted by every phi of an exact other's support (by a
-    truncated other's initial phi, by 0 if it is empty) and met, one pass:
-    [lo + max phi_j, hi + min phi_j]."""
-    a._require_same_spec(b)
-    if (a.exact and (b.exact or not a.terms)) or (b.exact and not b.terms):
-        return Region(a.region.meet(b.region).box, True)
-    spec = a.spec
-    bounds = None
-    for mine, other in ((a, b), (b, a)):
-        if mine.exact:
-            continue
-        if other.exact:
-            shifts = [spec.phi(exponent) for exponent in other.terms]
-        else:
-            shifts = [spec.phi(other.initial_term()[0]) if other.terms else (0,) * spec.n]
-        side = [(lo + max(column), hi + min(column))
-                for (lo, hi), column in zip(mine.box.bounds, zip(*shifts))]
-        bounds = side if bounds is None else [
-            (max(lo, low), min(hi, high)) for (lo, hi), (low, high) in zip(bounds, side)]
+    """The ``Region`` of a product of operands read by ``_claim``: exact, on
+    the meet of the claims, for an exact product or an exact zero operand,
+    else each truncated box [lo, hi] shifted to [lo + greatest, hi + least]
+    of the other's hull (0 if it has no terms) and met."""
+    (ra, ha), (rb, hb) = a, b
+    if (ra.exact and (rb.exact or ha is None)) or (rb.exact and hb is None):
+        return Region(ra.meet(rb).box, True)
+    bounds = [(-inf, inf)] * len(ra.box)
+    for mine, hull in ((ra, hb), (rb, ha)):
+        if not mine.exact:
+            bounds = [(max(lo, low + top), min(hi, high + bottom))
+                      for (lo, hi), (low, high), (bottom, top)
+                      in zip(bounds, mine.box.bounds, hull or [(0, 0)] * len(bounds))]
     if any(lo > hi for lo, hi in bounds):
         raise OutOfPrecision("product has no guaranteed region")
     return Region(Box(tuple(bounds)), False)
 
 
+def _shifted(terms, one):
+    """``terms`` times the one-term dict ``one``, in closed form."""
+    [(m, c)] = one.items()
+    return {tuple(map(_int_add, e, m)): _coeff(v * c) for e, v in terms.items()}
+
+
 def multiply(a, b):
     """Product with shift-and-intersect box propagation.  An exact one-term
-    operand c·x^m shifts the other operand's terms by m and scales them by c:
-    each lands in ``_product_box``'s region, which is the other's claim
-    shifted by phi(m)."""
-    region = _product_box(a, b)
+    operand shifts the other's terms (``_shifted``) into ``_product_box``'s
+    region, the other's claim shifted by its phi."""
+    a._require_same_spec(b)
+    region = _product_box(_claim(a, not b.exact), _claim(b, not a.exact))
     for one, other in ((a, b), (b, a)):
         if one.exact and len(one.terms) == 1:
-            [(m, c)] = one.terms.items()
-            return Series._trusted(a.spec, {tuple(map(_int_add, e, m)): _coeff(v * c)
-                                            for e, v in other.terms.items()}, region)
+            return Series._trusted(a.spec, _shifted(other.terms, one.terms), region)
     # _convolve prunes every pair to a truncated product's box and
     # normalizes each term
     terms = _convolve(a.spec, a.terms, b.terms, None if region.exact else region.box)
     return Series._trusted(a.spec, terms, region)
 
 
-def multiply_extract(a, b, names, want):
-    """``multiply(a, b).extract(names, want)``, read without forming the
-    product: only the pairs whose named exponents add up to ``want``, kept
-    where ``multiply`` keeps them and handed to ``extract``."""
-    region = _product_box(a, b)
-    names = tuple(names)        # read here and again by extract
-    selected, want, target = a._wanted(names, want)
-    aterms, bterms = a.terms, b.terms
-    if len(aterms) > len(bterms):
-        aterms, bterms = bterms, aterms
+def _chain_claims(factors):
+    """``(factors, hulls, boxes, region)`` of the product of the series
+    ``factors``, left to right, or the refusal of ``reduce(multiply,
+    factors)``, before any pair is tested.  ``_product_box`` is folded over
+    the partial products: exact hulls add (extreme terms never cancel) and
+    truncated initial terms add, unless an exact factor of more than one
+    term drops the initial pair (ROADMAP item 1, face (c)): then the factors
+    before the last truncated one are multiplied out first.  ``hulls[k]`` is
+    factors[k]'s phi hull from k = 2 on; ``boxes[k - 1]`` is the box that
+    ``multiply`` prunes factors[:k + 1]'s product to, None if it drops no pair.
+    """
+    factors = list(factors)
+    last = max((k for k, s in enumerate(factors) if not s.exact), default=0)
+    if any(s.exact and len(s.terms) > 1 for s in factors[:last]):
+        factors[:last] = [reduce(multiply, factors[:last])]
+    truncated = sum(not s.exact for s in factors)
+    hulls, boxes, claim, monomial = [], [], None, True
+    for k, s in enumerate(factors):
+        factors[0]._require_same_spec(s)
+        # a hull is read against a truncated partner, now or later, and from
+        # k = 2 on it bounds the reach
+        own = _claim(s, truncated > (not s.exact) or (s.exact and k > 1))
+        hulls.append(None if k < 2 else own[1] if s.exact else _phi_hull(s.spec, s.terms))
+        one = s.exact and len(s.terms) == 1
+        if k:
+            region = _product_box(claim, own)
+            boxes.append(None if region.exact or one or monomial else region.box)
+            own = region, None if None in (claim[1], own[1]) else _hull_sum(claim[1], own[1])
+        claim, monomial = own, monomial and one
+    return factors, hulls, boxes, claim[0]
+
+
+def _chain_terms(spec, factors, hulls, boxes, selected, target):
+    """The terms of the product of the term dicts ``factors`` in the slice
+    at the ``selected`` indices of ``target`` (not normalized), for
+    ``_chain_claims``' ``hulls`` and ``boxes``.  A support lies in the
+    Minkowski sum of its factors': on a phi-coordinate j that the slice pins
+    (twist column j is 0 on every variable not selected), each partial
+    product keeps phi_j(target) less the hulls still to come, in its box.
+    A step with a one-term side that drops no pair is a shift.  The last
+    factor is met by a dot product if every variable is selected, else by
+    the terms' selected part, so the whole product is never formed.
+    """
+    if not all(factors):
+        return {}
+    n = spec.n
+    partial, reach = factors[0], None
+    for k, (factor, box) in enumerate(zip(factors[1:-1], boxes), 1):
+        if box is None and 1 in (len(partial), len(factor)):
+            partial = _shifted(partial, factor) if len(factor) == 1 else _shifted(factor, partial)
+            continue
+        if reach is None:           # per step and coordinate; None where free
+            free = [row for i, row in enumerate(spec.twist) if i not in selected]
+            pinned = [not any(row[j] for row in free) for j in range(n)]
+            goal, reach, rest = spec.phi(target), [], [(0, 0)] * n
+            for hull in reversed(hulls[2:]):
+                rest = _hull_sum(rest, hull)
+                reach.insert(0, [(g - high, g - low) if pin else None
+                                 for g, (low, high), pin in zip(goal, rest, pinned)])
+        bounds = reach[k - 1]
+        if box is not None:
+            bounds = [c if r is None else (max(c[0], r[0]), min(c[1], r[1]))
+                      for c, r in zip(box.bounds, bounds)]
+            if any(lo > hi for lo, hi in bounds):
+                return {}
+        partial = _convolve(spec, partial, factor, None if None in bounds else Box(tuple(bounds)))
+    last = factors[-1] if len(factors) > 1 else {(0,) * n: 1}
+    if len(partial) > len(last):
+        partial, last = last, partial
+    if len(selected) == n:
+        get = last.get
+        return {target: sum(v * w for e, v in partial.items()
+                            if (w := get(tuple(map(sub, target, e)))))}
     named = itemgetter(*selected)
-    partners = {}               # named part a partner needs -> smaller's terms
-    for ka, va in aterms.items():
+    partners = {}               # selected part a partner needs -> the smaller's terms
+    for ka, va in partial.items():
         partners.setdefault(named(tuple(map(sub, target, ka))), []).append((ka, va))
     out = {}
-    for kb, vb in bterms.items():
+    for kb, vb in last.items():
         for ka, va in partners.get(named(kb), ()):
             e = tuple(map(_int_add, ka, kb))
             out[e] = out.get(e, 0) + va * vb
-    # _kept keeps, as multiply's pair filter does, only what is in the box
-    return Series._filtered(a.spec, out.items(), region).extract(names, want)
+    return out
+
+
+def _chain_read(chain, names, want):
+    """``extract(names, want)`` of the product ``_chain_claims`` folded."""
+    factors, hulls, boxes, region = chain
+    spec = factors[0].spec
+    selected, want, target = factors[0]._wanted(names, want)
+    terms = _chain_terms(spec, [s.terms for s in factors], hulls, boxes, selected, target)
+    product = Series._filtered(spec, terms.items(), region)
+    if len(selected) == spec.n:
+        return product.coefficient(target)
+    return product._project(selected, want, target)
+
+
+def chain_extract(factors, names, want):
+    """``reduce(multiply, factors).extract(names, want)`` (the same terms, box
+    and ``exact`` flag, or the same refusal), never forming the product."""
+    return _chain_read(_chain_claims(factors), names, want)
 
 
 # ----------------------------------------------------------------------

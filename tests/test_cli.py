@@ -460,18 +460,20 @@ def test_big_example_golden(capsys):
 def test_ct_reads_the_last_product_without_forming_it(capsys, monkeypatch):
     # the divisor's three factors are inverted one at a time: their power
     # sums make 140 terms, where the inverse of their product made 3 799;
-    # the last factor, the numerator's 2*t - 3*x*y, is read by
-    # multiply_extract
-    convolved, extracted, inverses, lists = [], [], [], []
-    originals = series._convolve, series.multiply_extract, series.Series.invert, cli.factors
+    # the factors' product is read by the pruned chain, each partial product
+    # kept to the terms that can still reach the x^0*y^0 slice, and its last
+    # factor, the numerator's 2*t - 3*x*y, is met by the slice's named part:
+    # the chain's products make 378 terms, where the head product made 3 990
+    convolved, chained, inverses, lists = [], [], [], []
+    originals = series._convolve, series._chain_terms, series.Series.invert, cli.factors
 
     def convolve(spec, a, b, keep):
-        convolved.extend((a, b))
-        return originals[0](spec, a, b, keep)
+        convolved.append((a, b, originals[0](spec, a, b, keep)))
+        return convolved[-1][2]
 
-    def multiply_extract(a, b, names, want):
-        extracted.append(b.terms)
-        return originals[1](a, b, names, want)
+    def chain_terms(spec, factors, *args):
+        chained.append(factors)
+        return originals[1](spec, factors, *args)
 
     def invert(s):
         inverses.append(originals[2](s))
@@ -482,17 +484,17 @@ def test_ct_reads_the_last_product_without_forming_it(capsys, monkeypatch):
         return lists[-1]
 
     monkeypatch.setattr(series, "_convolve", convolve)
-    monkeypatch.setattr(cli, "multiply_extract", multiply_extract)
+    monkeypatch.setattr(series, "_chain_terms", chain_terms)
     monkeypatch.setattr(series.Series, "invert", invert)
     monkeypatch.setattr(cli, "factors", factors)
     code, out, _ = run_cli(capsys, "ct", "--vars", "x,y,t", "--box=-24:24,-24:24,-1:5",
                            "--over", "x,y", "--expr", CT3_EXPR)
     assert (code, out) == (0, "3 + 6*t + 12*t^2 + 24*t^3 + 48*t^4 + 96*t^5\n")
-    [last], [got] = extracted, lists
-    assert last is got[-1].terms and len(last) == 2
-    assert convolved and all(terms is not last for terms in convolved)
+    [chain], [got] = chained, lists
+    assert chain == [s.terms for s in got] and len(chain[-1]) == 2
+    assert all(chain[-1] is not a and chain[-1] is not b for a, b, _ in convolved)
+    assert 0 < sum(len(out) for _, _, out in convolved) <= 500
     assert sum(len(s.terms) for s in inverses) <= 200
-
 
 
 @pytest.mark.parametrize("command", ["ct", "res"])

@@ -25,13 +25,13 @@ from mnseries import (
     wilson_v,
     zspec,
 )
-from mnseries import identities, series
+from mnseries import series
 from mnseries.identities import (
     _dyson_factors,
-    _product_coefficient,
     u_r_initial_matrix,
     vandermonde_determinant,
 )
+from mnseries.series import chain_extract
 
 
 def test_vandermonde_small():
@@ -148,7 +148,7 @@ def _chain(spec, factors):
     return product
 
 
-def test_product_coefficient_equals_multiply_chain():
+def test_chain_coefficient_equals_multiply_chain():
     rng = random.Random(6)
     for trial in range(60):
         n = rng.randint(2, 3)
@@ -160,25 +160,24 @@ def test_product_coefficient_equals_multiply_chain():
         # beyond the Minkowski sum of the supports: the answer is 0
         reach = sum(max(e[0] for e in factor.terms) for factor in factors)
         targets.append((reach + 1,) + (0,) * (n - 1))
-        terms = [factor.terms for factor in factors]
         for target in targets:
-            got = _product_coefficient(terms, target)
+            got = chain_extract(factors, spec.variables, target)
             assert got == product.coefficient(target), (trial, target)
             assert type(got) is type(product.coefficient(target))
-        assert _product_coefficient(terms, targets[-1]) == 0
+        assert chain_extract(factors, spec.variables, targets[-1]) == 0
 
 
-def test_product_coefficient_edge_cases():
+def test_chain_coefficient_edge_cases():
     rng = random.Random(7)
     spec = _random_twist(rng, ("x", "y", "z"))
     f, g = _random_polynomial(rng, spec), _random_polynomial(rng, spec)
-    zero = Series.zero(spec).terms
+    zero = Series.zero(spec)
     for exponent in list(f.terms) + [(5, 5, 5)]:
-        assert _product_coefficient([f.terms], exponent) == f.coefficient(exponent)
-        assert _product_coefficient([f.terms, zero, g.terms], exponent) == 0
-        assert _product_coefficient([zero], exponent) == 0
-    assert _product_coefficient([], (0, 0, 0)) == 1
-    assert _product_coefficient([], (0, 1, 0)) == 0
+        assert chain_extract([f], spec.variables, exponent) == f.coefficient(exponent)
+        assert chain_extract([f, zero, g], spec.variables, exponent) == 0
+        assert chain_extract([zero], spec.variables, exponent) == 0
+    # no pair factor: the empty product, 1
+    assert dyson_ct(DysonInstance(3, (0, 0, 0))) == 1
 
 
 @pytest.mark.parametrize("a, generalized", [
@@ -247,14 +246,13 @@ def test_dyson_ct_builds_no_series_of_its_own(monkeypatch):
 
 def test_dyson_ct_from_pair_factors_forms_few_pairs(monkeypatch):
     pairs = []
-    for module in (series, identities):
-        original = module._convolve
+    original = series._convolve
 
-        def counted(spec, a, b, keep, original=original):
-            pairs.append(len(a) * len(b))
-            return original(spec, a, b, keep)
+    def counted(spec, a, b, keep):
+        pairs.append(len(a) * len(b))
+        return original(spec, a, b, keep)
 
-        monkeypatch.setattr(module, "_convolve", counted)
+    monkeypatch.setattr(series, "_convolve", counted)
     assert dyson_ct(DysonInstance(5, (2, 2, 2, 2, 2))) == 113400
     # one factor per ordered pair formed 14 499 pairs
     assert 0 < sum(pairs) <= 3285
@@ -262,14 +260,13 @@ def test_dyson_ct_from_pair_factors_forms_few_pairs(monkeypatch):
 
 def test_pruned_product_forms_few_pairs(monkeypatch):
     pairs = []
-    for module in (series, identities):
-        original = module._convolve
+    original = series._convolve
 
-        def counted(spec, a, b, keep, original=original):
-            pairs.append(len(a) * len(b))
-            return original(spec, a, b, keep)
+    def counted(spec, a, b, keep):
+        pairs.append(len(a) * len(b))
+        return original(spec, a, b, keep)
 
-        monkeypatch.setattr(module, "_convolve", counted)
+    monkeypatch.setattr(series, "_convolve", counted)
     inst = DysonInstance(5, (2, 2, 2, 2, 2))
     assert dyson_ct(inst) == 113400
     pruned = sum(pairs)

@@ -24,7 +24,7 @@ from mnseries import (
     residue_verify,
     zspec,
 )
-from mnseries.series import multiply_extract
+from mnseries.series import chain_extract
 
 X = identity_spec(("x",))
 XT = identity_spec(("x", "t"))
@@ -444,5 +444,5 @@ def test_iterable_arguments_are_read_once():
                                form="ct") for make in (list, generator)]
     assert [(v.lhs, v.rhs, v.equal) for v in verdicts] == [(-4, -4, True)] * 2
     a, b = expand_text("1/(1-x-t)", XT), expand_text("1+x", XT)
-    assert (multiply_extract(a, b, generator(["x"]), 0)
-            == multiply_extract(a, b, ["x"], 0) == multiply(a, b).extract(["x"], 0))
+    assert (chain_extract(generator([a, b]), generator(["x"]), 0)
+            == chain_extract([a, b], ["x"], 0) == multiply(a, b).extract(["x"], 0))

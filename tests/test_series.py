@@ -2,7 +2,8 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
+from itertools import combinations
 from math import comb, factorial, lcm, prod
 
 import pytest
@@ -43,7 +44,7 @@ from mnseries.series import (
     _power_sum,
     _vec_add,
     _vec_sub,
-    multiply_extract,
+    chain_extract,
 )
 
 X = identity_spec(("x",))
@@ -243,7 +244,7 @@ def test_product_box_equals_the_per_exponent_shift_and_intersect():
         pair = (rng.choice(kinds), rng.choice(kinds))
         a, b = (operand(spec, kind) for kind in pair)
         want = _outcome(lambda: _shift_and_intersect(a, b))
-        got = _outcome(lambda: series._product_box(a, b))
+        got = _outcome(lambda: series._product_box(series._claim(a), series._claim(b)))
         if not isinstance(got, type):
             got = got.box, got.exact
         assert got == want, (a.to_json(), b.to_json())
@@ -892,7 +893,7 @@ def _slice_outcome(read):
     return value, type(value)
 
 
-def test_multiply_extract_equals_extract_of_the_formed_product():
+def test_chain_of_two_equals_extract_of_the_formed_product():
     rng = random.Random(1729)
     seen = Counter()
 
@@ -929,7 +930,7 @@ def test_multiply_extract_equals_extract_of_the_formed_product():
         for a_exact, b_exact in ((True, True), (True, False), (False, True), (False, False)):
             a, b = draw(spec, a_exact), draw(spec, b_exact)
             expected = _slice_outcome(lambda: multiply(a, b).extract(over, want))
-            assert _slice_outcome(lambda: multiply_extract(a, b, over, want)) == expected, (
+            assert _slice_outcome(lambda: chain_extract([a, b], over, want)) == expected, (
                 a.to_json(), b.to_json(), over, want)
             full = len(set(over)) == spec.n and "q" not in over
             product = _slice_outcome(lambda: multiply(a, b))
@@ -956,6 +957,87 @@ def test_multiply_extract_equals_extract_of_the_formed_product():
         ("full", "outside the box"), ("partial", "outside the box"))) >= 10, seen
 
 
+def _chain_outcome(read):
+    """What ``read()`` gives, for a comparison: a series' ``to_json``, a
+    value and its type, or the class and message of the MNError raised."""
+    try:
+        value = read()
+    except MNError as exc:
+        return type(exc), str(exc)
+    if isinstance(value, Series):
+        return value.to_json()
+    return value, type(value)
+
+
+def test_chain_equals_the_formed_product():
+    # chain_extract reads what reduce(multiply, ...) then extract reads, on
+    # chains of 2 to 5 factors (a truncated one of 1 to 3 terms among them),
+    # in fields whose phi-coordinates a slice pins or leaves free; an exact
+    # factor of more than one term is often put
+    # before the truncated ones, where it can drop a truncated product's
+    # initial pair (ROADMAP item 1, face (c))
+    rng = random.Random(31)
+    seen = Counter()
+    fields = [identity_spec(("x", "y")), graded_spec(("x", "y"))] + [
+        FieldSpec(("x", "y"), twist)
+        for twist in (((1, 0), (1, 1)), ((1, 1), (0, 1)), ((1, -1), (0, 1)))]
+
+    def polynomial(spec, count, box, exact=True):
+        terms = {}
+        while len(terms) < count:
+            terms[tuple(rng.randint(-2, 2) for _ in range(spec.n))] = rng.choice(
+                (1, -1, 2, Fraction(1, 2), Fraction(-3, 2)))
+        return Series(spec, terms, box=box, exact=exact)
+
+    def positive(spec, box):
+        steps = [e for e in (tuple(rng.randint(-1, 2) for _ in range(spec.n))
+                             for _ in range(8)) if spec.is_positive(e)][:2]
+        return Series(spec, {e: rng.choice((1, -1, 2)) for e in steps} or {spec.unit("x"): 1},
+                      box=box)
+
+    def factor(spec, kind):
+        box = Box(tuple((-rng.randint(2, 4), rng.randint(2, 4)) for _ in range(spec.n)))
+        if kind in ("exact", "truncated"):
+            return polynomial(spec, rng.randint(1, 3), box, kind == "exact")
+        if kind == "inverse":
+            return polynomial(spec, rng.randint(2, 3), box).invert()
+        if kind == "exp":
+            return exp_of(positive(spec, box))
+        if kind == "log":
+            return log_of(1 + positive(spec, box))
+        return Series(spec, {}, box=box, exact=rng.random() < 0.5)
+
+    for draw in range(300):
+        spec = fields[draw % len(fields)]
+        kinds = rng.choices(("exact", "truncated", "inverse", "exp", "log", "zero"),
+                            (4, 3, 3, 2, 2, 1),
+                            k=rng.randint(2, 5))
+        factors = [_outcome(lambda kind=kind: factor(spec, kind)) for kind in kinds]
+        factors = [s for s in factors if isinstance(s, Series)]
+        if len(factors) < 2:
+            continue
+        if draw % 2:
+            factors.sort(key=lambda s: not (s.exact and len(s.terms) > 1))
+        formed = _chain_outcome(lambda: reduce(multiply, factors))
+        seen["product refused" if isinstance(formed, tuple) else "product formed"] += 1
+        truncated = [k for k, s in enumerate(factors) if not s.exact]
+        if truncated and any(s.exact and len(s.terms) > 1 for s in factors[:truncated[-1]]):
+            seen["exact factor before a truncated one"] += 1
+        for size in range(1, spec.n + 1):
+            for names in combinations(spec.variables, size):
+                for want in (-1, 0, 1):
+                    expected = _chain_outcome(
+                        lambda: reduce(multiply, factors).extract(names, want))
+                    got = _chain_outcome(lambda: chain_extract(factors, names, want))
+                    assert got == expected, ([s.to_json() for s in factors], names, want)
+                    refused = isinstance(expected, tuple) and isinstance(expected[0], type)
+                    seen["slice" if size < spec.n else "coefficient",
+                         "refused" if refused else "read"] += 1
+                    seen["nonzero"] += not refused and bool(
+                        expected["terms"] if isinstance(expected, dict) else expected[0])
+    assert min(seen.values()) >= 10, seen
+
+
 def test_slice_outside_the_box_refused():
     # x lives in [1,5]: the x^0 part of 1/(1-x-y) is not known there
     box = Box(((1, 5), (-3, 3)))
@@ -963,7 +1045,7 @@ def test_slice_outside_the_box_refused():
                      box=box).invert()
     for read in (lambda: inverse.extract(["x"], 0),
                  lambda: inverse.extract(["x"], (6,)),
-                 lambda: multiply_extract(inverse, Series.constant(inverse.spec, 1), ["x"], 0)):
+                 lambda: chain_extract([inverse, Series.constant(inverse.spec, 1)], ["x"], 0)):
         with pytest.raises(OutOfPrecision):
             read()
     # an exact series has no box to leave
@@ -1040,7 +1122,7 @@ def test_partial_slice_on_a_twisted_field_claims_only_what_it_knows():
 
 def test_empty_name_list_refused():
     s = Series(XYT, {(1, 1, 1): 1})
-    for read in (lambda: s.extract([], 0), lambda: multiply_extract(s, s, [], 0)):
+    for read in (lambda: s.extract([], 0), lambda: chain_extract([s, s], [], 0)):
         with pytest.raises(UsageError):
             read()
 
@@ -1055,7 +1137,7 @@ def test_non_integer_wanted_exponent_refused(want):
     for names in (["x"], ["x", "y"]):
         wanted = want * len(names) if isinstance(want, list) else want   # one per name
         for read in (lambda: s.extract(names, wanted),
-                     lambda: multiply_extract(s, s, names, wanted)):
+                     lambda: chain_extract([s, s], names, wanted)):
             with pytest.raises(UsageError):
                 read()
 
@@ -1240,7 +1322,7 @@ def test_a_one_term_factor_shifts_and_scales_the_other():
                        box=cube(n, 5), exact=rng.random() < 0.3)
         a, b = (one, other) if case % 2 else (other, one)
         product = multiply(a, b)
-        region = series._product_box(a, b)
+        region = series._product_box(series._claim(a), series._claim(b))
         assert product.region == region
         assert product.terms == _convolve(spec, a.terms, b.terms,
                                           None if region.exact else region.box)

@@ -22,7 +22,7 @@ import workloads  # noqa: E402
 COUNTS = {
     "ct3": {
         "cli.main.calls": 1,
-        "ordering.phi.calls": 569,
+        "ordering.phi.calls": 222,
         "parser.parse.calls": 1,
         "series.compose.calls": 3,
         "series.compose.terms_out": 18,
@@ -32,12 +32,12 @@ COUNTS = {
         "series.invert.calls": 6,
         "series.invert.terms_in": 20,
         "series.invert.terms_out": 140,
-        "series.multiply.calls": 24,
-        "series.multiply.pairs": 13978,
-        "series.multiply.terms_out": 4026,
+        "series.multiply.calls": 20,
+        "series.multiply.pairs": 30,
+        "series.multiply.terms_out": 30,
     },
     "dyson": {
-        "ordering.phi.calls": 11457,
+        "ordering.phi.calls": 8960,
         "series.init.calls": 72,
         "series.init.terms": 1281,
     },
@@ -61,7 +61,7 @@ COUNTS = {
         "series.multiply.terms_out": 13446,
     },
     "lagrange": {
-        "ordering.phi.calls": 6292,
+        "ordering.phi.calls": 6481,
         "parser.expand.calls": 300,
         "parser.parse.calls": 300,
         "residues.jacobian.calls": 300,
@@ -73,9 +73,9 @@ COUNTS = {
         "series.invert.calls": 120,
         "series.invert.terms_in": 201,
         "series.invert.terms_out": 312,
-        "series.multiply.calls": 750,
-        "series.multiply.pairs": 5630,
-        "series.multiply.terms_out": 3896,
+        "series.multiply.calls": 150,
+        "series.multiply.pairs": 276,
+        "series.multiply.terms_out": 266,
     },
 }
 
