@@ -20,7 +20,7 @@ from math import comb, factorial
 
 from .errors import UsageError
 from .ordering import identity_spec, int_det, unit_vector
-from .series import Series, _chain_terms, _coeff, det, multiply
+from .series import Series, _chain_terms, det, multiply
 
 
 @cache
@@ -233,7 +233,7 @@ def dyson_ct(instance):
     hulls = [None, None] + [[(min(c), max(c)) for c in zip(*f)] for f in factors[2:]]
     terms = _chain_terms(spec, factors, hulls, [None] * (len(factors) - 1), range(spec.n),
                          target)
-    return _coeff(terms.get(target, 0))
+    return terms.get(target, 0)
 
 
 def dyson_rhs(instance):

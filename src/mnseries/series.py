@@ -28,8 +28,9 @@ in the series' box.
 Every CT, Res or coefficient of a product is read by one pruned chain,
 ``chain_extract``: ``_product_box`` is folded over the factors before any
 pair is tested, each partial product keeps only the terms that can still
-reach the wanted slice, and the last factor is met without forming the
-product.  Dyson's constant term runs its term-dict core, ``_chain_terms``.
+reach the wanted slice, the last factor is met without forming the
+product, and the slice is read by ``extract``'s tail, ``Series._read``.
+Dyson's constant term runs its term-dict core, ``_chain_terms``.
 
 Both pruned kernels, ``_packed_keep`` (``_convolve`` from ``PACKED_PAIRS``
 pairs on) and the inversion recurrence, pack phi into one int of guard-bit
@@ -213,10 +214,9 @@ class Series:
 
     def coefficient(self, exponent):
         """Coefficient at an exponent; OutOfPrecision outside the guarantee."""
-        [exponent] = _exponents([exponent], self.spec.n)
-        if not self.region.contains(self.spec, exponent):
-            raise OutOfPrecision(f"exponent {exponent} is outside the guaranteed box")
-        return self.terms.get(exponent, 0)
+        if not self.guarantees(exponent):
+            raise OutOfPrecision(f"exponent {tuple(exponent)} is outside the guaranteed box")
+        return self.terms.get(tuple(exponent), 0)
 
     def guarantees(self, exponent):
         [exponent] = _exponents([exponent], self.spec.n)
@@ -439,7 +439,10 @@ class Series:
         A coefficient when every variable is named, else a series over the
         remaining variables.
         """
-        selected, want, target = self._wanted(names, want)
+        return self._read(*self._wanted(names, want))
+
+    def _read(self, selected, want, target):
+        """``extract``'s answer for ``_wanted``'s triple."""
         if len(selected) == self.spec.n:
             return self.coefficient(target)
         return self._project(selected, want, target)
@@ -480,8 +483,6 @@ class Series:
         return sorted(self.terms.items(), key=lambda item: self.spec.key(item[0]))
 
     def __str__(self):
-        if not self.terms:
-            return "0"
         parts = []
         for exponent, value in self.sorted_terms():
             mono = "*".join(
@@ -490,21 +491,15 @@ class Series:
                 if e != 0
             )
             if not mono:
-                text = rational_text(value)
+                parts.append(rational_text(value))
             elif value == 1:
-                text = mono
+                parts.append(mono)
             elif value == -1:
-                text = "-" + mono
+                parts.append("-" + mono)
             else:
-                text = f"{rational_text(value)}*{mono}"
-            if parts:
-                if text.startswith("-"):
-                    parts.append(" - " + text[1:])
-                else:
-                    parts.append(" + " + text)
-            else:
-                parts.append(text)
-        return "".join(parts)
+                parts.append(f"{rational_text(value)}*{mono}")
+        # a term's text has no spaces, so the replace rewrites only the joins
+        return " + ".join(parts).replace(" + -", " - ") or "0"
 
     def __repr__(self):
         flag = "exact" if self.exact else "truncated"
@@ -758,6 +753,8 @@ def multiply(a, b):
     """Product with shift-and-intersect box propagation.  An exact one-term
     operand shifts the other's terms (``_shifted``) into ``_product_box``'s
     region, the other's claim shifted by its phi."""
+    if not (isinstance(a, Series) and isinstance(b, Series)):
+        raise UsageError("multiply takes two series")
     a._require_same_spec(b)
     region = _product_box(_claim(a, not b.exact), _claim(b, not a.exact))
     for one, other in ((a, b), (b, a)):
@@ -779,8 +776,11 @@ def _chain_claims(factors):
     before the last truncated one are multiplied out first.  ``hulls[k]`` is
     factors[k]'s phi hull from k = 2 on; ``boxes[k - 1]`` is the box that
     ``multiply`` prunes factors[:k + 1]'s product to, None if it drops no pair.
+    An empty ``factors``, where ``reduce`` raises TypeError, is refused.
     """
     factors = list(factors)
+    if not factors or not all(isinstance(s, Series) for s in factors):
+        raise UsageError("a chain multiplies a nonempty list of series")
     last = max((k for k, s in enumerate(factors) if not s.exact), default=0)
     if any(s.exact and len(s.terms) > 1 for s in factors[:last]):
         factors[:last] = [reduce(multiply, factors[:last])]
@@ -860,15 +860,13 @@ def _chain_read(chain, names, want):
     spec = factors[0].spec
     selected, want, target = factors[0]._wanted(names, want)
     terms = _chain_terms(spec, [s.terms for s in factors], hulls, boxes, selected, target)
-    product = Series._filtered(spec, terms.items(), region)
-    if len(selected) == spec.n:
-        return product.coefficient(target)
-    return product._project(selected, want, target)
+    return Series._filtered(spec, terms.items(), region)._read(selected, want, target)
 
 
 def chain_extract(factors, names, want):
     """``reduce(multiply, factors).extract(names, want)`` (the same terms, box
-    and ``exact`` flag, or the same refusal), never forming the product."""
+    and ``exact`` flag, or the same refusal; an empty ``factors`` is refused
+    with UsageError), never forming the product."""
     return _chain_read(_chain_claims(factors), names, want)
 
 

@@ -12,7 +12,7 @@ from math import comb
 
 import pytest
 
-from mnseries import cli, series
+from mnseries import MNError, cli, cube, expand, identity_spec, parse, series
 from mnseries.cli import main
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -505,6 +505,28 @@ def test_ct_of_a_product_with_a_zero_factor_is_zero(capsys, command, expr):
     # term and residue are 1)
     code, out, _ = run_cli(capsys, command, "--vars", "x", "--expr", expr)
     assert (code, out) == (0, "0\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("over", ["x", "x,y"])
+@pytest.mark.parametrize("command, want", [("ct", 0), ("res", -1)])
+@pytest.mark.parametrize("expr", ["(1-x*y)*exp(x)*exp(y)", "(1+x)*exp(x*y)*exp(y)",
+                                  "(1+x)*exp(x)*(1/(1-y))"])
+def test_ct_and_res_read_what_the_expanded_product_reads(capsys, expr, command, want,
+                                                         over, fmt):
+    # an exact factor of two terms comes before the truncated ones, so the
+    # chain multiplies the factors up to the last truncated one first
+    spec = identity_spec(("x", "y"))
+    try:
+        value = expand(parse(expr), spec, box=cube(2, 3)).extract(over.split(","), want)
+    except MNError as exc:
+        expected = (exc.exit_status, "", f"error[{exc.code}]: {exc}\n")
+    else:
+        data = value.to_json() if isinstance(value, series.Series) else {"value": str(value)}
+        text = json.dumps(data, separators=(",", ":")) if fmt == "json" else str(value)
+        expected = (0, text + "\n", "")
+    assert run_cli(capsys, command, "--vars", "x,y", "--box", "3", "--over", over,
+                   "--format", fmt, "--expr", expr) == expected
 
 
 def test_big_example_at_a_small_box(capsys):

@@ -1127,6 +1127,26 @@ def test_empty_name_list_refused():
             read()
 
 
+def test_empty_factor_list_refused():
+    # reduce(multiply, []) has no start value; the chain refuses the list
+    for factors in ([], iter([])):
+        with pytest.raises(UsageError, match="nonempty list of series"):
+            chain_extract(factors, ["x"], 0)
+
+
+def test_a_product_of_a_series_and_a_scalar_is_refused():
+    s = Series(X, {(0,): 1, (1,): 2})
+    for read in (lambda: multiply(s, 3), lambda: multiply(3, s),
+                 lambda: chain_extract([s, 3], ["x"], 0)):
+        with pytest.raises(UsageError):
+            read()
+    # the operators still read a scalar as a constant, or scale by it
+    assert s + 3 == 3 + s == Series(X, {(0,): 4, (1,): 2})
+    assert s - 1 == Series(X, {(1,): 2}) and (1 - s).terms == {(1,): -2}
+    assert Series.constant(X, 3).equals_on(3) and not s.equals_on(1)
+    assert s * 3 == 3 * s == Series(X, {(0,): 3, (1,): 6})
+
+
 @pytest.mark.parametrize("want", [1.5, ["0"], [0.5], True, [True], Fraction(1)],
                          ids=["float", "str entry", "float entry", "bool", "bool entry",
                               "Fraction"])
@@ -1503,6 +1523,19 @@ def test_operators_by_scalars_and_series_and_their_text():
     assert Series.constant(X, 3) != 3 and not (x == 3)  # a series is never a scalar
     with pytest.raises(UsageError, match="need one wanted exponent per name, got 1 for 2"):
         Series(XY, {(1, 1): 1}).extract(["x", "y"], (0,))
+
+
+def test_str_joins_the_terms_with_their_signs():
+    xy = identity_spec(("x", "y"))
+    cases = [(Series.zero(xy), "0"),
+             (Series.constant(xy, -3), "-3"),
+             (Series(xy, {(1, 0): -2, (0, 1): 1}), "-2*x + y"),
+             (Series(xy, {(0, 0): 1, (1, 0): -1}), "1 - x"),
+             (Series(xy, {(-1, 0): Fraction(-3, 2), (0, 0): 1}), "-3/2*x^-1 + 1"),
+             (Series(xy, {(0, 0): -1, (1, 0): 2, (0, 1): Fraction(-1, 2), (1, 1): -1}),
+              "-1 + 2*x - 1/2*y - x*y")]
+    for s, text in cases:
+        assert str(s) == text
 
 
 def test_box_enlargement_consistency():
