@@ -15,17 +15,25 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cache
-from math import comb, factorial
+from functools import lru_cache
+from math import comb, factorial, prod
+from operator import sub
 
 from .errors import UsageError
 from .ordering import identity_spec, int_det, unit_vector
 from .series import Series, _chain_terms, det, multiply
 
 
-@cache
+def _integers(*values):
+    """UsageError unless every value is an int (a bool is not one)."""
+    if not all(type(v) is int for v in values):
+        raise UsageError("arguments must be integers")
+
+
+@lru_cache(maxsize=None, typed=True)    # typed: True is not taken for 1
 def zspec(n):
     """The plain iterated Laurent field on z_1..z_n, built once per n."""
+    _integers(n)
     return identity_spec(tuple(f"z{i}" for i in range(1, n + 1)))
 
 
@@ -40,6 +48,7 @@ def _vandermonde(spec, indices):
 
 def vandermonde(n):
     """prod_{i<j} (z_i - z_j), expanded exactly; empty product for n=1."""
+    _integers(n)
     if n < 1:
         raise UsageError("need at least one variable")
     return _vandermonde(zspec(n), range(n))
@@ -48,16 +57,13 @@ def vandermonde(n):
 def vandermonde_determinant(n):
     """det(z_i^(n-j)) over exact series; equals the product form."""
     spec = zspec(n)
-    rows = [
-        [Series.monomial(spec, tuple((n - 1 - j) if c == i else 0 for c in range(n)))
-         for j in range(n)]
-        for i in range(n)
-    ]
-    return det(rows)
+    return det([[Series.monomial(spec, tuple((n - 1 - j) if c == i else 0 for c in range(n)))
+                 for j in range(n)] for i in range(n)])
 
 
 def h_complete(n, k):
     """Complete homogeneous symmetric function of degree k in n variables."""
+    _integers(n, k)
     spec = zspec(n)
     if k < 0:
         return Series.zero(spec)
@@ -82,13 +88,11 @@ class URFamily:
     u: tuple
 
     def sum(self):
-        total = Series.zero(self.u[0].spec)
-        for s in self.u:
-            total = total + s
-        return total
+        return sum(self.u, Series.zero(self.u[0].spec))
 
 
 def u_r_build(n, r):
+    _integers(n, r)
     if n < 2:
         raise UsageError("the family needs n >= 2")
     spec = zspec(n)
@@ -106,32 +110,24 @@ def u_r_build(n, r):
 
 def _check_u_sum(family):
     n, r = family.n, family.r
-    total = family.sum()
     if 0 <= r <= n - 2:
         expected = Series.zero(zspec(n))
     elif r >= n - 1:
         expected = multiply(h_complete(n, r - n + 1), vandermonde(n))
     else:
         return
-    if not total.equals_on(expected):
+    if not family.sum().equals_on(expected):
         raise AssertionError(f"u-family sum rule failed for n={n}, r={r}")
 
 
 def u_r_initial_matrix(n, r):
     """The displayed initial-exponent matrix: diagonal r, each row's other
     entries n-2, n-3, ..., 0 from left to right."""
-    rows = []
-    for i in range(n):
-        row = []
-        fill = n - 2
-        for j in range(n):
-            if j == i:
-                row.append(r)
-            else:
-                row.append(fill)
-                fill -= 1
-        rows.append(tuple(row))
-    return tuple(rows)
+    _integers(n, r)
+    if n < 2:
+        raise UsageError("the family needs n >= 2")
+    return tuple(tuple(r if j == i else n - 2 - j + (j > i) for j in range(n))
+                 for i in range(n))
 
 
 def j_r_determinant(n, r):
@@ -140,12 +136,10 @@ def j_r_determinant(n, r):
 
 def j_r_closed_form(n, r):
     """r(r-1)···(r-n+2) · (r + C(n-1,2))."""
+    _integers(n, r)
     if n < 2:
         raise UsageError("closed form needs n >= 2")
-    value = 1
-    for i in range(n - 1):
-        value *= r - i
-    return value * (r + comb(n - 1, 2))
+    return prod(r - i for i in range(n - 1)) * (r + comb(n - 1, 2))
 
 
 # ----------------------------------------------------------------------
@@ -243,15 +237,11 @@ def dyson_rhs(instance):
 
 def dixon_sum(a, b, c):
     """sum_j (-1)^j C(a+b, a+j) C(b+c, b+j) C(c+a, c+j)."""
-    if not all(type(v) is int for v in (a, b, c)):
-        raise UsageError("arguments must be integers")
+    _integers(a, b, c)
     if min(a, b, c) < 0:
         raise UsageError("arguments must be nonnegative")
-    total = 0
-    for j in range(-min(a, b, c), min(a, b, c) + 1):
-        term = comb(a + b, a + j) * comb(b + c, b + j) * comb(c + a, c + j)
-        total += -term if j % 2 else term
-    return total
+    return sum((-1 if j % 2 else 1) * comb(a + b, a + j) * comb(b + c, b + j) * comb(c + a, c + j)
+               for j in range(-min(a, b, c), min(a, b, c) + 1))
 
 
 # ----------------------------------------------------------------------
@@ -259,6 +249,7 @@ def dixon_sum(a, b, c):
 
 def wilson_v(n, j, spec=None, box=None):
     """v_j = prod_{i != j} (1 - z_j/z_i)^(-1), expanded in the plain field."""
+    _integers(n, j)
     if not 1 <= j <= n:
         raise UsageError(f"j must be between 1 and {n}")
     spec = spec or zspec(n)
@@ -267,10 +258,7 @@ def wilson_v(n, j, spec=None, box=None):
     for i in range(1, n + 1):
         if i == j:
             continue
-        ratio = tuple(
-            (1 if c == j - 1 else 0) - (1 if c == i - 1 else 0)
-            for c in range(spec.n)
-        )
+        ratio = tuple(map(sub, unit_vector(spec.n, j - 1), unit_vector(spec.n, i - 1)))
         factor = Series(spec, {(0,) * spec.n: 1, ratio: -1}, box=box)
         result = multiply(result, factor.invert())
     return result

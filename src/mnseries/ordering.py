@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from math import inf
 
 from .errors import OutOfPrecision, SingularTwist, SpecMismatch, UnknownVariable, UsageError
 
@@ -26,11 +28,11 @@ DEFAULT_RADIUS = 16
 
 
 def int_det(matrix):
-    """Determinant of a square integer matrix, exactly (fraction-free)."""
-    n = len(matrix)
+    """Determinant of a square int matrix (1 if empty), exactly (fraction-free)."""
     m = [list(row) for row in matrix]
-    sign = 1
-    prev = 1
+    if not {int}.issuperset(map(type, chain.from_iterable(m))):
+        raise UsageError("determinant entries must be integers")
+    n, sign, prev = len(m), 1, 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for i in range(k + 1, n):
@@ -44,7 +46,7 @@ def int_det(matrix):
             for j in range(k + 1, n):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def pivot_columns(rows):
@@ -114,7 +116,7 @@ class Box:
 class Region:
     """A series' claim: its coefficients are the untruncated ones on ``box``,
     or everywhere if ``exact`` (then ``box`` bounds only what its own inverse,
-    exp and log walk).  Each claim rule but a product's is one method here."""
+    exp and log walk).  Every claim rule is one method here."""
 
     box: Box
     exact: bool
@@ -144,6 +146,44 @@ class Region:
         walk = self.box if self.exact else self.box.shift(down)
         exact = self.exact and one_term
         return walk, Region(walk.shift(tuple(x if exact else p * x for x in down)), exact)
+
+    def product(self, hull, other, other_hull):
+        """A product's claim, for operands of this and the ``other`` claim
+        whose phi hulls (None: no terms) are ``hull`` and ``other_hull``:
+        exact, on the meet, for an exact product or an exact zero operand,
+        else each truncated box [lo, hi] shifted to [lo + greatest, hi +
+        least] of the other's hull (0 if it has no terms) and met."""
+        if (self.exact and (other.exact or hull is None)) or (other.exact and other_hull is None):
+            return Region(self.meet(other).box, True)
+        bounds = [(-inf, inf)] * len(self.box)
+        for mine, partner in ((self, other_hull), (other, hull)):
+            if not mine.exact:
+                bounds = [(max(lo, low + top), min(hi, high + bottom))
+                          for (lo, hi), (low, high), (bottom, top)
+                          in zip(bounds, mine.box.bounds, partner or [(0, 0)] * len(bounds))]
+        if any(lo > hi for lo, hi in bounds):
+            raise OutOfPrecision("product has no guaranteed region")
+        return Region(Box(tuple(bounds)), False)
+
+    def slice(self, rows, columns, origin, refusal):
+        """The claim of the slice through phi ``origin`` spanned by ``rows``,
+        its phi their pivot ``columns``: this box less ``origin`` there.  A
+        slice term's other phi-coordinates are affine in its phi (Cramer's
+        rule); a truncated claim raises OutOfPrecision, ``refusal``, unless
+        their range over the slice's box lies in this box."""
+        box = self.box.shift(tuple(-c for c in origin)).project(columns)
+        d = int_det([[row[c] for c in columns] for row in rows])
+        for j, (lo, hi) in enumerate(self.box.bounds):
+            if self.exact or j in columns:
+                continue
+            # d²·(phi_j - origin_j) is the sum of w_c·u_c over the slice's phi u
+            w = [d * int_det([[row[j if k == c else k] for k in columns] for row in rows])
+                 for c in columns]
+            low = sum(min(x * a, x * b) for x, (a, b) in zip(w, box.bounds))
+            high = sum(max(x * a, x * b) for x, (a, b) in zip(w, box.bounds))
+            if low < d * d * (lo - origin[j]) or high > d * d * (hi - origin[j]):
+                raise OutOfPrecision(refusal)
+        return Region(box, self.exact)
 
 
 def cube(n, radius=DEFAULT_RADIUS):
@@ -207,6 +247,7 @@ class FieldSpec:
     _phi: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "variables", name_tuple(self.variables))
         n = len(self.variables)
         if n == 0:
             raise UsageError("a field needs at least one variable")
@@ -282,8 +323,15 @@ def read_names(text):
     return tuple(name.strip() for name in text.split(",") if name.strip())
 
 
+def name_tuple(names):
+    """Names as a tuple; UsageError for a bare str, not read letter by letter."""
+    if isinstance(names, str):
+        raise UsageError(f"expected a sequence of names, got the string {names!r}")
+    return tuple(names)
+
+
 def identity_spec(names):
-    names = tuple(names)
+    names = name_tuple(names)
     n = len(names)
     return FieldSpec(names, tuple(unit_vector(n, i) for i in range(n)))
 

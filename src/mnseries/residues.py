@@ -50,6 +50,7 @@ from .ordering import (
     FieldSpec,
     Region,
     int_det,
+    name_tuple,
     rational_text,
     transformed_spec,
     unit_vector,
@@ -74,7 +75,7 @@ def _per_substitution(compute):
 
     @wraps(compute)
     def once(F, xnames):
-        F, xnames = tuple(F), tuple(xnames)
+        F, xnames = tuple(F), name_tuple(xnames)
         if not F:
             raise SpecMismatch("need at least one series to substitute")
         if len(F) != len(xnames):
@@ -175,11 +176,10 @@ def residue_verify(phi, F, xnames, bindings=None, box=None, form="res"):
     """
     if form not in ("res", "ct"):
         raise UsageError(f"unknown form {form!r}")
-    F, xnames = tuple(F), tuple(xnames)
+    F, xnames = tuple(F), name_tuple(xnames)
     cov = change_of_variables(F, xnames)
     base = F[0].spec
-    if box is None:
-        box = base.default_box()
+    box = base.default_box() if box is None else box
     want = -1 if form == "res" else 0
 
     try:
@@ -222,7 +222,7 @@ def graded_spec(names):
     ordering is degree-first and a box interval on it is a degree truncation.
     Built once per tuple of names.
     """
-    return _graded_spec(tuple(names))
+    return _graded_spec(name_tuple(names))
 
 
 @cache

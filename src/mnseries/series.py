@@ -4,13 +4,11 @@ A ``Series`` is a sparse map from exponent vectors to nonzero exact rational
 coefficients (``Fraction``, or ``int`` when integral), attached to a
 ``FieldSpec`` (which fixes the term order) and a claim, an ``ordering.Region``
 (a box, or exact everywhere), where the stored coefficients agree with the
-untruncated series.  Every claim rule is a ``Region`` method but a product's
-(``_product_box``, on what ``_claim`` reads of each operand), a slice's
-(``_project``) and ``compose_stream``'s (its argument's box, truncated).
-A ``Series`` is a value, never changed after
-construction, so ``invert()`` and ``initial_term()`` are computed once per
-object (never for an equal one) and a refusal is raised again on every call;
-the residue module stores a substitution's Jacobian data in its first series.
+untruncated series; every claim rule is a ``Region`` method.  A ``Series``
+is a value, never changed after construction, so ``invert()`` and
+``initial_term()`` are computed once per object (never for an equal one) and
+a refusal is raised again on every call; the residue module stores a
+substitution's Jacobian data in its first series.
 
 One term filter, ``_kept``: normalize each coefficient (``_coeff``), drop the
 zeros and keep the terms the claim holds.  ``Series(...)`` runs it after
@@ -26,7 +24,7 @@ one-term reciprocal's term, at -p·phi(m), lies in its claim as phi(m) lies
 in the series' box.
 
 Every CT, Res or coefficient of a product is read by one pruned chain,
-``chain_extract``: ``_product_box`` is folded over the factors before any
+``chain_extract``: ``Region.product`` is folded over the factors before any
 pair is tested, each partial product keeps only the terms that can still
 reach the wanted slice, the last factor is met without forming the
 product, and the slice is read by ``extract``'s tail, ``Series._read``.
@@ -57,7 +55,7 @@ from fractions import Fraction
 from functools import reduce
 from heapq import heappop, heappush
 from itertools import chain
-from math import comb, factorial, inf, lcm, prod
+from math import comb, factorial, lcm, prod
 from operator import add as _int_add, itemgetter, mul, sub
 
 from .errors import (
@@ -69,7 +67,8 @@ from .errors import (
     ZeroDivisor,
     ZeroSeries,
 )
-from .ordering import Box, FieldSpec, Region, int_det, pivot_columns, rational_text, read_rational
+from .ordering import (Box, FieldSpec, Region, name_tuple, pivot_columns, rational_text,
+                       read_rational)
 
 
 def _coeff(value):
@@ -134,8 +133,7 @@ class Series:
     def __init__(self, spec, terms, box=None, exact=True):
         if type(exact) is not bool:
             raise UsageError(f"expected true or false for exact, got {exact!r}")
-        if box is None:
-            box = spec.default_box()
+        box = spec.default_box() if box is None else box
         if len(box) != spec.n:
             raise SpecMismatch("box dimension does not match the field")
         self.spec = spec
@@ -345,14 +343,16 @@ class Series:
 
     def compose_stream(self, coefficients):
         """Sum coefficients(n)·self^n for n ≥ 0, each power pruned to the
-        box (``_power_sum`` from the origin, unscaled); needs ord(self) > 0."""
+        box (``_power_sum`` of tau = self from the origin, unscaled, on the
+        walk and claim of 1/(1 - tau)); needs ord(self) > 0."""
         spec = self.spec
         key, m = min(((spec.key(e), e) for e in self.terms), default=(None, None))
         if m is not None and key <= (0,) * spec.n:
             raise NonpositiveOrder(
                 f"composition needs positive order, initial exponent is {m}")
-        terms = _power_sum(self.terms, spec, self.box, coefficients, (0,) * spec.n, 1)
-        return Series._trusted(spec, terms, Region(self.box, False))
+        walk, region = self.region.reciprocal(1, (0,) * spec.n, False)
+        terms = _power_sum(self.terms, spec, walk, coefficients, (0,) * spec.n, 1)
+        return Series._trusted(spec, terms, region)
 
     def derivative(self, name):
         """Termwise d/dx on the named variable's exponent."""
@@ -371,7 +371,7 @@ class Series:
 
     def _selected_indices(self, names):
         indices = []
-        for name in names:
+        for name in name_tuple(names):
             i = self.spec.index(name)
             if i in indices:
                 raise UsageError(f"variable {name!r} selected twice")
@@ -398,39 +398,22 @@ class Series:
     def _project(self, selected, want, target):
         """Terms whose exponents at the ``selected`` indices equal ``want``
         (``target`` holds them, 0 elsewhere; ``_wanted`` returns all three),
-        as a series over the remaining variables.
-
-        The residual twist is the remaining rows at their ``pivot_columns``,
-        so the slice keeps the order the field induces on it, and its box is
-        the box less phi(target) on those columns.  Every other
-        phi-coordinate of a slice term is an affine function of the slice's
-        phi (Cramer's rule); a truncated series raises OutOfPrecision unless
-        its range over the slice's box lies in the box."""
+        as a series over the remaining variables, in the field of the
+        remaining rows at their ``pivot_columns`` (so the slice keeps the
+        order the field induces on it), on ``Region.slice``'s claim."""
         spec = self.spec
         keep = [i for i in range(spec.n) if i not in selected]
         rows = [spec.twist[i] for i in keep]
         columns = pivot_columns(rows)
-        origin = spec.phi(target)
-        box = self.box.shift(tuple(-c for c in origin)).project(columns)
-        d = int_det([[row[c] for c in columns] for row in rows])
-        for j, (lo, hi) in enumerate(self.box.bounds):
-            if self.exact or j in columns:
-                continue
-            # d²·(phi_j - origin_j) is the sum of w_c·u_c over the slice's phi u
-            w = [d * int_det([[row[j if k == c else k] for k in columns] for row in rows])
-                 for c in columns]
-            low = sum(min(x * a, x * b) for x, (a, b) in zip(w, box.bounds))
-            high = sum(max(x * a, x * b) for x, (a, b) in zip(w, box.bounds))
-            if low < d * d * (lo - origin[j]) or high > d * d * (hi - origin[j]):
-                names = ", ".join(spec.variables[i] for i in selected)
-                raise OutOfPrecision(f"slice {want} in {names} is outside "
-                                     "the guaranteed box")
+        names = ", ".join(spec.variables[i] for i in selected)
+        region = self.region.slice(rows, columns, spec.phi(target),
+                                   f"slice {want} in {names} is outside the guaranteed box")
         residual = FieldSpec(tuple(spec.variables[i] for i in keep),
                              tuple(tuple(row[j] for j in columns) for row in rows))
         out = ((tuple(exponent[i] for i in keep), value)
                for exponent, value in self.terms.items()
                if tuple(exponent[i] for i in selected) == want)
-        return Series._filtered(residual, out, Region(box, self.exact))
+        return Series._filtered(residual, out, region)
 
     def extract(self, names, want):
         """CT (``want=0``) or Res (``want=-1``) in the named variables, or
@@ -713,7 +696,7 @@ def _hull_sum(a, b):
 
 
 def _claim(s, hull=True):
-    """``(region, hull)``, what ``_product_box`` reads of ``s``: the phi hull
+    """``(region, hull)``, what ``Region.product`` reads of ``s``: the phi hull
     of its support if it is exact, of its initial term if not; None if it
     has no terms, () if ``hull`` is false (no partner reads it)."""
     if not (s.terms and hull):
@@ -724,25 +707,6 @@ def _claim(s, hull=True):
     return s.region, list(zip(initial, initial))
 
 
-def _product_box(a, b):
-    """The ``Region`` of a product of operands read by ``_claim``: exact, on
-    the meet of the claims, for an exact product or an exact zero operand,
-    else each truncated box [lo, hi] shifted to [lo + greatest, hi + least]
-    of the other's hull (0 if it has no terms) and met."""
-    (ra, ha), (rb, hb) = a, b
-    if (ra.exact and (rb.exact or ha is None)) or (rb.exact and hb is None):
-        return Region(ra.meet(rb).box, True)
-    bounds = [(-inf, inf)] * len(ra.box)
-    for mine, hull in ((ra, hb), (rb, ha)):
-        if not mine.exact:
-            bounds = [(max(lo, low + top), min(hi, high + bottom))
-                      for (lo, hi), (low, high), (bottom, top)
-                      in zip(bounds, mine.box.bounds, hull or [(0, 0)] * len(bounds))]
-    if any(lo > hi for lo, hi in bounds):
-        raise OutOfPrecision("product has no guaranteed region")
-    return Region(Box(tuple(bounds)), False)
-
-
 def _shifted(terms, one):
     """``terms`` times the one-term dict ``one``, in closed form."""
     [(m, c)] = one.items()
@@ -751,12 +715,12 @@ def _shifted(terms, one):
 
 def multiply(a, b):
     """Product with shift-and-intersect box propagation.  An exact one-term
-    operand shifts the other's terms (``_shifted``) into ``_product_box``'s
-    region, the other's claim shifted by its phi."""
+    operand shifts the other's terms (``_shifted``) into ``Region.product``'s
+    claim, the other's claim shifted by its phi."""
     if not (isinstance(a, Series) and isinstance(b, Series)):
         raise UsageError("multiply takes two series")
     a._require_same_spec(b)
-    region = _product_box(_claim(a, not b.exact), _claim(b, not a.exact))
+    region = Region.product(*_claim(a, not b.exact), *_claim(b, not a.exact))
     for one, other in ((a, b), (b, a)):
         if one.exact and len(one.terms) == 1:
             return Series._trusted(a.spec, _shifted(other.terms, one.terms), region)
@@ -769,7 +733,7 @@ def multiply(a, b):
 def _chain_claims(factors):
     """``(factors, hulls, boxes, region)`` of the product of the series
     ``factors``, left to right, or the refusal of ``reduce(multiply,
-    factors)``, before any pair is tested.  ``_product_box`` is folded over
+    factors)``, before any pair is tested.  ``Region.product`` is folded over
     the partial products: exact hulls add (extreme terms never cancel) and
     truncated initial terms add, unless an exact factor of more than one
     term drops the initial pair (ROADMAP item 1, face (c)): then the factors
@@ -794,7 +758,7 @@ def _chain_claims(factors):
         hulls.append(None if k < 2 else own[1] if s.exact else _phi_hull(s.spec, s.terms))
         one = s.exact and len(s.terms) == 1
         if k:
-            region = _product_box(claim, own)
+            region = Region.product(*claim, *own)
             boxes.append(None if region.exact or one or monomial else region.box)
             own = region, None if None in (claim[1], own[1]) else _hull_sum(claim[1], own[1])
         claim, monomial = own, monomial and one

@@ -104,6 +104,46 @@ def test_dyson_and_dixon_refuse_non_integers(bad):
         dixon_sum(1, 1, bad)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, True, "2"])
+def test_builders_refuse_non_integers(bad):
+    # range() would raise TypeError on a float, a bool would be taken as 1,
+    # and int_det would floor-divide a float
+    for build in (lambda: zspec(bad), lambda: vandermonde(bad),
+                  lambda: h_complete(bad, 1), lambda: h_complete(2, bad),
+                  lambda: wilson_v(bad, 1), lambda: wilson_v(3, bad),
+                  lambda: u_r_build(bad, 2), lambda: u_r_build(3, bad),
+                  lambda: u_r_initial_matrix(3, bad), lambda: j_r_closed_form(3, bad),
+                  lambda: j_r_closed_form(bad, 2), lambda: j_r_determinant(3, bad),
+                  lambda: j_r_determinant(bad, 2)):
+        with pytest.raises(UsageError, match="arguments must be integers"):
+            build()
+
+
+def test_builders_refuse_what_they_were_seen_to_answer():
+    for build in (lambda: j_r_closed_form(3, 1.5), lambda: j_r_determinant(3, 1.5),
+                  lambda: vandermonde(True), lambda: wilson_v(True, True),
+                  lambda: h_complete(2, True), lambda: vandermonde(2.0),
+                  lambda: h_complete(2.0, 1), lambda: wilson_v(2.5, 1), lambda: zspec(2.5)):
+        with pytest.raises(UsageError):
+            build()
+    # zspec(1) is cached, and True is still refused after it
+    assert zspec(1).variables == ("z1",)
+    with pytest.raises(UsageError):
+        zspec(True)
+    for n in (0, 1, -2):
+        with pytest.raises(UsageError, match="the family needs n >= 2"):
+            j_r_determinant(n, 3)
+
+
+def test_u_r_initial_matrix_by_its_fill_rule():
+    # diagonal r; each row's other entries n-2, n-3, ..., 0 from left to right
+    for n in range(2, 7):
+        for r in (-3, 0, 5):
+            for i, row in enumerate(u_r_initial_matrix(n, r)):
+                assert row[i] == r
+                assert row[:i] + row[i + 1:] == tuple(range(n - 2, -1, -1))
+
+
 def test_dixon_examples():
     assert dixon_sum(1, 1, 1) == 6
     assert dixon_sum(0, 0, 0) == 1

@@ -343,6 +343,23 @@ def test_unknown_variable():
         identity_spec(("x",)).index("zz")
 
 
+def test_a_bare_string_is_not_a_list_of_names():
+    # "xy" would be read letter by letter, as the names x and y
+    for build in (lambda: identity_spec("xy"), lambda: FieldSpec("xy", ((1, 0), (0, 1)))):
+        with pytest.raises(UsageError, match="got the string 'xy'"):
+            build()
+    # any other sequence of names is stored as a tuple
+    assert FieldSpec(["x", "y"], ((1, 0), (0, 1))) == identity_spec(("x", "y"))
+    assert identity_spec(iter(["x", "y"])) == identity_spec(("x", "y"))
+
+
+def test_int_det_of_the_empty_matrix_and_of_non_integers():
+    assert int_det(()) == 1
+    for bad in ([[1.5]], [[2, 0], [0, 2.0]], [[True, 0], [0, 1]], [["1"]]):
+        with pytest.raises(UsageError, match="determinant entries must be integers"):
+            int_det(bad)
+
+
 def test_int_det():
     assert int_det(((2, 1), (1, 2))) == 3
     assert int_det(((0, 1), (1, 0))) == -1

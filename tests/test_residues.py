@@ -427,6 +427,19 @@ def test_field_specs_are_built_once():
     assert graded_spec(["a", "b"]) is graded_spec(("a", "b"))
 
 
+def test_a_bare_string_is_not_a_list_of_names():
+    # "x1" would be read letter by letter: one series for two names
+    spec = identity_spec(("x1",))
+    F = [expand_text("x1+x1^2", spec)]
+    for read in (lambda: jacobian(F, "x1"), lambda: log_jacobian(F, "x1"),
+                 lambda: change_of_variables(F, "x1"), lambda: jacobian_number(F, "x1"),
+                 lambda: residue_verify(parse("1/x1"), F, "x1"), lambda: graded_spec("xy")):
+        with pytest.raises(UsageError, match="got the string"):
+            read()
+    assert jacobian_number(F, ["x1"]) == 1
+    assert residue_verify(parse("1/x1"), F, ["x1"]).equal
+
+
 def test_graded_spec_aux_name_avoids_the_field_names():
     assert graded_spec(("x",)).variables == ("x", "_deg")
     assert graded_spec(("_deg",)).variables == ("_deg", "_deg_")

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, factorial, lcm, prod
 
 import pytest
@@ -36,6 +36,7 @@ from mnseries import (
     residue_verify,
     series,
 )
+from mnseries.ordering import Region, pivot_columns
 from mnseries.residues import embed_graded, graded_spec
 from mnseries.series import (
     _coeff,
@@ -244,7 +245,7 @@ def test_product_box_equals_the_per_exponent_shift_and_intersect():
         pair = (rng.choice(kinds), rng.choice(kinds))
         a, b = (operand(spec, kind) for kind in pair)
         want = _outcome(lambda: _shift_and_intersect(a, b))
-        got = _outcome(lambda: series._product_box(series._claim(a), series._claim(b)))
+        got = _outcome(lambda: Region.product(*series._claim(a), *series._claim(b)))
         if not isinstance(got, type):
             got = got.box, got.exact
         assert got == want, (a.to_json(), b.to_json())
@@ -1052,6 +1053,69 @@ def test_slice_outside_the_box_refused():
     assert Series(XYT, {(3, 0, 0): 2}).extract(["x"], 0).terms == {}
 
 
+def _solve(matrix, rhs):
+    """x with x·matrix = rhs for a nonsingular square matrix, in Fractions
+    (Gauss-Jordan on the transposed system)."""
+    k = len(rhs)
+    rows = [[Fraction(matrix[i][j]) for i in range(k)] + [Fraction(rhs[j])] for j in range(k)]
+    for c in range(k):
+        p = next(r for r in range(c, k) if rows[r][c])
+        rows[c], rows[p] = rows[p], rows[c]
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(k):
+            if r != c and rows[r][c]:
+                rows[r] = [v - rows[r][c] * w for v, w in zip(rows[r], rows[c])]
+    return [row[-1] for row in rows]
+
+
+def test_slice_refuses_exactly_when_a_corner_leaves_the_box():
+    # The slice at the selected exponents is claimed on the box less
+    # phi(target) on the pivot columns of the remaining rows.  A slice
+    # term's phi is an affine map of its slice phi u, so its extremes lie at
+    # the corners of the slice's box: a truncated slice must refuse exactly
+    # when some corner u, mapped back to residual exponents r (r·R = u, R
+    # the rows at the pivot columns), has phi(target ⊕ r) outside the box.
+    rng = random.Random(1729)
+    seen = Counter()
+    for _ in range(1000):
+        names = ("x", "y", "z", "w")[: rng.randint(2, 4)]
+        spec = _random_twist(rng, names)
+        n = spec.n
+        picked = rng.sample(range(n), rng.randint(1, n - 1))
+        over = [names[i] for i in picked]
+        want = tuple(rng.randint(-3, 3) for _ in picked)
+        rows = [spec.twist[i] for i in range(n) if i not in picked]
+        columns = pivot_columns(rows)
+        # narrow boxes refuse most slices; wide non-pivot intervals claim most
+        wide = rng.random() < 0.5
+        box = Box(tuple((rng.randint(-60, -30), rng.randint(30, 60))
+                        if wide and j not in columns else (lo, lo + rng.randint(0, 8))
+                        for j, lo in enumerate(rng.randint(-6, 2) for _ in range(n))))
+        target = [0] * n
+        for i, w in zip(picked, want):
+            target[i] = w
+        origin = spec.phi(tuple(target))
+        square = [[row[c] for c in columns] for row in rows]
+        corners = product(*[(box.bounds[c][0] - origin[c], box.bounds[c][1] - origin[c])
+                            for c in columns])
+        outside = False
+        for u in corners:
+            r = _solve(square, u)
+            point = [o + sum(x * row[j] for x, row in zip(r, rows))
+                     for j, o in enumerate(origin)]
+            outside |= not box.contains(point)
+        got = _outcome(lambda: Series(spec, {}, box=box, exact=False).extract(over, want))
+        assert (got is OutOfPrecision) == outside, (spec, over, want, box)
+        if not outside:
+            assert got.box.bounds == tuple((box.bounds[c][0] - origin[c],
+                                            box.bounds[c][1] - origin[c]) for c in columns)
+        # an exact claim has no box to leave
+        assert not Series(spec, {}, box=box).extract(over, want).terms
+        seen[n, "refused" if outside else "claimed"] += 1
+        seen["twisted pivots"] += columns != sorted(set(range(n)) - set(picked))
+    assert len(seen) == 7 and min(seen.values()) >= 30, seen
+
+
 def test_slice_on_a_twist_with_a_singular_residual_block():
     # y's row (1, 0) is 0 on y's own column, so the kept block is singular;
     # its pivot column is column 0, where it orders y as the field does
@@ -1125,6 +1189,15 @@ def test_empty_name_list_refused():
     for read in (lambda: s.extract([], 0), lambda: chain_extract([s, s], [], 0)):
         with pytest.raises(UsageError):
             read()
+
+
+def test_a_bare_string_is_not_a_list_of_names():
+    # "x1" would be read letter by letter, as the unknown name x
+    s = expand_text("1+x1", identity_spec(("x1",)))
+    for read in (lambda: s.extract("x1", 0), lambda: chain_extract([s, s], "x1", 0)):
+        with pytest.raises(UsageError, match="got the string 'x1'"):
+            read()
+    assert s.extract(["x1"], 0) == s.extract(("x1",), 0) == 1
 
 
 def test_empty_factor_list_refused():
@@ -1342,7 +1415,7 @@ def test_a_one_term_factor_shifts_and_scales_the_other():
                        box=cube(n, 5), exact=rng.random() < 0.3)
         a, b = (one, other) if case % 2 else (other, one)
         product = multiply(a, b)
-        region = series._product_box(series._claim(a), series._claim(b))
+        region = Region.product(*series._claim(a), *series._claim(b))
         assert product.region == region
         assert product.terms == _convolve(spec, a.terms, b.terms,
                                           None if region.exact else region.box)
