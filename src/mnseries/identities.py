@@ -14,13 +14,12 @@ v_j = prod_{i != j} (1 - z_j/z_i)^(-1) used in the second change of variables.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
 from operator import sub
 
 from .errors import UsageError
-from .ordering import identity_spec, int_det, unit_vector
+from .ordering import Value, identity_spec, int_det, unit_vector
 from .series import Series, _chain_terms, det, multiply
 
 
@@ -79,13 +78,13 @@ def h_complete(n, k):
 # ----------------------------------------------------------------------
 # the u^(r) family
 
-@dataclass(frozen=True)
-class URFamily:
+class URFamily(Value):
     """u_j = (-1)^(j-1) z_j^r Delta_j(z), with the sum rule checked."""
 
-    n: int
-    r: int
-    u: tuple
+    __slots__ = ("n", "r", "u")
+
+    def __init__(self, n, r, u):
+        self.n, self.r, self.u = n, r, u
 
     def sum(self):
         return sum(self.u, Series.zero(self.u[0].spec))
@@ -145,18 +144,16 @@ def j_r_closed_form(n, r):
 # ----------------------------------------------------------------------
 # Dyson / Dixon
 
-@dataclass(frozen=True)
-class DysonInstance:
-    n: int
-    a: tuple
-    generalized: bool = False
+class DysonInstance(Value):
+    __slots__ = ("n", "a", "generalized")
 
-    def __post_init__(self):
-        if type(self.n) is not int or self.n != len(self.a) or self.n < 1:
+    def __init__(self, n, a, generalized=False):
+        self.n, self.a, self.generalized = n, a, generalized
+        if type(n) is not int or n != len(a) or n < 1:
             raise UsageError("need one exponent per variable")
-        if not all(type(ai) is int for ai in self.a):
+        if not all(type(ai) is int for ai in a):
             raise UsageError("exponents must be integers")
-        if any(ai < 0 for ai in self.a):
+        if any(ai < 0 for ai in a):
             raise UsageError("exponents must be nonnegative")
 
 

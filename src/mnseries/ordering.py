@@ -15,7 +15,6 @@ when it is exact; everything outside the claim is unknown.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -71,18 +70,40 @@ def unit_vector(n, i):
     return tuple(1 if j == i else 0 for j in range(n))
 
 
-@dataclass(frozen=True)
-class Box:
-    """Closed intervals, one per phi-coordinate."""
+class Value:
+    """Equal (by type and fields), hashed and printed by its fields, the
+    slots of its class not named with a leading "_"; never changed after
+    construction, by convention, as ``Series`` is."""
 
-    bounds: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for lo, hi in self.bounds:
+    def _fields(self):
+        return tuple((name, getattr(self, name)) for name in self.__slots__ if name[0] != "_")
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        return self._fields() == other._fields() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in self._fields())})"
+
+
+class Box(Value):
+    """Closed intervals, one per phi-coordinate: ``bounds``, (lo, hi) int pairs."""
+
+    __slots__ = ("bounds",)
+
+    def __init__(self, bounds):
+        for lo, hi in bounds:
             if type(lo) is not int or type(hi) is not int:
                 raise UsageError(f"box bounds must be integers, got [{lo}, {hi}]")
             if lo > hi:
                 raise UsageError(f"empty box interval [{lo}, {hi}]")
+        self.bounds = bounds
 
     def __len__(self):
         return len(self.bounds)
@@ -112,14 +133,15 @@ class Box:
         return [[lo, hi] for lo, hi in self.bounds]
 
 
-@dataclass(frozen=True)
-class Region:
+class Region(Value):
     """A series' claim: its coefficients are the untruncated ones on ``box``,
     or everywhere if ``exact`` (then ``box`` bounds only what its own inverse,
     exp and log walk).  Every claim rule is one method here."""
 
-    box: Box
-    exact: bool
+    __slots__ = ("box", "exact")
+
+    def __init__(self, box, exact):
+        self.box, self.exact = box, exact
 
     def contains(self, spec, exponent):
         return self.exact or self.box.contains(spec.phi(exponent))
@@ -230,8 +252,7 @@ def _compiled_phi(columns):
                                 if t not in (0, 1, -1)))
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Value):
     """Variable names in significance order plus an integer order twist.
 
     Row i of ``twist`` is the exponent vector the i-th variable is mapped to
@@ -242,27 +263,25 @@ class FieldSpec:
     variables builds a new field each time): every truncation test runs it.
     """
 
-    variables: tuple[str, ...]
-    twist: tuple[tuple[int, ...], ...]
-    _phi: object = field(init=False, repr=False, compare=False)
+    __slots__ = ("variables", "twist", "_phi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "variables", name_tuple(self.variables))
-        n = len(self.variables)
+    def __init__(self, variables, twist):
+        variables = name_tuple(variables)
+        n = len(variables)
         if n == 0:
             raise UsageError("a field needs at least one variable")
-        for name in self.variables:
+        for name in variables:
             if not (isinstance(name, str) and name and name_end(name) == len(name)):
                 raise UsageError(f"bad variable name {name!r}")
-        if len(set(self.variables)) != n:
+        if len(set(variables)) != n:
             raise UsageError("variable names must be distinct")
-        if len(self.twist) != n or any(len(row) != n for row in self.twist):
+        if len(twist) != n or any(len(row) != n for row in twist):
             raise UsageError("twist matrix must be square, one row per variable")
-        if any(type(entry) is not int for row in self.twist for entry in row):
+        if any(type(entry) is not int for row in twist for entry in row):
             raise UsageError("twist entries must be integers")
-        if int_det(self.twist) == 0:
+        if int_det(twist) == 0:
             raise SingularTwist("twist matrix is singular")
-        object.__setattr__(self, "_phi", _compiled_phi(tuple(zip(*self.twist))))
+        self.variables, self.twist, self._phi = variables, twist, _compiled_phi(tuple(zip(*twist)))
 
     @property
     def n(self):

@@ -30,47 +30,50 @@ reads its last product without forming it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from fractions import Fraction
 from functools import reduce
 
 from .errors import NonIntegerExponent, ParseError, UnboundVariable, UsageError
-from .ordering import DIGITS, name_end, rational_text, read_rational
+from .ordering import DIGITS, Value, name_end, rational_text, read_rational
 from .series import Series, exp_of, log_of, multiply
 
 
-@dataclass(frozen=True)
-class ExprNode:
-    pass
+class ExprNode(Value):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class RationalLiteral(ExprNode):
-    value: Fraction
+    __slots__ = ("value",)          # a Fraction
+
+    def __init__(self, value):
+        self.value = value
 
 
-@dataclass(frozen=True)
 class Variable(ExprNode):
-    name: str
+    __slots__ = ("name",)
+
+    def __init__(self, name):
+        self.name = name
 
 
-@dataclass(frozen=True)
 class Binary(ExprNode):
-    op: str                 # a key of BINARY
-    left: ExprNode
-    right: ExprNode
+    __slots__ = ("op", "left", "right")     # op: a key of BINARY
+
+    def __init__(self, op, left, right):
+        self.op, self.left, self.right = op, left, right
 
 
-@dataclass(frozen=True)
 class Unary(ExprNode):
-    op: str                 # a key of UNARY
-    child: ExprNode
+    __slots__ = ("op", "child")             # op: a key of UNARY
+
+    def __init__(self, op, child):
+        self.op, self.child = op, child
 
 
-@dataclass(frozen=True)
 class Pow(ExprNode):
-    child: ExprNode
-    exponent: int
+    __slots__ = ("child", "exponent")       # exponent: an int
+
+    def __init__(self, child, exponent):
+        self.child, self.exponent = child, exponent
 
 
 # ----------------------------------------------------------------------

@@ -32,7 +32,6 @@ for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce, wraps
 from operator import add, is_
 
@@ -49,14 +48,15 @@ from .ordering import (
     Box,
     FieldSpec,
     Region,
+    Value,
     int_det,
     name_tuple,
     rational_text,
     transformed_spec,
     unit_vector,
 )
-from .parser import expand
-from .series import Series, chain_extract, det, multiply
+from .parser import expand, factors
+from .series import Series, _chain_claims, _chain_read, chain_extract, det, multiply
 
 
 # ----------------------------------------------------------------------
@@ -112,13 +112,14 @@ def log_jacobian(F, xnames):
 # ----------------------------------------------------------------------
 # change of variables
 
-@dataclass(frozen=True)
-class ChangeOfVariables:
-    """Initial-term data of a substitution x_i -> F_i."""
+class ChangeOfVariables(Value):
+    """Initial-term data of a substitution x_i -> F_i: each f_i's full
+    exponent, the Jacobian number and the twisted field, None iff jnum == 0."""
 
-    leading_exponents: tuple      # full exponent vector of each f_i
-    jnum: int
-    target: FieldSpec | None      # twisted field; None exactly when jnum == 0
+    __slots__ = ("leading_exponents", "jnum", "target")
+
+    def __init__(self, leading_exponents, jnum, target):
+        self.leading_exponents, self.jnum, self.target = leading_exponents, jnum, target
 
 
 @_per_substitution
@@ -139,16 +140,15 @@ def change_of_variables(F, xnames):
     return ChangeOfVariables(tuple(leading), jnum, target)
 
 
-@dataclass(frozen=True)
-class ResidueVerdict:
-    """Both sides of the change-of-variables identity on their common box."""
+class ResidueVerdict(Value):
+    """Both sides (Series over the residual field, or coefficients) of the
+    identity in ``form`` "res" (J) or "ct" (LJ), on the box they were computed under."""
 
-    lhs: object            # Series over the residual field, or a coefficient
-    rhs: object
-    jacobian_number: int
-    equal: bool
-    form: str              # "res" (J) or "ct" (LJ)
-    box: Box               # the evaluation box the sides were computed under
+    __slots__ = ("lhs", "rhs", "jacobian_number", "equal", "form", "box")
+
+    def __init__(self, lhs, rhs, jacobian_number, equal, form, box):
+        self.lhs, self.rhs, self.jacobian_number = lhs, rhs, jacobian_number
+        self.equal, self.form, self.box = equal, form, box
 
     @staticmethod
     def _side_json(value):
@@ -172,7 +172,7 @@ def residue_verify(phi, F, xnames, bindings=None, box=None, form="res"):
     ``form="res"`` uses Res and the Jacobian; ``form="ct"`` uses CT and the
     log Jacobian.  With a zero Jacobian number the identity is only attempted
     for exact Laurent-polynomial phi (right side 0); anything else is refused.
-    The left side's product is never formed (``chain_extract``).
+    Neither side's product is formed (``chain_extract``).
     """
     if form not in ("res", "ct"):
         raise UsageError(f"unknown form {form!r}")
@@ -183,9 +183,9 @@ def residue_verify(phi, F, xnames, bindings=None, box=None, form="res"):
     want = -1 if form == "res" else 0
 
     try:
-        # the composition gate: phi expands in the twisted field first; with
-        # a zero Jacobian number, in the base field as a Laurent polynomial
-        expansion = expand(phi, cov.target or base, box=box, bindings=bindings)
+        # the composition gate: phi's product is claimed in the twisted field
+        # first; with a zero Jacobian number, in the base field as a Laurent polynomial
+        chain = _chain_claims(factors(phi, cov.target or base, box=box, bindings=bindings))
     except UsageError:
         raise
     except MNError as exc:
@@ -193,18 +193,18 @@ def residue_verify(phi, F, xnames, bindings=None, box=None, form="res"):
             raise ExpansionFailure(
                 f"phi does not expand in the twisted field: {exc}"
             ) from exc
-        expansion = None
-    if cov.jnum == 0 and (expansion is None or not expansion.exact):
+        chain = None
+    if cov.jnum == 0 and (chain is None or not chain[3].exact):
         raise RefusedSingular(
             "Jacobian number is 0 and phi is not a Laurent polynomial"
         )
 
-    phi_at_F = expand(phi, base, box=box, bindings=bindings,
-                      substitutions=dict(zip(xnames, F)))
+    phi_at_F = factors(phi, base, box=box, bindings=bindings,
+                       substitutions=dict(zip(xnames, F)))
     jac = jacobian(F, xnames) if form == "res" else log_jacobian(F, xnames)
-    lhs = chain_extract([phi_at_F, jac], xnames, want)
+    lhs = chain_extract(phi_at_F + [jac], xnames, want)
     if cov.jnum:
-        rhs = expansion.extract(xnames, want) * cov.jnum
+        rhs = _chain_read(chain, xnames, want) * cov.jnum
     else:
         rhs = Series.zero(lhs.spec, box=lhs.box) if isinstance(lhs, Series) else 0
     # both sides are series exactly when xnames leaves a variable unnamed

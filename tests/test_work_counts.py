@@ -43,8 +43,7 @@ COUNTS = {
     },
     "cov_lemma": {
         "identities.wilson_v.calls": 10,
-        "ordering.phi.calls": 12141,
-        "parser.expand.calls": 400,
+        "ordering.phi.calls": 12776,
         "parser.parse.calls": 200,
         "residues.change_of_variables.calls": 300,
         "residues.jacobian.calls": 501,
@@ -56,9 +55,9 @@ COUNTS = {
         "series.invert.calls": 766,
         "series.invert.terms_in": 1367,
         "series.invert.terms_out": 7039,
-        "series.multiply.calls": 1081,
-        "series.multiply.pairs": 104027,
-        "series.multiply.terms_out": 13446,
+        "series.multiply.calls": 625,
+        "series.multiply.pairs": 71544,
+        "series.multiply.terms_out": 10138,
     },
     "lagrange": {
         "ordering.phi.calls": 6481,
