@@ -244,11 +244,21 @@ def embed_graded(series, gspec, box):
 
 
 def _check_power_series_normalized(F):
-    """Each F_i must be x_i plus exact terms of total degree >= 2."""
+    """Each F_i must be x_i plus exact terms of total degree >= 2, checked
+    once per substitution of one field; F of mixed fields is refused where
+    the check, run in full, meets the first bad F_i or the first mismatch."""
     spec = F[0].spec
-    n = spec.n
-    if len(F) != n:
+    if len(F) != spec.n:
         raise SpecMismatch("need one series per variable for inversion")
+    if all(s.spec == spec for s in F):
+        _normalized(F, spec.variables)
+    else:
+        _normalized.__wrapped__(F, spec.variables)
+
+
+@_per_substitution
+def _normalized(F, xnames):
+    n = len(F)
     for i, s in enumerate(F):
         F[0]._require_same_spec(s)
         if not s.exact:

@@ -24,11 +24,12 @@ one-term reciprocal's term, at -p·phi(m), lies in its claim as phi(m) lies
 in the series' box.
 
 Every CT, Res or coefficient of a product is read by one pruned chain,
-``chain_extract``: ``Region.product`` is folded over the factors before any
-pair is tested, each partial product keeps only the terms that can still
-reach the wanted slice, the last factor is met without forming the
-product, and the slice is read by ``extract``'s tail, ``Series._read``.
-Dyson's constant term runs its term-dict core, ``_chain_terms``.
+``chain_extract``: exact monomials fold into one shift of the wanted
+exponent, ``Region.product`` is folded over the other factors before any pair
+is tested, each partial product keeps only the terms that can still reach
+the wanted slice, the last factor is met without forming the product, and
+the slice is read by ``extract``'s tail, ``Series._read``.  Dyson's constant
+term runs its term-dict core, ``_chain_terms``.
 
 Both pruned kernels, ``_packed_keep`` (``_convolve`` from ``PACKED_PAIRS``
 pairs on) and the inversion recurrence, pack phi into one int of guard-bit
@@ -108,14 +109,6 @@ def _kept(spec, items, region):
         if value != 0 and region.contains(spec, exponent):
             terms[exponent] = value
     return terms
-
-
-def _vec_add(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _vec_sub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
 
 
 class Series:
@@ -257,7 +250,7 @@ class Series:
     def shift(self, exponent):
         """Multiply by the monomial x^exponent (exactness preserved)."""
         [exponent] = _exponents([exponent], self.spec.n)
-        moved = {_vec_add(k, exponent): v for k, v in self.terms.items()}
+        moved = {tuple(map(_int_add, k, exponent)): v for k, v in self.terms.items()}
         return Series._trusted(self.spec, moved, self.region.shift(self.spec.phi(exponent)))
 
     def __mul__(self, other):
@@ -278,8 +271,7 @@ class Series:
         if n == 0:
             return Series.constant(self.spec, 1, box=self.box)
         # square-and-multiply from the lowest set bit: no product by 1
-        result = None
-        base = self
+        result, base = None, self
         while True:
             if n & 1:
                 result = base if result is None else result * base
@@ -333,7 +325,7 @@ class Series:
         lead = _coeff(c ** -p)
         if len(keys) == 1:
             return Series._trusted(spec, {shift: lead}, region)
-        tau = {_vec_sub(e, m): _coeff(-v / c) for e, v in self.terms.items() if e != m}
+        tau = {tuple(map(sub, e, m)): _coeff(-v / c) for e, v in self.terms.items() if e != m}
         weights = None if p == 1 else lambda j: comb(j + p - 1, p - 1)
         total = _power_sum(tau, spec, walk, weights, shift, lead)
         power = Series._trusted(spec, total, region)
@@ -362,7 +354,7 @@ class Series:
         for exponent, value in self.terms.items():
             e = exponent[i]
             if e:
-                out[_vec_sub(exponent, unit)] = _coeff(value * e)
+                out[tuple(map(sub, exponent, unit))] = _coeff(value * e)
         region = self.region.shift(tuple(-x for x in self.spec.phi(unit)))
         return Series._trusted(self.spec, out, region)
 
@@ -436,11 +428,7 @@ class Series:
     def __eq__(self, other):
         if not isinstance(other, Series):
             return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.terms == other.terms
-            and self.region == other.region
-        )
+        return (self.spec, self.terms, self.region) == (other.spec, other.terms, other.region)
 
     __hash__ = None
 
@@ -681,9 +669,7 @@ def det(matrix):
         if j % 2:
             term = -term
         total = term if total is None else total + term
-    if total is None:
-        return Series.zero(matrix[0][0].spec, box=matrix[0][0].box)
-    return total
+    return Series.zero(matrix[0][0].spec, box=matrix[0][0].box) if total is None else total
 
 
 def _phi_hull(spec, terms):
@@ -730,39 +716,49 @@ def multiply(a, b):
     return Series._trusted(a.spec, terms, region)
 
 
-def _chain_claims(factors):
-    """``(factors, hulls, boxes, region)`` of the product of the series
-    ``factors``, left to right, or the refusal of ``reduce(multiply,
-    factors)``, before any pair is tested.  ``Region.product`` is folded over
-    the partial products: exact hulls add (extreme terms never cancel) and
-    truncated initial terms add, unless an exact factor of more than one
-    term drops the initial pair (ROADMAP item 1, face (c)): then the factors
-    before the last truncated one are multiplied out first.  ``hulls[k]`` is
-    factors[k]'s phi hull from k = 2 on; ``boxes[k - 1]`` is the box that
-    ``multiply`` prunes factors[:k + 1]'s product to, None if it drops no pair.
-    An empty ``factors``, where ``reduce`` raises TypeError, is refused.
+def _chain_claims(factors, shift=True):
+    """``(factors, hulls, boxes, region, head, one)`` of the product of the
+    series ``factors`` (``head`` the first), or the refusal of ``reduce(multiply,
+    factors)``, before any pair is tested.  A product by c·x^m is a shift, so
+    the exact one-term factors multiply into ``one`` = {m: c} and leave the
+    chain.  ``Region.product`` is folded over the rest, whose factors before
+    the last truncated one are multiplied out first if one of them is exact
+    of more terms, which can drop the initial pair (ROADMAP item 1, face (c)).
+    A truncated fold's claim is shifted by phi(m), an exact product's is the
+    in-order meet of the boxes.  A factor or face (c) product of no terms has
+    no hull, so shifts stop commuting: all are folded in place (``shift`` off).
+    ``hulls[k]`` is factors[k]'s phi hull from k = 2 on; ``boxes[k - 1]`` the
+    box ``multiply`` prunes factors[:k + 1]'s product to, None if it drops no pair.
     """
     factors = list(factors)
     if not factors or not all(isinstance(s, Series) for s in factors):
         raise UsageError("a chain multiplies a nonempty list of series")
-    last = max((k for k, s in enumerate(factors) if not s.exact), default=0)
-    if any(s.exact and len(s.terms) > 1 for s in factors[:last]):
-        factors[:last] = [reduce(multiply, factors[:last])]
-    truncated = sum(not s.exact for s in factors)
-    hulls, boxes, claim, monomial = [], [], None, True
-    for k, s in enumerate(factors):
-        factors[0]._require_same_spec(s)
+    head = factors[0]
+    shift = shift and all(s.terms and s.spec == head.spec for s in factors)
+    ones = [s.terms for s in factors if shift and s.exact and len(s.terms) == 1]
+    rest = [s for s in factors if not (shift and s.exact and len(s.terms) == 1)]
+    last = max((k for k, s in enumerate(rest) if not s.exact), default=0)
+    if any(s.exact and len(s.terms) > 1 for s in rest[:last]):
+        rest[:last] = [reduce(multiply, rest[:last])]
+        if ones and not rest[0]:
+            return _chain_claims(factors, False)
+    truncated = sum(not s.exact for s in rest)
+    hulls, boxes, claim = [], [], None
+    for k, s in enumerate(rest):
+        head._require_same_spec(s)
         # a hull is read against a truncated partner, now or later, and from
         # k = 2 on it bounds the reach
         own = _claim(s, truncated > (not s.exact) or (s.exact and k > 1))
         hulls.append(None if k < 2 else own[1] if s.exact else _phi_hull(s.spec, s.terms))
-        one = s.exact and len(s.terms) == 1
         if k:
             region = Region.product(*claim, *own)
-            boxes.append(None if region.exact or one or monomial else region.box)
+            boxes.append(None if region.exact else region.box)
             own = region, None if None in (claim[1], own[1]) else _hull_sum(claim[1], own[1])
-        claim, monomial = own, monomial and one
-    return factors, hulls, boxes, claim[0]
+        claim = own
+    [m] = one = reduce(_shifted, ones, {(0,) * head.spec.n: 1})
+    region = (claim[0].shift(head.spec.phi(m)) if truncated
+              else reduce(Region.meet, (s.region for s in factors)))
+    return rest, hulls, boxes, region, head, one
 
 
 def _chain_terms(spec, factors, hulls, boxes, selected, target):
@@ -772,17 +768,17 @@ def _chain_terms(spec, factors, hulls, boxes, selected, target):
     Minkowski sum of its factors': on a phi-coordinate j that the slice pins
     (twist column j is 0 on every variable not selected), each partial
     product keeps phi_j(target) less the hulls still to come, in its box.
-    A step with a one-term side that drops no pair is a shift.  The last
-    factor is met by a dot product if every variable is selected, else by
-    the terms' selected part, so the whole product is never formed.
+    A one-term partial product is shifted where no pair is dropped.  The
+    last factor is met by a dot product if every variable is selected, else
+    by the terms' selected part, so the whole product is never formed.
     """
     if not all(factors):
         return {}
     n = spec.n
     partial, reach = factors[0], None
     for k, (factor, box) in enumerate(zip(factors[1:-1], boxes), 1):
-        if box is None and 1 in (len(partial), len(factor)):
-            partial = _shifted(partial, factor) if len(factor) == 1 else _shifted(factor, partial)
+        if box is None and len(partial) == 1:
+            partial = _shifted(factor, partial)
             continue
         if reach is None:           # per step and coordinate; None where free
             free = [row for i, row in enumerate(spec.twist) if i not in selected]
@@ -819,12 +815,16 @@ def _chain_terms(spec, factors, hulls, boxes, selected, target):
 
 
 def _chain_read(chain, names, want):
-    """``extract(names, want)`` of the product ``_chain_claims`` folded."""
-    factors, hulls, boxes, region = chain
-    spec = factors[0].spec
-    selected, want, target = factors[0]._wanted(names, want)
-    terms = _chain_terms(spec, [s.terms for s in factors], hulls, boxes, selected, target)
-    return Series._filtered(spec, terms.items(), region)._read(selected, want, target)
+    """``extract(names, want)`` of the product ``_chain_claims`` folded: the
+    other factors' chain read at the target less m, shifted by c·x^m."""
+    factors, hulls, boxes, region, head, one = chain
+    selected, want, target = head._wanted(names, want)
+    [(m, c)] = terms = one.items()
+    if factors:
+        terms = ((tuple(map(_int_add, e, m)), v * c) for e, v in _chain_terms(
+            head.spec, [s.terms for s in factors], hulls, boxes, selected,
+            tuple(map(sub, target, m))).items())
+    return Series._filtered(head.spec, terms, region)._read(selected, want, target)
 
 
 def chain_extract(factors, names, want):

@@ -81,6 +81,34 @@ def test_normalization_errors():
             lagrange_inverse(refused, 4)
 
 
+def test_normalization_is_checked_once_per_substitution():
+    # a substitution that passes is kept in F[0]'s memo: a later read of the
+    # very same F runs no check, so a term slipped into F_1 afterwards goes
+    # unseen; a refusal is not kept, so a bad F is refused on every call
+    F = [Series(X, {(1,): 1, (2,): -1})]
+    assert lagrange_coefficient(parse("x"), F, (4,)) == 5
+    assert lagrange_inverse(F, 4)[0].terms[(4, 0)] == 5
+    F[0].terms[(0,)] = 1
+    residues._check_power_series_normalized(F)
+    bad = [Series(X, {(1,): 1, (0,): 1})]
+    for read in (lambda: lagrange_inverse(bad, 4),
+                 lambda: lagrange_coefficient(parse("x"), bad, (1,)),
+                 lambda: lagrange_inverse(bad, 4)):
+        with pytest.raises(BadNormalization, match="total degree 0 besides x_1"):
+            read()
+    # a fresh F of the same terms is checked
+    with pytest.raises(BadNormalization):
+        residues._check_power_series_normalized([Series(X, F[0].terms)])
+    # F of mixed fields is refused where the check meets it: at a bad F_1
+    # before the mismatch, else at the mismatch
+    XY, UV = identity_spec(("x", "y")), identity_spec(("u", "v"))
+    other = Series(UV, {(0, 1): 1})
+    with pytest.raises(BadNormalization, match="linear part of F_1 is not x_1"):
+        lagrange_inverse([Series(XY, {(1, 0): 2}), other], 4)
+    with pytest.raises(SpecMismatch, match="different fields"):
+        lagrange_inverse([Series(XY, {(1, 0): 1}), other], 4)
+
+
 def test_coefficient_formula_catalan_values():
     # [y^k] G = Catalan(k-1)
     F = Series(X, {(1,): 1, (2,): -1})

@@ -43,14 +43,20 @@ from mnseries.series import (
     _convolve,
     _invert_recurrence,
     _power_sum,
-    _vec_add,
-    _vec_sub,
     chain_extract,
 )
 
 X = identity_spec(("x",))
 XY = FieldSpec(("x", "y"), ((2, 1), (1, 2)))
 XYT = identity_spec(("x", "y", "t"))
+
+
+def _vec_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _vec_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
 
 
 def geometric(spec, exponent, box=None):
@@ -970,6 +976,64 @@ def _chain_outcome(read):
     return value, type(value)
 
 
+# the fields of the chain tests: phi-coordinates that a slice pins or leaves free
+CHAIN_FIELDS = [identity_spec(("x", "y")), graded_spec(("x", "y"))] + [
+    FieldSpec(("x", "y"), twist)
+    for twist in (((1, 0), (1, 1)), ((1, 1), (0, 1)), ((1, -1), (0, 1)))]
+
+
+def _chain_factor(rng, spec, kind):
+    """A random factor of a chain test: an exact or truncated polynomial, an
+    inverse, an exp or a log on a random box holding the origin, an exact
+    monomial (its box sometimes far from the origin) or a zero series."""
+    def polynomial(count, box, exact=True):
+        terms = {}
+        while len(terms) < count:
+            terms[tuple(rng.randint(-2, 2) for _ in range(spec.n))] = rng.choice(
+                (1, -1, 2, Fraction(1, 2), Fraction(-3, 2)))
+        return Series(spec, terms, box=box, exact=exact)
+
+    def positive(box):
+        steps = [e for e in (tuple(rng.randint(-1, 2) for _ in range(spec.n))
+                             for _ in range(8)) if spec.is_positive(e)][:2]
+        return Series(spec, {e: rng.choice((1, -1, 2)) for e in steps} or {spec.unit("x"): 1},
+                      box=box)
+
+    box = Box(tuple((-rng.randint(2, 4), rng.randint(2, 4)) for _ in range(spec.n)))
+    if kind in ("exact", "truncated"):
+        return polynomial(rng.randint(1, 3), box, kind == "exact")
+    if kind == "inverse":
+        return polynomial(rng.randint(2, 3), box).invert()
+    if kind == "exp":
+        return exp_of(positive(box))
+    if kind == "log":
+        return log_of(1 + positive(box))
+    if kind == "monomial":
+        if rng.random() < 0.3:
+            box = box.shift((9,) * spec.n)
+        return polynomial(1, box)
+    return Series(spec, {}, box=box, exact=rng.random() < 0.5)
+
+
+def _chain_agrees(factors, seen):
+    """Assert that chain_extract reads what reduce(multiply, factors) then
+    extract reads, on every slice of the field and want in {-1, 0, 1}; count
+    the reads in ``seen``."""
+    spec = factors[0].spec
+    for size in range(1, spec.n + 1):
+        for names in combinations(spec.variables, size):
+            for want in (-1, 0, 1):
+                expected = _chain_outcome(
+                    lambda: reduce(multiply, factors).extract(names, want))
+                got = _chain_outcome(lambda: chain_extract(factors, names, want))
+                assert got == expected, ([s.to_json() for s in factors], names, want)
+                refused = isinstance(expected, tuple) and isinstance(expected[0], type)
+                seen["slice" if size < spec.n else "coefficient",
+                     "refused" if refused else "read"] += 1
+                seen["nonzero"] += not refused and bool(
+                    expected["terms"] if isinstance(expected, dict) else expected[0])
+
+
 def test_chain_equals_the_formed_product():
     # chain_extract reads what reduce(multiply, ...) then extract reads, on
     # chains of 2 to 5 factors (a truncated one of 1 to 3 terms among them),
@@ -979,41 +1043,12 @@ def test_chain_equals_the_formed_product():
     # initial pair (ROADMAP item 1, face (c))
     rng = random.Random(31)
     seen = Counter()
-    fields = [identity_spec(("x", "y")), graded_spec(("x", "y"))] + [
-        FieldSpec(("x", "y"), twist)
-        for twist in (((1, 0), (1, 1)), ((1, 1), (0, 1)), ((1, -1), (0, 1)))]
-
-    def polynomial(spec, count, box, exact=True):
-        terms = {}
-        while len(terms) < count:
-            terms[tuple(rng.randint(-2, 2) for _ in range(spec.n))] = rng.choice(
-                (1, -1, 2, Fraction(1, 2), Fraction(-3, 2)))
-        return Series(spec, terms, box=box, exact=exact)
-
-    def positive(spec, box):
-        steps = [e for e in (tuple(rng.randint(-1, 2) for _ in range(spec.n))
-                             for _ in range(8)) if spec.is_positive(e)][:2]
-        return Series(spec, {e: rng.choice((1, -1, 2)) for e in steps} or {spec.unit("x"): 1},
-                      box=box)
-
-    def factor(spec, kind):
-        box = Box(tuple((-rng.randint(2, 4), rng.randint(2, 4)) for _ in range(spec.n)))
-        if kind in ("exact", "truncated"):
-            return polynomial(spec, rng.randint(1, 3), box, kind == "exact")
-        if kind == "inverse":
-            return polynomial(spec, rng.randint(2, 3), box).invert()
-        if kind == "exp":
-            return exp_of(positive(spec, box))
-        if kind == "log":
-            return log_of(1 + positive(spec, box))
-        return Series(spec, {}, box=box, exact=rng.random() < 0.5)
-
     for draw in range(300):
-        spec = fields[draw % len(fields)]
+        spec = CHAIN_FIELDS[draw % len(CHAIN_FIELDS)]
         kinds = rng.choices(("exact", "truncated", "inverse", "exp", "log", "zero"),
                             (4, 3, 3, 2, 2, 1),
                             k=rng.randint(2, 5))
-        factors = [_outcome(lambda kind=kind: factor(spec, kind)) for kind in kinds]
+        factors = [_outcome(lambda kind=kind: _chain_factor(rng, spec, kind)) for kind in kinds]
         factors = [s for s in factors if isinstance(s, Series)]
         if len(factors) < 2:
             continue
@@ -1024,19 +1059,63 @@ def test_chain_equals_the_formed_product():
         truncated = [k for k, s in enumerate(factors) if not s.exact]
         if truncated and any(s.exact and len(s.terms) > 1 for s in factors[:truncated[-1]]):
             seen["exact factor before a truncated one"] += 1
-        for size in range(1, spec.n + 1):
-            for names in combinations(spec.variables, size):
-                for want in (-1, 0, 1):
-                    expected = _chain_outcome(
-                        lambda: reduce(multiply, factors).extract(names, want))
-                    got = _chain_outcome(lambda: chain_extract(factors, names, want))
-                    assert got == expected, ([s.to_json() for s in factors], names, want)
-                    refused = isinstance(expected, tuple) and isinstance(expected[0], type)
-                    seen["slice" if size < spec.n else "coefficient",
-                         "refused" if refused else "read"] += 1
-                    seen["nonzero"] += not refused and bool(
-                        expected["terms"] if isinstance(expected, dict) else expected[0])
+        _chain_agrees(factors, seen)
     assert min(seen.values()) >= 10, seen
+
+
+def test_chain_folds_exact_monomials_into_one_shift():
+    # the exact one-term factors of a chain multiply into one c·x^m, read as
+    # a shift of the wanted exponent, wherever they stand: first, inside or
+    # last, all of the chain, beside a factor with no terms (where the claim
+    # is the fold over every factor), in an exact chain whose boxes miss
+    # each other (the left one stays), and in the factors before the last
+    # truncated one that an exact factor of more than one term makes the
+    # chain multiply out first (ROADMAP item 1, face (c))
+    rng = random.Random(35)
+    seen = Counter()
+
+    def monomial(s):
+        return s.exact and len(s.terms) == 1
+
+    for draw in range(400):
+        spec = CHAIN_FIELDS[draw % len(CHAIN_FIELDS)]
+        if draw % 5 == 0:
+            kinds = ["monomial"] * rng.randint(1, 4)
+        else:
+            kinds = rng.choices(("monomial", "exact", "truncated", "inverse", "exp", "zero"),
+                                (5, 3, 3, 2, 1, 1), k=rng.randint(2, 5))
+        factors = [_outcome(lambda kind=kind: _chain_factor(rng, spec, kind)) for kind in kinds]
+        factors = [s for s in factors if isinstance(s, Series)]
+        if not factors:
+            continue
+        if draw % 3 == 1:
+            factors.sort(key=lambda s: not (s.exact and len(s.terms) > 1))
+        ones = [k for k, s in enumerate(factors) if monomial(s)]
+        if not ones:
+            continue
+        seen["all monomials" if len(ones) == len(factors) else "some monomials"] += 1
+        for k in ones:
+            seen["monomial " + ("first" if k == 0 else "last" if k == len(factors) - 1
+                                else "inside")] += 1
+        for s in factors:
+            if not s.terms:
+                seen["beside an empty " + ("exact" if s.exact else "truncated") + " factor"] += 1
+        if all(s.exact for s in factors) and any(
+                factors[k].box.intersect(s.box) is None for k in ones for s in factors):
+            seen["exact boxes that miss"] += 1
+        truncated = [k for k, s in enumerate(factors) if not s.exact]
+        prefix = factors[:truncated[-1]] if truncated else []
+        if any(s.exact and len(s.terms) > 1 for s in prefix) and any(map(monomial, prefix)):
+            seen["monomial before the last truncated factor, face (c)"] += 1
+        _chain_agrees(factors, seen)
+    assert min(seen.values()) >= 10, seen
+    # a partial product of that prefix with no terms: 1/(1 - x), known for x
+    # in [0, 3], times 1 - x is claimed on x in [1, 3], where it is 0
+    spec = CHAIN_FIELDS[0]
+    p = Series(spec, {(0, 0): 1, (1, 0): -1}, box=Box(((0, 3), (-2, 2))))
+    _chain_agrees([p.invert(), p, Series.monomial(spec, (0, 1)),
+                   Series(spec, {(0, 0): 1, (0, 1): 1}, box=Box(((-3, 3), (-1, 1))), exact=False),
+                   Series(spec, {(0, 0): 1, (1, 1): 2}, box=p.box, exact=False)], Counter())
 
 
 def test_slice_outside_the_box_refused():

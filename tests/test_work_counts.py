@@ -22,7 +22,7 @@ import workloads  # noqa: E402
 COUNTS = {
     "ct3": {
         "cli.main.calls": 1,
-        "ordering.phi.calls": 222,
+        "ordering.phi.calls": 166,
         "parser.parse.calls": 1,
         "series.compose.calls": 3,
         "series.compose.terms_out": 18,
@@ -43,7 +43,7 @@ COUNTS = {
     },
     "cov_lemma": {
         "identities.wilson_v.calls": 10,
-        "ordering.phi.calls": 12776,
+        "ordering.phi.calls": 11086,
         "parser.parse.calls": 200,
         "residues.change_of_variables.calls": 300,
         "residues.jacobian.calls": 501,
@@ -55,12 +55,12 @@ COUNTS = {
         "series.invert.calls": 766,
         "series.invert.terms_in": 1367,
         "series.invert.terms_out": 7039,
-        "series.multiply.calls": 625,
-        "series.multiply.pairs": 71544,
-        "series.multiply.terms_out": 10138,
+        "series.multiply.calls": 585,
+        "series.multiply.pairs": 71449,
+        "series.multiply.terms_out": 10043,
     },
     "lagrange": {
-        "ordering.phi.calls": 6481,
+        "ordering.phi.calls": 6217,
         "parser.expand.calls": 300,
         "parser.parse.calls": 300,
         "residues.jacobian.calls": 300,
