@@ -18,23 +18,22 @@ operation, which the grammar, the printer and ``expand`` all read.  An
 expression may be of any length; one nested deeper than Python's stack is
 refused with a UsageError.
 
-A product is expanded as the list of its factors (``factors``), and a
-divisor's reciprocal factor by factor: its exact factors are multiplied out
-and inverted once, each truncated one is inverted on its own, and the
-divisor's own divisors join the numerator, so nothing is inverted twice.
-In a quotient, the exact operands of more than one term come last, after
-every truncated factor.  ``expand`` multiplies the list; ``mn ct|res``
-reads its last product without forming it.
+A product is expanded as the list of its factors (``factors``), in
+expression order, and a divisor's reciprocal factor by factor: its exact
+factors are multiplied out and inverted once, each truncated one is inverted
+on its own, and the divisor's own divisors join the numerator, so nothing is
+inverted twice.  ``series.product``, which owns the factor order, multiplies
+each list; ``mn ct|res`` reads the last product without forming it.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import reduce
 
 from .errors import NonIntegerExponent, ParseError, UnboundVariable, UsageError
 from .ordering import DIGITS, Value, name_end, rational_text, read_rational
-from .series import Series, exp_of, log_of, multiply
+# multiply stays bound here only because bench/test_bench.py reads parser.multiply
+from .series import Series, exp_of, log_of, multiply, product  # noqa: F401
 
 
 class ExprNode(Value):
@@ -267,7 +266,7 @@ class _Expansion:
                 return Series.constant(spec, self.bindings[n.name], box=box)
             raise UnboundVariable(f"variable {n.name!r} is not in the field or bindings")
         if isinstance(n, Binary) and BINARY[n.op] == _PRODUCT:
-            return reduce(multiply, self.factors(n))
+            return product(self.factors(n))
         if isinstance(n, Binary):
             first, steps = _spine(n, _SUM)
             value = self.series(first)
@@ -282,13 +281,12 @@ class _Expansion:
         raise UsageError(f"not an expression node: {n!r}")
 
     def factors(self, n):
-        """The series whose product, left to right, is ``n``: each operand
-        of its product and, in a divisor's place, the divisor's own divisors,
-        the inverse of each of its truncated factors and then the inverse of
-        its exact factors' product.  1/(a·b) = a^(-1)·b^(-1) in the field,
-        and a truncated factor's power sum is far smaller than the product's;
-        the exact factors are inverted together, so they still cancel.  In a
-        quotient, the exact operands of more than one term come last."""
+        """The series whose ``product`` is ``n``, in expression order: each
+        operand and, in a divisor's place, the divisor's own divisors, the
+        inverse of each of its truncated factors and then the inverse of its
+        exact factors' product.  1/(a·b) = a^(-1)·b^(-1) in the field, and a
+        truncated factor's power sum is far smaller than the product's; the
+        exact factors are inverted together, so they still cancel."""
         first, steps = _spine(n, _PRODUCT)
         out = [self.series(first)]
         for step in steps:
@@ -300,15 +298,7 @@ class _Expansion:
             out += [s.invert() for s in divisors if not s.exact]
             exact = [s for s in divisors if s.exact]
             if exact:
-                out.append(reduce(multiply, exact).invert())
-        # a product by an exact operand of more than one term claims a box
-        # its low terms may lie below, and a later product by a truncated
-        # factor would read its initial term there (ROADMAP item 1, face
-        # (c)); a divisor may give several truncated inverses, so in a
-        # quotient such operands are multiplied after all of them (a stable
-        # sort keeps every other order)
-        if any(step.op == "/" for step in steps):
-            out.sort(key=lambda s: s.exact and len(s.terms) > 1)
+                out.append(product(exact).invert())
         return out
 
     def split(self, n, mine, other):
@@ -324,10 +314,10 @@ class _Expansion:
 
 
 def factors(node, spec, box=None, bindings=None, substitutions=None):
-    """The series whose product, left to right, is the expression ``node``
-    in the field given by ``spec``: one for an expression that is not a
-    product, else one per operand and, for a divisor, its reciprocal factor
-    by factor (``_Expansion.factors``).
+    """The series whose ``product`` is the expression ``node`` in the field
+    given by ``spec``: one for an expression that is not a product, else one
+    per operand, in expression order, and, for a divisor, its reciprocal
+    factor by factor (``_Expansion.factors``).
 
     ``bindings`` supplies rational values for parameter names that are not
     field variables.  ``substitutions`` (name -> Series) overrides variables
@@ -342,8 +332,8 @@ def factors(node, spec, box=None, bindings=None, substitutions=None):
 
 
 def expand(node, spec, box=None, bindings=None, substitutions=None):
-    """Expand an expression as a Series: the product of its ``factors``."""
-    return reduce(multiply, factors(node, spec, box, bindings, substitutions))
+    """Expand an expression as a Series: the ``product`` of its ``factors``."""
+    return product(factors(node, spec, box, bindings, substitutions))
 
 
 def expand_text(text, spec, box=None, bindings=None, substitutions=None):

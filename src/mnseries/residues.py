@@ -32,7 +32,7 @@ for.
 
 from __future__ import annotations
 
-from functools import cache, reduce, wraps
+from functools import cache, wraps
 from operator import add, is_
 
 from .errors import (
@@ -56,7 +56,7 @@ from .ordering import (
     unit_vector,
 )
 from .parser import expand, factors
-from .series import Series, _chain_claims, _chain_read, chain_extract, det, multiply
+from .series import Series, _chain_claims, _chain_read, chain_extract, det, multiply, product
 
 
 # ----------------------------------------------------------------------
@@ -69,7 +69,7 @@ def _per_substitution(compute):
     The result is stored in ``F[0]._memo`` under ``(name, xnames)`` beside
     ``F[1:]``, and returned again only when the very same series come back in
     the same order (``is``): equal but distinct series, or a permuted F,
-    recompute.  A refusal is not stored.
+    recompute.  A refusal is not stored, so a hit skips the checks.
     """
     name = compute.__name__
 
@@ -78,15 +78,15 @@ def _per_substitution(compute):
         F, xnames = tuple(F), name_tuple(xnames)
         if not F:
             raise SpecMismatch("need at least one series to substitute")
+        hit = F[0]._memo and F[0]._memo.get((name, xnames))
+        if hit and len(hit[0]) == len(F) - 1 and all(map(is_, hit[0], F[1:])):
+            return hit[1]
         if len(F) != len(xnames):
             raise SpecMismatch("need exactly one series per x-variable")
         for s in F[1:]:
             F[0]._require_same_spec(s)
         F[0]._selected_indices(xnames)
-        key, memo = (name, xnames), F[0]._memo
-        if memo is not None and key in memo and all(map(is_, memo[key][0], F[1:])):
-            return memo[key][1]
-        return F[0]._remember(key, (F[1:], compute(F, xnames)))[1]
+        return F[0]._remember((name, xnames), (F[1:], compute(F, xnames)))[1]
 
     return once
 
@@ -106,7 +106,7 @@ def jacobian_number(F, xnames):
 def log_jacobian(F, xnames):
     """(x_1···x_n / F_1···F_n) · J(F)."""
     shift = tuple(int(name in xnames) for name in F[0].spec.variables)
-    return multiply(jacobian(F, xnames).shift(shift), reduce(multiply, F).invert())
+    return multiply(jacobian(F, xnames).shift(shift), product(F).invert())
 
 
 # ----------------------------------------------------------------------

@@ -23,13 +23,16 @@ scale, a shift and a derivative move each term with the claim, and a
 one-term reciprocal's term, at -p·phi(m), lies in its claim as phi(m) lies
 in the series' box.
 
-Every CT, Res or coefficient of a product is read by one pruned chain,
-``chain_extract``: exact monomials fold into one shift of the wanted
-exponent, ``Region.product`` is folded over the other factors before any pair
-is tested, each partial product keeps only the terms that can still reach
-the wanted slice, the last factor is met without forming the product, and
-the slice is read by ``extract``'s tail, ``Series._read``.  Dyson's constant
-term runs its term-dict core, ``_chain_terms``.
+``product`` multiplies a list of series with the exact factors of more than
+one term last: a product by one claims a box its low terms may lie below,
+where a later truncated factor would read its initial term (ROADMAP item 1,
+face (c)).  Every CT, Res or coefficient of a product is read in that order
+by one pruned chain, ``chain_extract``: exact monomials fold into one shift
+of the wanted exponent, ``Region.product`` is folded over the other factors
+before any pair is tested, each partial product keeps only the terms that can
+still reach the wanted slice, the last factor is met without forming the
+product, and the slice is read by ``extract``'s tail, ``Series._read``.
+Dyson's constant term runs its term-dict core, ``_chain_terms``.
 
 Both pruned kernels, ``_packed_keep`` (``_convolve`` from ``PACKED_PAIRS``
 pairs on) and the inversion recurrence, pack phi into one int of guard-bit
@@ -716,32 +719,38 @@ def multiply(a, b):
     return Series._trusted(a.spec, terms, region)
 
 
-def _chain_claims(factors, shift=True):
-    """``(factors, hulls, boxes, region, head, one)`` of the product of the
-    series ``factors`` (``head`` the first), or the refusal of ``reduce(multiply,
-    factors)``, before any pair is tested.  A product by c·x^m is a shift, so
-    the exact one-term factors multiply into ``one`` = {m: c} and leave the
-    chain.  ``Region.product`` is folded over the rest, whose factors before
-    the last truncated one are multiplied out first if one of them is exact
-    of more terms, which can drop the initial pair (ROADMAP item 1, face (c)).
-    A truncated fold's claim is shifted by phi(m), an exact product's is the
-    in-order meet of the boxes.  A factor or face (c) product of no terms has
-    no hull, so shifts stop commuting: all are folded in place (``shift`` off).
-    ``hulls[k]`` is factors[k]'s phi hull from k = 2 on; ``boxes[k - 1]`` the
-    box ``multiply`` prunes factors[:k + 1]'s product to, None if it drops no pair.
-    """
+def _exact_last(s):
+    return s.exact and len(s.terms) > 1
+
+
+def _in_order(factors):
+    """``factors`` sorted on ``_exact_last``; UsageError unless a nonempty list of series."""
     factors = list(factors)
     if not factors or not all(isinstance(s, Series) for s in factors):
-        raise UsageError("a chain multiplies a nonempty list of series")
+        raise UsageError("a product multiplies a nonempty list of series")
+    return sorted(factors, key=_exact_last)
+
+
+def product(factors):
+    """The product of the series ``factors``, multiplied ``_in_order``."""
+    return reduce(multiply, _in_order(factors))
+
+
+def _chain_claims(factors):
+    """``(factors, hulls, boxes, region, head, one)`` of ``product(factors)``
+    (``head`` its first factor), or its refusal, before any pair is tested.
+    Unless a factor has no terms (no hull: shifts stop commuting) or another
+    field, the exact one-term factors, each a shift, multiply into ``one`` =
+    {m: c} and leave the chain.  ``Region.product`` is folded over the rest;
+    a truncated fold's claim is shifted by phi(m), an exact product's is the
+    in-order meet of the boxes.  ``hulls[k]`` is factors[k]'s phi hull from
+    k = 2 on; ``boxes[k - 1]`` the box ``multiply`` prunes factors[:k + 1]'s
+    product to, None if it drops no pair."""
+    factors = _in_order(factors)
     head = factors[0]
-    shift = shift and all(s.terms and s.spec == head.spec for s in factors)
+    shift = all(s.terms and s.spec == head.spec for s in factors)
     ones = [s.terms for s in factors if shift and s.exact and len(s.terms) == 1]
     rest = [s for s in factors if not (shift and s.exact and len(s.terms) == 1)]
-    last = max((k for k, s in enumerate(rest) if not s.exact), default=0)
-    if any(s.exact and len(s.terms) > 1 for s in rest[:last]):
-        rest[:last] = [reduce(multiply, rest[:last])]
-        if ones and not rest[0]:
-            return _chain_claims(factors, False)
     truncated = sum(not s.exact for s in rest)
     hulls, boxes, claim = [], [], None
     for k, s in enumerate(rest):
@@ -828,9 +837,9 @@ def _chain_read(chain, names, want):
 
 
 def chain_extract(factors, names, want):
-    """``reduce(multiply, factors).extract(names, want)`` (the same terms, box
-    and ``exact`` flag, or the same refusal; an empty ``factors`` is refused
-    with UsageError), never forming the product."""
+    """``product(factors).extract(names, want)`` (the same terms, box and
+    ``exact`` flag, or the same refusal; an empty ``factors`` is refused with
+    UsageError), never forming the product."""
     return _chain_read(_chain_claims(factors), names, want)
 
 

@@ -464,7 +464,8 @@ def test_ct_reads_the_last_product_without_forming_it(capsys, monkeypatch):
     # kept to the terms that can still reach the x^0*y^0 slice, and its last
     # factor, the numerator's 2*t - 3*x*y, is met by the slice's named part:
     # the chain's products make 378 terms, where the head product made 3 990;
-    # the exact monomial x^3 leaves the chain as a shift of the wanted exponent
+    # the exact monomial x^3 leaves the chain as a shift of the wanted
+    # exponent, and the chain multiplies its factors in product order
     convolved, chained, inverses, lists = [], [], [], []
     originals = series._convolve, series._chain_terms, series.Series.invert, cli.factors
 
@@ -493,7 +494,8 @@ def test_ct_reads_the_last_product_without_forming_it(capsys, monkeypatch):
     assert (code, out) == (0, "3 + 6*t + 12*t^2 + 24*t^3 + 48*t^4 + 96*t^5\n")
     [chain], [got] = chained, lists
     assert [s.terms for s in got if s.terms == {(3, 0, 0): 1}] == [{(3, 0, 0): 1}]
-    assert chain == [s.terms for s in got if s.terms != {(3, 0, 0): 1}] and len(chain[-1]) == 2
+    assert chain == [s.terms for s in sorted(got, key=series._exact_last)
+                     if s.terms != {(3, 0, 0): 1}] and len(chain[-1]) == 2
     assert all(chain[-1] is not a and chain[-1] is not b for a, b, _ in convolved)
     assert 0 < sum(len(out) for _, _, out in convolved) <= 500
     assert sum(len(s.terms) for s in inverses) <= 200

@@ -40,7 +40,9 @@ from mnseries import (
     log_of,
     multiply,
 )
-from mnseries import cli
+from mnseries import cli, parse
+from mnseries.parser import factors
+from mnseries.series import chain_extract
 
 ATOMS = ("x", "y", "1", "2", "-1", "x^-1", "y^-1", "y^2", "1/2", "x*y", "x/y")
 SOUND_TWISTS = (((1, 0), (0, 1)), ((1, 0), (1, 1)), ((1, 1), (0, 1)))
@@ -279,7 +281,7 @@ def test_claims_equal_sympys_series():
 # hold the origin, so face (a) is never drawn.  Face (c) has two routes: a
 # product by an exact operand claims a box its low terms lie below, or a sum
 # drops an exact term below a truncated box; the next product or inverse
-# then reads a wrong initial term.  A quotient multiplies its exact operands
+# then reads a wrong initial term.  A product multiplies its exact operands
 # of more than one term after every truncated factor, so the first route is
 # not drawn.  The draws of the seed-11 sample that keep a wrong claim,
 # ``WRONG_QUOTIENTS`` (text: twist, small box), each divide by 1-y*exp(x),
@@ -342,6 +344,40 @@ def test_a_quotient_by_a_product_keeps_its_claims():
         seen["refused" if slice_ is None else "answered"] += 1
     assert seen["answered"] >= 20 and seen["refused"] >= 5, seen
     assert seen["pinned"] == len(WRONG_QUOTIENTS), seen
+
+
+# A plain product whose first operand is exact of more than one term, then
+# truncated factors: multiplied in expression order, the exact operand's
+# product would claim a box its low terms lie below, and the next truncated
+# factor would read its initial term there (face (c)).  ``series.product``
+# and the chain multiply it after every truncated factor.
+EXACT_FIRST = ("1+x^2", "1+x^-1*y", "x+y^2", "1-x*y^-1", "2+x^-2", "1+x+y", "x^-1+y^-1")
+TRUNCATED_AFTER = ("exp(x)", "exp(y)", "exp(x+y)", "exp(x*y)", "exp(x+x*y)", "1/(1-x)",
+                   "1/(1-y)", "1/(1-x-y)")
+
+
+def test_a_plain_product_keeps_its_claims():
+    rng = random.Random(7)
+    seen = Counter()
+    for _ in range(60):
+        spec = FieldSpec(("x", "y"), rng.choice(SOUND_TWISTS))
+        box = Box(tuple((-rng.randint(1, 6), rng.randint(2, 7)) for _ in range(2)))
+        operands = [rng.choice(EXACT_FIRST)] + rng.choices(TRUNCATED_AFTER, k=rng.randint(1, 3))
+        text = "*".join(f"({operand})" for operand in operands)
+        over, want = rng.choice("xy"), rng.choice((0, -1))
+        small = expand_text(text, spec, box=box)
+        wide = expand_text(text, spec, box=_widen(box))
+        assert _wrong_claim(small, wide) is None, (text, spec.twist, box)
+        # the slice mn ct|res reads without forming the product keeps its claims
+        try:
+            part = chain_extract(factors(parse(text), spec, box=box), [over], want)
+        except OutOfPrecision:
+            seen["refused"] += 1
+            continue
+        assert _wrong_claim(part, wide.extract([over], want)) is None, (
+            text, spec.twist, box, over, want)
+        seen["answered"] += 1
+    assert seen["answered"] >= 30 and seen["refused"] >= 10, seen
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,

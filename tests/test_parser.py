@@ -20,6 +20,7 @@ from mnseries import (
     identity_spec,
     multiply,
     parse,
+    series,
     to_text,
 )
 from mnseries.parser import Binary, Pow, RationalLiteral, Unary, Variable, factors
@@ -273,10 +274,14 @@ def test_a_divisor_is_inverted_factor_by_factor():
                    multiply(1 - x, 1 + y).invert()]
     assert expand(parse("x/((1-x)*exp(y)*(1+y)*exp(x))"), spec) == multiply(
         multiply(multiply(x, got[1]), got[2]), got[3])
-    # in a quotient an exact operand of more than one term is multiplied
-    # after every truncated factor; a one-term one keeps its place
-    assert factors(parse("(1+x)*exp(x)/(1-y)*x"), spec) == [
-        exp_of(x), (1 - y).invert(), x, 1 + x]
+    # factors keep expression order; expand multiplies an exact operand of
+    # more than one term after every truncated factor, and a one-term one
+    # keeps its place
+    got = factors(parse("(1+x)*exp(x)/(1-y)*x"), spec)
+    assert got == [1 + x, exp_of(x), (1 - y).invert(), x]
+    assert sorted(got, key=series._exact_last) == [exp_of(x), (1 - y).invert(), x, 1 + x]
+    assert expand(parse("(1+x)*exp(x)/(1-y)*x"), spec) == multiply(
+        multiply(multiply(exp_of(x), got[2]), x), 1 + x)
 
 
 @pytest.mark.parametrize("text, names, radius, pinned", [

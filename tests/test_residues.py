@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -398,6 +399,26 @@ def test_a_refused_substitution_is_refused_again():
         with pytest.raises(ZeroSeries):
             jacobian_number(F, names)
     assert jacobian(F, names) is jacobian(F, names)
+
+
+def test_a_stored_substitution_skips_the_checks(monkeypatch):
+    # only a checked call stores its result, and a hit needs the very same
+    # series, so it runs no field or name check; an F of another length
+    # misses and is refused
+    spec = identity_spec(("x1", "x2", "x3"))
+    names = ["x1", "x2", "x3"]
+    F = [Series(spec, {unit: 1, (1, 1, 1): 2}) for unit in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    J = jacobian(F, names)
+    calls = Counter()
+    for method in ("_require_same_spec", "_selected_indices"):
+        def counted(self, other, method=method, original=getattr(Series, method)):
+            calls[method] += 1
+            return original(self, other)
+        monkeypatch.setattr(Series, method, counted)
+    assert jacobian(F, names) is J and not calls
+    for G in (F[:2], F + F[:1]):
+        with pytest.raises(SpecMismatch, match="one series per x-variable"):
+            jacobian(G, names)
 
 
 def test_stored_substitution_results_equal_a_recomputation():

@@ -2,9 +2,10 @@ import json
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import partial, reduce
+from functools import partial
 from itertools import combinations, product
 from math import comb, factorial, lcm, prod
+from operator import is_
 
 import pytest
 
@@ -936,7 +937,7 @@ def test_chain_of_two_equals_extract_of_the_formed_product():
             want = tuple(rng.choice([-20, 20]) for _ in over)   # outside every box
         for a_exact, b_exact in ((True, True), (True, False), (False, True), (False, False)):
             a, b = draw(spec, a_exact), draw(spec, b_exact)
-            expected = _slice_outcome(lambda: multiply(a, b).extract(over, want))
+            expected = _slice_outcome(lambda: series.product([a, b]).extract(over, want))
             assert _slice_outcome(lambda: chain_extract([a, b], over, want)) == expected, (
                 a.to_json(), b.to_json(), over, want)
             full = len(set(over)) == spec.n and "q" not in over
@@ -1016,15 +1017,14 @@ def _chain_factor(rng, spec, kind):
 
 
 def _chain_agrees(factors, seen):
-    """Assert that chain_extract reads what reduce(multiply, factors) then
-    extract reads, on every slice of the field and want in {-1, 0, 1}; count
+    """Assert that chain_extract reads what product(factors) then extract
+    reads, on every slice of the field and want in {-1, 0, 1}; count
     the reads in ``seen``."""
     spec = factors[0].spec
     for size in range(1, spec.n + 1):
         for names in combinations(spec.variables, size):
             for want in (-1, 0, 1):
-                expected = _chain_outcome(
-                    lambda: reduce(multiply, factors).extract(names, want))
+                expected = _chain_outcome(lambda: series.product(factors).extract(names, want))
                 got = _chain_outcome(lambda: chain_extract(factors, names, want))
                 assert got == expected, ([s.to_json() for s in factors], names, want)
                 refused = isinstance(expected, tuple) and isinstance(expected[0], type)
@@ -1035,12 +1035,11 @@ def _chain_agrees(factors, seen):
 
 
 def test_chain_equals_the_formed_product():
-    # chain_extract reads what reduce(multiply, ...) then extract reads, on
-    # chains of 2 to 5 factors (a truncated one of 1 to 3 terms among them),
-    # in fields whose phi-coordinates a slice pins or leaves free; an exact
-    # factor of more than one term is often put
-    # before the truncated ones, where it can drop a truncated product's
-    # initial pair (ROADMAP item 1, face (c))
+    # chain_extract reads what product(...) then extract reads, on chains of
+    # 2 to 5 factors (a truncated one of 1 to 3 terms among them), in fields
+    # whose phi-coordinates a slice pins or leaves free; an exact factor of
+    # more than one term is often put before the truncated ones, and both
+    # multiply it after them
     rng = random.Random(31)
     seen = Counter()
     for draw in range(300):
@@ -1054,7 +1053,7 @@ def test_chain_equals_the_formed_product():
             continue
         if draw % 2:
             factors.sort(key=lambda s: not (s.exact and len(s.terms) > 1))
-        formed = _chain_outcome(lambda: reduce(multiply, factors))
+        formed = _chain_outcome(lambda: series.product(factors))
         seen["product refused" if isinstance(formed, tuple) else "product formed"] += 1
         truncated = [k for k, s in enumerate(factors) if not s.exact]
         if truncated and any(s.exact and len(s.terms) > 1 for s in factors[:truncated[-1]]):
@@ -1068,9 +1067,9 @@ def test_chain_folds_exact_monomials_into_one_shift():
     # a shift of the wanted exponent, wherever they stand: first, inside or
     # last, all of the chain, beside a factor with no terms (where the claim
     # is the fold over every factor), in an exact chain whose boxes miss
-    # each other (the left one stays), and in the factors before the last
-    # truncated one that an exact factor of more than one term makes the
-    # chain multiply out first (ROADMAP item 1, face (c))
+    # each other (the left one stays), and before the last truncated factor
+    # with an exact factor of more than one term, which the chain multiplies
+    # after every truncated one
     rng = random.Random(35)
     seen = Counter()
 
@@ -1106,11 +1105,11 @@ def test_chain_folds_exact_monomials_into_one_shift():
         truncated = [k for k, s in enumerate(factors) if not s.exact]
         prefix = factors[:truncated[-1]] if truncated else []
         if any(s.exact and len(s.terms) > 1 for s in prefix) and any(map(monomial, prefix)):
-            seen["monomial before the last truncated factor, face (c)"] += 1
+            seen["monomial and exact factor before the last truncated one"] += 1
         _chain_agrees(factors, seen)
     assert min(seen.values()) >= 10, seen
-    # a partial product of that prefix with no terms: 1/(1 - x), known for x
-    # in [0, 3], times 1 - x is claimed on x in [1, 3], where it is 0
+    # 1/(1 - x), known for x in [0, 3], then 1 - x before a monomial and two
+    # truncated factors: the chain multiplies 1 - x after both
     spec = CHAIN_FIELDS[0]
     p = Series(spec, {(0, 0): 1, (1, 0): -1}, box=Box(((0, 3), (-2, 2))))
     _chain_agrees([p.invert(), p, Series.monomial(spec, (0, 1)),
@@ -1284,6 +1283,25 @@ def test_empty_factor_list_refused():
     for factors in ([], iter([])):
         with pytest.raises(UsageError, match="nonempty list of series"):
             chain_extract(factors, ["x"], 0)
+
+
+def test_a_product_multiplies_exact_multi_term_factors_last(monkeypatch):
+    # a stable sort: an exact factor of more than one term goes after every
+    # other factor, and each group keeps its order
+    spec = identity_spec(("x", "y"))
+    x, y = (Series.variable(spec, name) for name in "xy")
+    p, q = Series(spec, {(0, 0): 1, (1, 0): -1}), Series(spec, {(0, 0): 2, (0, 1): 1})
+    e = exp_of(x + y)
+    g = Series(spec, {(0, 0): 1, (0, 1): 1}, box=Box(((-3, 3), (-3, 3))), exact=False).invert()
+    calls = []
+    monkeypatch.setattr(series, "multiply", lambda a, b: calls.append(b) or multiply(a, b))
+    got = series.product([p, e, x, q, g, y])
+    assert len(calls) == 5 and all(map(is_, calls, [x, g, y, p, q]))
+    assert got == multiply(multiply(multiply(multiply(multiply(e, x), g), y), p), q)
+    assert series.product([q]) is q
+    for factors in ([], iter([]), [p, 3], [3]):
+        with pytest.raises(UsageError, match="nonempty list of series"):
+            series.product(factors)
 
 
 def test_a_product_of_a_series_and_a_scalar_is_refused():

@@ -43,7 +43,7 @@ COUNTS = {
     },
     "cov_lemma": {
         "identities.wilson_v.calls": 10,
-        "ordering.phi.calls": 11086,
+        "ordering.phi.calls": 10816,
         "parser.parse.calls": 200,
         "residues.change_of_variables.calls": 300,
         "residues.jacobian.calls": 501,
@@ -55,9 +55,9 @@ COUNTS = {
         "series.invert.calls": 766,
         "series.invert.terms_in": 1367,
         "series.invert.terms_out": 7039,
-        "series.multiply.calls": 585,
-        "series.multiply.pairs": 71449,
-        "series.multiply.terms_out": 10043,
+        "series.multiply.calls": 575,
+        "series.multiply.pairs": 70101,
+        "series.multiply.terms_out": 9936,
     },
     "lagrange": {
         "ordering.phi.calls": 6217,
